@@ -50,7 +50,8 @@ void BM_SelfRescheduling(benchmark::State& state) {
 BENCHMARK(BM_SelfRescheduling)->Arg(10000);
 
 void BM_ProcessContextSwitch(benchmark::State& state) {
-  // Each advance() is two OS-level handoffs (engine->proc->engine).
+  // Each advance() is two user-space fiber switches (engine->proc->engine)
+  // plus one engine event.
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Engine eng;

@@ -208,10 +208,11 @@ class Engine {
   /// (time, seq) is a total order.
   void compactIfStale();
   // Debug guard against two sweep shards driving one Engine at once. It is
-  // deliberately not a thread-id check: cooperative Process handoff means
-  // several OS threads legitimately touch the Engine one at a time, and the
-  // flag stays set across a handoff (the run loop is blocked inside fn()),
-  // so only genuinely concurrent run()/runUntil() entry trips it.
+  // deliberately not a thread-id check: a hosted ShardedEngine drives each
+  // domain Engine from whichever worker owns it in the current run. The
+  // flag stays set while a Process fiber runs (the run loop is suspended
+  // inside fn() on the same thread), so only genuinely concurrent
+  // run()/runUntil() entry trips it.
   struct DriveGuard {
 #ifndef NDEBUG
     explicit DriveGuard(Engine& e) : engine(e) {

@@ -30,6 +30,10 @@ std::uint64_t wallNowNs() {
 // Execution context of the current thread: which engine/domain the event
 // being executed belongs to. post()/send() use it to reject cross-domain
 // scheduling that would make execution order depend on the shard packing.
+// Only synthetic mode sets them, and no Process runs there. Hosted mode
+// resumes Process fibers on whichever worker owns their domain, so a
+// thread_local read inside a process body may belong to another thread
+// after its next wait.
 thread_local const ShardedEngine* tlEngine = nullptr;
 thread_local std::uint32_t tlDomain = 0;
 

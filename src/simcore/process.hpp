@@ -1,24 +1,30 @@
 // Cooperative simulated processes.
 //
-// A Process runs user code (a benchmark node program) on a dedicated OS
-// thread, but execution interleaves cooperatively with the Engine: control
-// is handed back and forth through a mutex/condvar pair so exactly one of
-// {engine, some process} runs at any instant. User code experiences a
-// synchronous, blocking API (advance / await) while the engine stays a pure
-// discrete-event core underneath.
+// A Process runs user code (a benchmark node program) as a stackful
+// user-space fiber: the body runs on its own mmap'd stack, and control
+// passes between it and the engine through a hand-written stack switch in
+// process.cpp, with no syscall and no other OS thread. Exactly one of
+// {engine, some process} runs at any instant, on the thread driving the
+// engine. User code experiences a synchronous, blocking API (advance /
+// await) while the engine stays a pure discrete-event core underneath and
+// owns every scheduling decision.
+//
+// A fiber is not tied to an OS thread: a hosted ShardedEngine resumes it
+// on whichever worker owns its domain in the current run. Each process
+// keeps its own C++ exception state (caught-exception stack and
+// std::uncaught_exceptions()) across the switch, as a thread of its own
+// would.
 //
 // CPU accounting: advance(d, CpuUse::Busy) accrues the process's busy
 // counter — the simulated getrusage() that the paper's CPU-utilization
 // micro-benchmarks read. Blocking in await() is idle time.
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -36,6 +42,9 @@ class Process {
   /// Creates the process and schedules its body to start at engine.now().
   /// Lifetime contract: the Process must be destroyed before the Engine.
   Process(Engine& engine, std::string name, std::function<void()> body);
+  /// Destroying an unfinished process unwinds its body. While it unwinds,
+  /// engine().currentProcess() is null, and advance()/await*() called by
+  /// destructors on the body's stack return at once without waiting.
   ~Process();
 
   Process(const Process&) = delete;
@@ -83,34 +92,47 @@ class Process {
   friend class Signal;
 
   enum class State : std::uint8_t {
-    Created,   // thread exists, body not yet started
-    Ready,     // a resume event is queued
+    Ready,     // a resume event is queued (or the body has not started)
     Running,   // body is executing right now
     Blocked,   // waiting on a Signal (and possibly a timeout)
     Finished,  // body returned or was killed
   };
 
-  enum class Turn : std::uint8_t { Engine, Proc };
-
   struct Killed {};  // thrown into the body to unwind on forced shutdown
 
-  void threadMain(std::function<void()> body);
+  /// The C++ runtime's per-thread __cxa_eh_globals, whose layout libstdc++
+  /// and libc++abi share on x86-64: the caught-exception stack and the
+  /// std::uncaught_exceptions() count.
+  struct EhState {
+    void* caughtExceptions;
+    unsigned int uncaughtExceptions;
+  };
+
+  /// First frame on the fiber stack: runs the body, then leaves for good.
+  [[noreturn]] static void fiberMain(Process* self) noexcept;
   /// Engine side: transfer control to the process until it yields.
   void resume();
-  /// Process side: return control to the engine; blocks until resumed.
+  /// Engine side: the raw switch into the fiber and back, swapping in this
+  /// process's exception state. Returns on the calling thread.
+  void switchIn();
+  /// Process side: the raw switch back to whoever called switchIn().
+  /// `last` marks the final switch of a finished body.
+  void switchOut(bool last);
+  /// Process side: return control to the engine until resumed.
   void yieldToEngine();
+  /// True when a wait must not park because ~Process is unwinding the
+  /// body; rethrows Killed when no exception is in flight.
+  bool killedNoWait() const;
   /// Wake path shared by Signal delivery and await timeouts.
   void wakeFromWait(std::uint64_t epoch, bool signalled);
-  void assertOnProcessThread() const;
+  void assertInBody() const;
 
   Engine& engine_;
   std::string name_;
+  std::function<void()> body_;
   Duration cpuBusy_ = 0;
 
-  State state_ = State::Created;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::Engine;
+  State state_ = State::Ready;
   bool killed_ = false;
   std::exception_ptr failure_;
 
@@ -119,7 +141,18 @@ class Process {
   bool waitSignalled_ = false;
   EventId timeoutEvent_ = 0;
 
-  std::thread thread_;
+  // Fiber context (see process.cpp). The parked side's stack pointer is
+  // saved in fiberSp_ or callerSp_; the exception state of the process is
+  // kept in eh_ while it is parked.
+  void* stack_ = nullptr;  // mapping base; the guard page comes first
+  void* fiberSp_ = nullptr;
+  void* callerSp_ = nullptr;
+  EhState eh_{};
+  // Sanitizer fiber bookkeeping; unused outside ASan/TSan builds.
+  const void* callerStack_ = nullptr;
+  std::size_t callerStackSize_ = 0;
+  void* tsanFiber_ = nullptr;
+  void* tsanCaller_ = nullptr;
 };
 
 /// A broadcast wakeup primitive in virtual time. notifyAll() releases every

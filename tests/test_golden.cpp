@@ -17,6 +17,12 @@
 // pdes-tsan CI job uses this to run the whole suite at 4 shards without
 // quadrupling its size.
 //
+// Each case runs hermetically in a private mkdtemp directory that holds
+// the stdout capture and any BENCH_*.json side file the bench writes into
+// its working directory, and is removed afterwards; goldens are read
+// through the absolute VIBE_GOLDEN_DIR. Concurrent golden processes
+// (ctest -j) therefore never share a file.
+//
 // Regenerate after an intentional table change with:
 //   ./tests/test_golden --update-golden
 // The goldens are captured with VIBE_JSON=1, so the schema-2 JSON blocks
@@ -27,13 +33,16 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -56,14 +65,47 @@ void writeFile(const std::string& path, const std::string& content) {
   ASSERT_TRUE(out.good()) << "cannot write " << path;
 }
 
-/// Runs a registered bench entry point with stdout redirected into a temp
-/// file and returns everything it printed. printf-based output only, so
-/// fd-level redirection (dup2) catches it all.
-std::string captureBench(vibe::bench::BenchFn fn, int& rc) {
-  const std::string tmp = "golden_capture.tmp";
+/// A private working directory for one golden case, entered on
+/// construction; on destruction the previous directory is restored and
+/// this one removed with everything in it.
+class ScratchDir {
+ public:
+  ScratchDir() : prev_(std::filesystem::current_path()) {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "vibe_golden.XXXXXX")
+            .string();
+    if (mkdtemp(tmpl.data()) == nullptr) {
+      throw std::filesystem::filesystem_error(
+          "mkdtemp", tmpl, std::error_code(errno, std::generic_category()));
+    }
+    path_ = tmpl;
+    std::filesystem::current_path(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::current_path(prev_, ec);
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path prev_;
+  std::filesystem::path path_;
+};
+
+/// Runs a registered bench entry point with stdout redirected into the
+/// file `capture` and returns everything it printed. printf-based output
+/// only, so fd-level redirection (dup2) catches it all.
+std::string captureBench(vibe::bench::BenchFn fn, const std::string& capture,
+                         int& rc) {
   std::fflush(stdout);
   const int saved = dup(STDOUT_FILENO);
-  const int fd = open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  const int fd = open(capture.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   EXPECT_GE(saved, 0);
   EXPECT_GE(fd, 0);
   dup2(fd, STDOUT_FILENO);
@@ -75,9 +117,7 @@ std::string captureBench(vibe::bench::BenchFn fn, int& rc) {
   std::fflush(stdout);
   dup2(saved, STDOUT_FILENO);
   close(saved);
-  const std::string out = readFile(tmp);
-  std::remove(tmp.c_str());
-  return out;
+  return readFile(capture);
 }
 
 /// First differing line between two blobs, for a failure message that
@@ -141,8 +181,10 @@ class GoldenTableTest : public ::testing::Test {
     } else {
       setenv("VIBE_SIM_SHARDS", shards_.c_str(), 1);
     }
+    const ScratchDir scratch;  // the bench's working directory
     int rc = -1;
-    const std::string out = captureBench(info_.fn, rc);
+    const std::string out =
+        captureBench(info_.fn, scratch.file("capture.txt"), rc);
     EXPECT_EQ(rc, 0) << info_.name << " returned nonzero";
 
     const std::string goldenPath = kGoldenDir + "/" + info_.name + ".txt";
@@ -166,8 +208,9 @@ class GoldenTableTest : public ::testing::Test {
   }
 
  private:
-  /// Benches that write BENCH_<name>.json (into the cwd) additionally get
-  /// their key skeleton pinned in tests/golden/BENCH_<name>.keys.
+  /// Benches that write BENCH_<name>.json (into the cwd, the case's
+  /// scratch directory) additionally get their key skeleton pinned in
+  /// tests/golden/BENCH_<name>.keys.
   std::string jsonPath() const { return "BENCH_" + info_.name + ".json"; }
   std::string skeletonPath() const {
     return kGoldenDir + "/BENCH_" + info_.name + ".keys";

@@ -2,6 +2,7 @@
 // statistics, and the deterministic PRNG.
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -379,9 +380,101 @@ TEST(ProcessTest, UnstartedProcessIsKilledCleanlyOnDestruction) {
   Engine eng;
   {
     Process p(eng, "never-run", [&] { eng.currentProcess()->advance(1); });
-    // Engine never runs; destructor must unwind the thread without hanging.
+    // Engine never runs; destructor must unwind the body without hanging.
   }
   SUCCEED();
+}
+
+TEST(ProcessTest, YieldInsideCatchKeepsOwnException) {
+  // Each process has its own caught-exception stack: a handler that
+  // yields and later rethrows gets its own exception back, even though
+  // another process threw, caught and yielded inside a handler meanwhile.
+  Engine eng;
+  int rethrown = 0;
+  bool bHandled = false;
+  Process a(eng, "a", [&] {
+    Process& self = *eng.currentProcess();
+    try {
+      throw 7;
+    } catch (int) {
+      self.advance(usec(10));  // b throws and parks in its handler at t=5
+      try {
+        throw;
+      } catch (int v) {
+        rethrown = v;
+      } catch (...) {
+        rethrown = -1;
+      }
+    }
+  });
+  Process b(eng, "b", [&] {
+    Process& self = *eng.currentProcess();
+    self.advance(usec(5));
+    try {
+      throw 2.5;
+    } catch (double) {
+      self.advance(usec(10));
+      bHandled = std::uncaught_exceptions() == 0;
+    }
+  });
+  eng.run();
+  EXPECT_EQ(rethrown, 7);
+  EXPECT_TRUE(bHandled);
+}
+
+TEST(ProcessTest, KilledUnwindThatYieldsCompletes) {
+  // A destructor on a killed body's stack may call its Process, as a
+  // program holding NodeEnv::self can. The call must not park (nothing
+  // would resume it) and the engine must show no current process.
+  struct YieldOnUnwind {
+    Engine& eng;
+    Process*& proc;
+    bool& done;
+    bool& sawCurrent;
+    ~YieldOnUnwind() {
+      sawCurrent = eng.currentProcess() != nullptr;
+      proc->advance(1);
+      done = true;
+    }
+  };
+  Engine eng;
+  Signal never(eng);
+  Process* stored = nullptr;
+  bool done = false;
+  bool sawCurrent = true;
+  auto p = std::make_unique<Process>(eng, "stuck", [&] {
+    stored = eng.currentProcess();
+    YieldOnUnwind guard{eng, stored, done, sawCurrent};
+    stored->await(never);
+  });
+  EXPECT_THROW(eng.run(), DeadlockError);
+  p.reset();
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(sawCurrent);
+  EXPECT_EQ(eng.pendingEvents(), 0u);
+}
+
+TEST(ProcessTest, KilledBodyThatSwallowsTheKillIsKilledAgain) {
+  // Outside an unwind, the next wait of a killed body rethrows the kill
+  // instead of parking.
+  Engine eng;
+  Signal never(eng);
+  bool swallowed = false;
+  bool ranOn = false;
+  auto p = std::make_unique<Process>(eng, "swallower", [&] {
+    Process& self = *eng.currentProcess();
+    try {
+      self.await(never);
+    } catch (...) {
+      swallowed = true;
+    }
+    self.advance(1);
+    ranOn = true;
+  });
+  EXPECT_THROW(eng.run(), DeadlockError);
+  p.reset();
+  EXPECT_TRUE(swallowed);
+  EXPECT_FALSE(ranOn);
 }
 
 TEST(ResourceTest, PipelinesBackToBackWork) {
