@@ -266,11 +266,12 @@ CollectiveTimes hypercube(const nic::NicProfile& profile,
          cluster.shardedEngine().shardProfiles()) {
       std::fprintf(stderr,
                    "  [prof] shard %u: domains=%u events=%llu active=%llu "
-                   "exec_ms=%.1f barrier_ms=%.1f\n",
+                   "exec_ms=%.1f completion_ms=%.1f parked_ms=%.1f\n",
                    p.shard, p.domains,
                    static_cast<unsigned long long>(p.events),
                    static_cast<unsigned long long>(p.windowsActive),
-                   p.execNs / 1e6, p.barrierWaitNs / 1e6);
+                   p.execNs / 1e6, p.completionNs / 1e6,
+                   p.barrierWaitNs / 1e6);
     }
   }
   if (witness) {

@@ -122,21 +122,23 @@ int run(int, char**) {
               deterministic ? "OK (digests byte-identical)" : "FAILED");
 
   // --- PDES runtime profiler: per-shard breakdown at scale ------------
-  // Wall-clock columns (exec_ms, barrier_pct) vary run to run; the event
-  // and window counts are deterministic. Totals must reconcile with the
-  // engine-wide executedEvents()/windowsExecuted() introspection.
+  // Wall-clock columns (exec_ms, completion_ms, barrier_pct) vary run to
+  // run; the event and window counts are deterministic. Totals must
+  // reconcile with the engine-wide executedEvents()/windowsExecuted()
+  // introspection. barrier_pct is the share of the shard's wall time its
+  // home thread spent parked with no work.
   bool reconciled = true;
   for (const ShardRun& r : atScale) {
     suite::ResultTable prof(
         "PDES shard profile (k=32, shards=" + std::to_string(r.shards) +
             ", imbalance=max/mean events)",
         {"shard", "domains", "events", "ev_per_window", "occupancy",
-         "exec_ms", "barrier_pct", "xshard_sent"});
+         "exec_ms", "completion_ms", "barrier_pct", "xshard_sent"});
     std::uint64_t evTotal = 0;
     for (const sim::ShardProfile& p : r.res.shardProfiles) {
       evTotal += p.events;
-      const double busyNs =
-          static_cast<double>(p.execNs + p.barrierWaitNs);
+      const double busyNs = static_cast<double>(p.execNs + p.completionNs +
+                                                p.barrierWaitNs);
       prof.addRow({static_cast<double>(p.shard),
                    static_cast<double>(p.domains),
                    static_cast<double>(p.events),
@@ -149,6 +151,7 @@ int run(int, char**) {
                        : static_cast<double>(p.windowsActive) /
                              static_cast<double>(r.res.windows),
                    static_cast<double>(p.execNs) / 1e6,
+                   static_cast<double>(p.completionNs) / 1e6,
                    busyNs == 0.0
                        ? 0.0
                        : 100.0 * static_cast<double>(p.barrierWaitNs) /
@@ -176,7 +179,7 @@ int run(int, char**) {
       "width is the derived cross-edge lookahead (header serialization +\n"
       "propagation up and down + core forwarding). Speedup tracks the\n"
       "hardware thread count, not the shard count: with fewer cores than\n"
-      "shards the barrier just multiplexes threads (hw=%u here).\n",
+      "active shards the woken threads just time-slice (hw=%u here).\n",
       hw);
 
   if (jsonRequested()) {

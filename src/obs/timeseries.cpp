@@ -143,6 +143,7 @@ void publishShardProfiles(MetricsRegistry& registry, std::string_view scope,
     registry.counter(base + "/windows_active").add(p.windowsActive);
     registry.counter(base + "/exec_ns").add(p.execNs);
     registry.counter(base + "/barrier_wait_ns").add(p.barrierWaitNs);
+    registry.counter(base + "/completion_ns").add(p.completionNs);
     registry.counter(base + "/cross_shard_sent").add(p.crossShardSent);
     registry.gauge(base + "/domains").set(static_cast<double>(p.domains));
   }

@@ -116,7 +116,8 @@ class TimeSeriesSampler : public sim::TimeObserver {
 
 /// Publishes a PDES shard-profile snapshot into a metrics registry under
 /// `scope` (e.g. "pdes"): per-shard counters for events, windows-active,
-/// exec/barrier wall nanoseconds, and cross-shard sends, plus the
+/// exec/parked/completion wall nanoseconds (`barrier_wait_ns` is the
+/// parked time), and cross-shard sends, plus the
 /// engine-wide load-imbalance gauge. Wall-clock values are inherently
 /// non-deterministic — callers keep them out of golden output.
 void publishShardProfiles(MetricsRegistry& registry, std::string_view scope,

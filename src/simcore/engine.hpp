@@ -130,8 +130,8 @@ class Engine {
   bool windowedMode() const { return windowed_; }
 
   /// postAt bypassing the windowed guard: the ShardedEngine outbox merge
-  /// runs between windows (single-threaded, at the barrier) and is the one
-  /// sanctioned writer into parked engines.
+  /// runs between windows (single-threaded, in the completion step) and
+  /// is the one sanctioned writer into parked engines.
   EventId postAtMerge(SimTime t, EventFn fn) {
     return postAtImpl(t, std::move(fn));
   }
@@ -209,7 +209,7 @@ class Engine {
   void compactIfStale();
   // Debug guard against two sweep shards driving one Engine at once. It is
   // deliberately not a thread-id check: a hosted ShardedEngine drives each
-  // domain Engine from whichever worker owns it in the current run. The
+  // domain Engine from whichever thread runs the domain's window. The
   // flag stays set while a Process fiber runs (the run loop is suspended
   // inside fn() on the same thread), so only genuinely concurrent
   // run()/runUntil() entry trips it.

@@ -1,7 +1,6 @@
 #include "simcore/pdes.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
@@ -31,9 +30,9 @@ std::uint64_t wallNowNs() {
 // being executed belongs to. post()/send() use it to reject cross-domain
 // scheduling that would make execution order depend on the shard packing.
 // Only synthetic mode sets them, and no Process runs there. Hosted mode
-// resumes Process fibers on whichever worker owns their domain, so a
-// thread_local read inside a process body may belong to another thread
-// after its next wait.
+// resumes Process fibers on whichever thread runs their domain's window,
+// so a thread_local read inside a process body may belong to another
+// thread after its next wait.
 thread_local const ShardedEngine* tlEngine = nullptr;
 thread_local std::uint32_t tlDomain = 0;
 
@@ -68,8 +67,8 @@ struct ShardedEngine::ItemAfter {
   }
 };
 
-/// A cross-domain event parked in its source shard's outbox until the
-/// window barrier merges it into the destination heap.
+/// A cross-domain event parked in its source domain's outbox until the
+/// window's completion step merges it into the destination heap.
 struct ShardedEngine::CrossMsg {
   SimTime time;
   std::uint64_t seq;
@@ -83,7 +82,7 @@ namespace {
 /// Hosted-mode outbox entry: an absolute-time arrival bound for a foreign
 /// hosted engine. No (srcDomain, seq) key — a hosted engine orders ties by
 /// its own insertion sequence, which is why the merge must always run in
-/// domain order at the barrier (see deliverOutboxes).
+/// domain order in the completion step (see deliverOutboxes).
 struct HostedMsg {
   SimTime time;
   std::uint32_t dstDomain;
@@ -98,8 +97,8 @@ struct alignas(64) ShardedEngine::Domain {
   std::vector<Item> heap;
   std::vector<EventFn> pool;
   std::vector<std::uint32_t> freeSlots;
-  // Outbox for cross-shard sends originating here; drained at the window
-  // barrier by the completion step. Per-domain (not per-shard) so two
+  // Outbox for cross-shard sends originating here; drained at the end of
+  // the window by the completion step. Per-domain (not per-shard) so two
   // domains on one shard never interleave their messages — the merge
   // order is irrelevant to the key-ordered heaps, but keeping ownership
   // strictly per-domain keeps every write single-writer.
@@ -144,6 +143,7 @@ ShardedEngine::ShardedEngine(const EngineConfig& cfg)
         "than one shard (no cross-shard latency means no safe window)");
   }
   domains_.resize(cfg.domains);
+  if (shards_ > 1) parkers_ = std::make_unique<Parker[]>(shards_);
   runnable_.resize(shards_);
   dirtyByShard_.resize(shards_);
   hosted_ = cfg.hostEngines;
@@ -312,7 +312,7 @@ void ShardedEngine::send(std::uint32_t src, std::uint32_t dst, Duration delay,
   if (shardOf(src) != shardOf(dst)) {
     ++from.crossShard;
     if (running_) {
-      // Parked until the window barrier: the destination heap belongs to
+      // Parked until the completion step: the destination heap belongs to
       // another shard mid-window.
       if (from.outbox.empty()) markOutboxDirty(src);
       from.outbox.push_back(CrossMsg{t, seq, src, dst, std::move(fn)});
@@ -321,7 +321,7 @@ void ShardedEngine::send(std::uint32_t src, std::uint32_t dst, Duration delay,
   }
   // Same shard (the owner may touch both heaps) or setup phase (single
   // driving thread): deliver immediately. The heap's total key order
-  // makes immediate and barrier-time insertion indistinguishable.
+  // makes immediate and merge-time insertion indistinguishable.
   pushEvent(domains_[dst], t, src, seq, std::move(fn));
   pushRunnable(dst, t);
 }
@@ -449,9 +449,9 @@ void ShardedEngine::initRunnable() {
   }
 }
 
-/// File domain d under key t in its owner's heap. Only the owning worker
-/// (same-shard deliveries, post-run re-file) or the single-threaded
-/// merge step may call this for a given d.
+/// File domain d under key t in its owner's heap. Only the thread running
+/// d's shard (same-shard deliveries, post-run re-file) or the
+/// single-threaded merge step may call this for a given d.
 void ShardedEngine::pushRunnable(std::uint32_t d, SimTime t) {
   if (!runnableActive_) return;
   if (t >= domKey_[d]) return;  // an entry at or below t is already filed
@@ -536,6 +536,7 @@ bool ShardedEngine::runWindows(SimTime horizon) {
   const bool lazy = !(hosted_ && boundaryFlush_);
   if (lazy) initRunnable();
   for (;;) {
+    std::uint64_t w0 = profiling_ ? wallNowNs() : 0;
     const SimTime t = lazy ? runnableTop(0)
                            : (hosted_ ? hostedNextEventTime()
                                       : nextEventTime());
@@ -549,7 +550,11 @@ bool ShardedEngine::runWindows(SimTime horizon) {
     windowEnd = clampToBoundary(t, windowEnd);
     if (hosted_ && boundaryFlush_) boundaryFlush_(t);
     windowEnd_ = windowEnd;  // sendAt's conservative check reads this
-    const std::uint64_t w0 = profiling_ ? wallNowNs() : 0;
+    if (profiling_) {
+      const std::uint64_t now = wallNowNs();
+      timing_[0].completionNs += now - w0;
+      w0 = now;
+    }
     std::uint64_t executed = 0;
     if (lazy) {
       executed = execShardWindow(0, windowEnd);
@@ -559,11 +564,158 @@ bool ShardedEngine::runWindows(SimTime horizon) {
       }
     }
     if (profiling_) {
-      timing_[0].execNs += wallNowNs() - w0;
+      const std::uint64_t now = wallNowNs();
+      timing_[0].execNs += now - w0;
       if (executed > 0) ++timing_[0].windowsActive;
+      w0 = now;
     }
     deliverOutboxes();
     ++windows_;
+    if (profiling_) timing_[0].completionNs += wallNowNs() - w0;
+  }
+}
+
+/// Computes the next window's bounds from the completion step (or before
+/// the threads start), or marks the run done.
+void ShardedEngine::prepareWindow() {
+  if (abort_.load(std::memory_order_relaxed)) {
+    done_ = true;
+    return;
+  }
+  SimTime t = kNoEvent;
+  if (runnableActive_) {
+    // O(shards) reduce over the heap tops — replaces the serial
+    // O(domains) rescan that dominated thin windows.
+    for (unsigned s = 0; s < shards_; ++s) t = std::min(t, runnableTop(s));
+  } else {
+    t = hosted_ ? hostedNextEventTime() : nextEventTime();
+  }
+  if (t == kNoEvent) {
+    drained_ = true;
+    done_ = true;
+    return;
+  }
+  if (t > horizon_) {
+    done_ = true;
+    return;
+  }
+  SimTime windowEnd = std::min(satAdd(t, lookahead_), satAdd(horizon_, 1));
+  windowEnd = clampToBoundary(t, windowEnd);
+  // Boundary flush runs here, in the single-threaded completion step:
+  // every other thread is parked, so the hook may read any domain's
+  // state race-free.
+  if (hosted_ && boundaryFlush_) boundaryFlush_(t);
+  windowEnd_ = windowEnd;
+}
+
+void ShardedEngine::wake(unsigned shard) {
+  Parker& p = parkers_[shard];
+  p.ticket.fetch_add(1, std::memory_order_release);
+  p.ticket.notify_one();
+}
+
+/// Hands out the prepared window: counts the active shards, wakes the
+/// home threads of all but one, and returns the shard the calling thread
+/// runs itself (its own if active, else the lowest-numbered active one).
+/// Once the run is done it wakes every other thread to exit instead and
+/// returns shards_.
+unsigned ShardedEngine::dispatchWindow(unsigned home) {
+  if (done_) {
+    for (unsigned s = 0; s < shards_; ++s) {
+      if (s != home) wake(s);
+    }
+    return shards_;
+  }
+  // Without the runnable heaps (a boundary hook is set) every shard is
+  // active; with them, exactly the shards execShardWindow has work for.
+  auto active = [this](unsigned s) {
+    return !runnableActive_ || runnableTop(s) < windowEnd_;
+  };
+  unsigned mine = shards_;
+  unsigned count = 0;
+  for (unsigned s = 0; s < shards_; ++s) {
+    if (!active(s)) continue;
+    ++count;
+    if (mine == shards_ || s == home) mine = s;
+  }
+  // The window start is some shard's heap top, so count >= 1. Set before
+  // any wake-up, whose release publishes it.
+  pending_.store(count, std::memory_order_relaxed);
+  for (unsigned s = 0; s < shards_; ++s) {
+    if (s != mine && active(s)) wake(s);
+  }
+  return mine;
+}
+
+/// Runs one shard's part of the open window on the calling thread. An
+/// event failure is recorded against the shard, not the thread, and ends
+/// the run after this window; the other active shards still finish it, so
+/// which failures are recorded does not depend on the thread schedule.
+void ShardedEngine::runShard(unsigned shard) {
+  try {
+    const std::uint64_t w0 = profiling_ ? wallNowNs() : 0;
+    std::uint64_t executed = 0;
+    if (runnableActive_) {
+      executed = execShardWindow(shard, windowEnd_);
+    } else {
+      for (std::uint32_t d = shard; d < domainCountU32_; d += shards_) {
+        executed += execDomainWindow(d, windowEnd_);
+      }
+    }
+    if (profiling_) {
+      timing_[shard].execNs += wallNowNs() - w0;
+      if (executed > 0) ++timing_[shard].windowsActive;
+    }
+  } catch (...) {
+    shardErrors_[shard] = std::current_exception();
+    abort_.store(true, std::memory_order_relaxed);
+  }
+}
+
+/// The completion step, on the thread that finished the window's last
+/// active shard: every other thread is parked or about to park, so the
+/// merge and the next window's bounds need no locks. Returns the shard
+/// this thread runs next (see dispatchWindow).
+unsigned ShardedEngine::completeWindow(unsigned home) {
+  const std::uint64_t c0 = profiling_ ? wallNowNs() : 0;
+  ++windows_;
+  try {
+    deliverOutboxes();
+    prepareWindow();
+  } catch (...) {
+    // Merge/hook failure (e.g. a throwing boundary flush): surface it
+    // like a shard-0 event failure and wind the run down.
+    if (!shardErrors_[0]) shardErrors_[0] = std::current_exception();
+    abort_.store(true, std::memory_order_relaxed);
+    done_ = true;
+  }
+  const unsigned next = dispatchWindow(home);
+  if (profiling_) timing_[home].completionNs += wallNowNs() - c0;
+  return next;
+}
+
+/// The loop of `home`'s thread, starting with `shard` (shards_: park
+/// first): run the shard it was handed, then either complete the window
+/// (last one out) or park until woken for its own shard.
+void ShardedEngine::serveShard(unsigned home, unsigned shard) {
+  std::uint32_t seen = 0;  // tickets reset to 0 before the threads start
+  for (;;) {
+    if (shard == shards_) {
+      const std::uint64_t b0 = profiling_ ? wallNowNs() : 0;
+      std::atomic<std::uint32_t>& ticket = parkers_[home].ticket;
+      ticket.wait(seen, std::memory_order_acquire);
+      seen = ticket.load(std::memory_order_acquire);
+      if (profiling_) timing_[home].barrierWaitNs += wallNowNs() - b0;
+      if (done_) return;
+      shard = home;
+    }
+    runShard(shard);
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+      shard = shards_;  // others still running: park
+      continue;
+    }
+    shard = completeWindow(home);
+    if (shard == shards_) return;  // done; the others were woken to exit
   }
 }
 
@@ -575,95 +727,27 @@ bool ShardedEngine::runWindowsParallel(SimTime horizon) {
   shardErrors_.assign(shards_, nullptr);
 
   // See runWindows: a boundary-flush hook posts behind the heaps.
-  const bool lazy = !(hosted_ && boundaryFlush_);
-  if (lazy) initRunnable();
-
-  auto prepareWindow = [this, lazy]() {
-    if (abort_.load(std::memory_order_relaxed)) {
-      done_ = true;
-      return;
-    }
-    SimTime t;
-    if (lazy) {
-      // O(shards) reduce over the heap tops — replaces the serial
-      // O(domains) rescan that dominated thin windows.
-      t = kNoEvent;
-      for (unsigned s = 0; s < shards_; ++s) {
-        t = std::min(t, runnableTop(s));
-      }
-    } else {
-      t = hosted_ ? hostedNextEventTime() : nextEventTime();
-    }
-    if (t == kNoEvent) {
-      drained_ = true;
-      done_ = true;
-      return;
-    }
-    if (t > horizon_) {
-      done_ = true;
-      return;
-    }
-    SimTime windowEnd = std::min(satAdd(t, lookahead_), satAdd(horizon_, 1));
-    windowEnd = clampToBoundary(t, windowEnd);
-    // Boundary flush runs here, in the single-threaded completion step:
-    // every worker is parked at the barrier, so the hook may read any
-    // domain's state race-free.
-    if (hosted_ && boundaryFlush_) boundaryFlush_(t);
-    windowEnd_ = windowEnd;
-  };
+  if (!(hosted_ && boundaryFlush_)) initRunnable();
 
   prepareWindow();
   if (!done_) {
-    // Completion step: runs on exactly one thread between a window's last
-    // arrival and anyone's release, so the merge and the next window
-    // bounds need no locks — the barrier's happens-before edges carry
-    // them to every worker.
-    auto onWindowDone = [this, &prepareWindow]() noexcept {
-      ++windows_;
-      try {
-        deliverOutboxes();
-        prepareWindow();
-      } catch (...) {
-        // Merge/hook failure (e.g. a throwing boundary flush): surface it
-        // like a shard-0 event failure and wind the pool down.
-        if (!shardErrors_[0]) shardErrors_[0] = std::current_exception();
-        abort_.store(true, std::memory_order_relaxed);
-        done_ = true;
-      }
-    };
-    std::barrier sync(static_cast<std::ptrdiff_t>(shards_),
-                      std::move(onWindowDone));
-    auto worker = [this, &sync, lazy](unsigned shard) {
-      while (!done_) {
-        if (!abort_.load(std::memory_order_relaxed)) {
-          try {
-            const std::uint64_t w0 = profiling_ ? wallNowNs() : 0;
-            std::uint64_t executed = 0;
-            if (lazy) {
-              executed = execShardWindow(shard, windowEnd_);
-            } else {
-              for (std::uint32_t d = shard; d < domainCountU32_;
-                   d += shards_) {
-                executed += execDomainWindow(d, windowEnd_);
-              }
-            }
-            if (profiling_) {
-              timing_[shard].execNs += wallNowNs() - w0;
-              if (executed > 0) ++timing_[shard].windowsActive;
-            }
-          } catch (...) {
-            shardErrors_[shard] = std::current_exception();
-            abort_.store(true, std::memory_order_relaxed);
-          }
-        }
-        const std::uint64_t b0 = profiling_ ? wallNowNs() : 0;
-        sync.arrive_and_wait();
-        if (profiling_) timing_[shard].barrierWaitNs += wallNowNs() - b0;
-      }
-    };
+    for (unsigned s = 0; s < shards_; ++s) {
+      parkers_[s].ticket.store(0, std::memory_order_relaxed);
+    }
+    // The calling thread serves as shard 0; the others start parked.
     std::vector<std::thread> pool;
-    pool.reserve(shards_);
-    for (unsigned s = 0; s < shards_; ++s) pool.emplace_back(worker, s);
+    pool.reserve(shards_ - 1);
+    try {
+      for (unsigned s = 1; s < shards_; ++s) {
+        pool.emplace_back([this, s] { serveShard(s, shards_); });
+      }
+    } catch (...) {
+      done_ = true;  // could not start a thread: release the started ones
+      dispatchWindow(0);
+      for (std::thread& th : pool) th.join();
+      throw;
+    }
+    serveShard(0, dispatchWindow(0));
     for (std::thread& th : pool) th.join();
   }
 
@@ -777,6 +861,7 @@ std::vector<ShardProfile> ShardedEngine::shardProfiles() const {
     if (s < timing_.size()) {
       out[s].execNs = timing_[s].execNs;
       out[s].barrierWaitNs = timing_[s].barrierWaitNs;
+      out[s].completionNs = timing_[s].completionNs;
       out[s].windowsActive = timing_[s].windowsActive;
     }
   }

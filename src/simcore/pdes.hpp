@@ -3,8 +3,8 @@
 // A ShardedEngine partitions simulation state into `domains` — logical
 // groups (e.g. the hosts under one edge switch) whose events never touch
 // another domain's state directly. Domains are packed onto `shards`
-// worker threads (domain d runs on shard d % shards) and advance in
-// lockstep windows of virtual time:
+// (domain d belongs to shard d % shards) and advance in lockstep windows
+// of virtual time:
 //
 //   window = [T, T + lookahead)  where T is the global minimum pending
 //   event time and `lookahead` is the minimum latency any cross-domain
@@ -15,9 +15,20 @@
 // locks and no communication: a cross-domain message sent at time
 // t >= T arrives at t + delay >= T + lookahead, i.e. at or after the
 // window's end, so nothing a peer does during the window can affect
-// events inside it. Cross-domain sends are buffered in per-shard
-// outboxes (the "mailbox") and merged into the destination domains at
-// the window barrier.
+// events inside it. Cross-domain sends are buffered in per-domain
+// outboxes (the "mailbox") and merged into the destination domains by
+// the window's completion step.
+//
+// Window dispatch: each shard has a home thread (shard 0's is the thread
+// that calls run()), parked on its own futex word while it has no work.
+// Only the shards with an event before the window's end are active. The
+// thread that finishes a window's last active shard runs the completion
+// step — the domain-ordered merge and the next-window bounds — then runs
+// one active shard of the next window itself (its own if active, else the
+// lowest-numbered one) and wakes only the home threads of the others. A
+// shard therefore runs on more than one thread over a run, and so do the
+// Process fibers of its domains; exactly one thread runs a shard at a
+// time.
 //
 // Determinism contract (see docs/PDES.md):
 //   Every event carries the key (time, srcDomain, srcSeq), where srcSeq
@@ -28,7 +39,7 @@
 //   — never by a shard or thread — the per-domain execution order, and
 //   therefore every per-domain output, is byte-identical for any shard
 //   count and any thread schedule. shards=1 runs the same window loop
-//   inline on the calling thread: no pool, no barrier, no atomics — the
+//   inline on the calling thread: no pool, no parking, no atomics — the
 //   exact serial path, mirroring the harness's VIBE_JOBS=1 contract.
 //
 // Two modes share the window machinery:
@@ -51,8 +62,8 @@
 // In hosted mode every cross-domain send goes through the per-domain
 // outbox even when source and destination share a shard: a hosted
 // engine's tie order is insertion order, so delivery must always happen
-// at the barrier, in domain order, for the executed schedule to be
-// byte-identical at any shard count.
+// in the completion step, in domain order, for the executed schedule to
+// be byte-identical at any shard count.
 //
 // Use this substrate for domain-partitioned models that must scale a
 // *single* simulation across cores (VIBE_SIM_SHARDS), orthogonal to the
@@ -89,8 +100,14 @@ struct ShardProfile {
   std::uint64_t events = 0;         // events executed by those domains
   std::uint64_t crossShardSent = 0; // sends that left this shard
   std::uint64_t windowsActive = 0;  // windows with >= 1 event here
-  std::uint64_t execNs = 0;         // wall time executing events
-  std::uint64_t barrierWaitNs = 0;  // wall time blocked at the barrier
+  // Wall time executing this shard's events, on whichever thread ran them.
+  std::uint64_t execNs = 0;
+  // Wall time this shard's home thread spent parked, waiting to be woken
+  // for work (0 on the serial path, which never parks).
+  std::uint64_t barrierWaitNs = 0;
+  // Wall time this shard's home thread spent in completion steps: the
+  // outbox merge, the next-window reduce and the wake-ups.
+  std::uint64_t completionNs = 0;
 };
 
 /// Construction parameters for a ShardedEngine.
@@ -102,8 +119,9 @@ struct EngineConfig {
   /// actually runs (with a single shard 0 is allowed: the window
   /// degenerates to one timestamp at a time).
   Duration lookahead = 0;
-  /// Worker threads; 0 = shardCount() (VIBE_SIM_SHARDS / hardware).
-  /// Clamped to `domains`. 1 runs inline with no threads.
+  /// Shards; a run uses the calling thread plus shards - 1 more. 0 =
+  /// shardCount() (VIBE_SIM_SHARDS / hardware). Clamped to `domains`. 1
+  /// runs inline with no other thread.
   unsigned shards = 0;
   /// Hosted mode: each domain owns a full serial sim::Engine reachable
   /// via domainEngine(). post()/send() are disabled in favor of the
@@ -170,7 +188,8 @@ class ShardedEngine {
   /// from the single-threaded completion step — every event strictly
   /// before T has executed, none at or after T has, so `flush` may read
   /// any domain's state and sees exactly what a serial TimeObserver
-  /// would at boundaries <= T. Pass (0, nullptr) to clear.
+  /// would at boundaries <= T. While a hook is set every shard is active
+  /// in every window. Pass (0, nullptr) to clear.
   void setBoundaryHook(Duration period, std::function<void(SimTime)> flush);
 
   /// Max over domain clocks — the hosted equivalent of Engine::now()
@@ -199,7 +218,7 @@ class ShardedEngine {
   /// send() calls whose source and destination domains live on different
   /// shards — the events that actually paid the mailbox.
   std::uint64_t crossShardEvents() const;
-  /// Conservative windows executed (barrier count in a parallel run).
+  /// Conservative windows executed (completion steps in a parallel run).
   std::uint64_t windowsExecuted() const { return windows_; }
 
   /// --- Runtime profiler (opt-in; see docs/PDES.md) ---
@@ -212,8 +231,8 @@ class ShardedEngine {
   bool profiling() const { return profiling_; }
 
   /// One snapshot per shard: deterministic event/window counts summed
-  /// from the shard's domains plus wall-clock exec and barrier-wait time
-  /// accumulated while profiling was enabled. Call when not running.
+  /// from the shard's domains plus wall-clock exec, parked and completion
+  /// time accumulated while profiling was enabled. Call when not running.
   std::vector<ShardProfile> shardProfiles() const;
 
   /// max/mean of per-shard executed events: 1.0 = perfectly balanced.
@@ -227,12 +246,23 @@ class ShardedEngine {
   // Strict weak order "a fires after b" over the (time, src, seq) key.
   struct ItemAfter;
 
-  // Per-shard wall-clock accumulators; cache-line aligned because every
-  // shard writes its own entry concurrently during a parallel run.
+  // Per-shard wall-clock accumulators; cache-line aligned because several
+  // threads write distinct entries concurrently during a parallel run.
+  // execNs/windowsActive are charged by whichever thread runs the shard,
+  // the other two by the shard's home thread; the window hand-offs order
+  // every pair of writes to one entry.
   struct alignas(64) ShardTiming {
     std::uint64_t execNs = 0;
     std::uint64_t barrierWaitNs = 0;
+    std::uint64_t completionNs = 0;
     std::uint64_t windowsActive = 0;
+  };
+
+  // The futex word a shard's home thread parks on. The waker bumps it
+  // once per wake-up; a thread is woken only while parked (or about to
+  // park), so a bump is never lost and never doubled.
+  struct alignas(64) Parker {
+    std::atomic<std::uint32_t> ticket{0};
   };
 
   SimTime nextEventTime() const;
@@ -243,7 +273,13 @@ class ShardedEngine {
   void pushEvent(Domain& dom, SimTime t, std::uint32_t srcDomain,
                  std::uint64_t seq, EventFn fn);
   bool runWindows(SimTime horizon);          // serial (shards_ == 1)
-  bool runWindowsParallel(SimTime horizon);  // thread pool + barrier
+  bool runWindowsParallel(SimTime horizon);  // active-set dispatch
+  void prepareWindow();
+  void serveShard(unsigned home, unsigned shard);
+  void runShard(unsigned shard);
+  unsigned completeWindow(unsigned home);
+  unsigned dispatchWindow(unsigned home);
+  void wake(unsigned shard);
   void checkContext(std::uint32_t domain, const char* what) const;
   SimTime clampToBoundary(SimTime t, SimTime windowEnd) const;
   void setHostedWindowedMode(bool on);
@@ -268,16 +304,19 @@ class ShardedEngine {
   bool profiling_ = false;
   std::vector<ShardTiming> timing_;  // sized to shards_ when profiling
 
-  // Parallel-run shared state. Written only by the barrier completion
-  // step (or before the pool starts) and read by workers after the
-  // barrier releases them, so the barrier's happens-before edges are the
-  // only synchronization needed.
+  // Parallel-run shared state. Written only by the completion step (or
+  // before the threads start) and read by a shard's runner after its
+  // hand-off: the last runner's acq_rel decrement of pending_ carries
+  // every runner's writes to the completion step, and a wake-up's
+  // release/acquire on the ticket carries the step's writes on.
   SimTime windowEnd_ = 0;
   SimTime horizon_ = 0;
   bool drained_ = false;
   bool done_ = false;
   std::atomic<bool> abort_{false};
   std::vector<std::exception_ptr> shardErrors_;
+  std::unique_ptr<Parker[]> parkers_;  // one per shard, parallel runs only
+  std::atomic<unsigned> pending_{0};   // active shards still running
 
   // Runnable-domain heaps: at thousands of mostly-idle domains, touching
   // every domain every window — the completion step's O(domains) next-

@@ -10,10 +10,10 @@
 // owns every scheduling decision.
 //
 // A fiber is not tied to an OS thread: a hosted ShardedEngine resumes it
-// on whichever worker owns its domain in the current run. Each process
-// keeps its own C++ exception state (caught-exception stack and
-// std::uncaught_exceptions()) across the switch, as a thread of its own
-// would.
+// on whichever thread runs its domain's window, which may change from one
+// window to the next. Each process keeps its own C++ exception state
+// (caught-exception stack and std::uncaught_exceptions()) across the
+// switch, as a thread of its own would.
 //
 // CPU accounting: advance(d, CpuUse::Busy) accrues the process's busy
 // counter — the simulated getrusage() that the paper's CPU-utilization

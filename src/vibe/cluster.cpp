@@ -112,7 +112,7 @@ void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
   if (pdes_ != nullptr) {
     // Sharded runs have no engine observer to attach to; instead every
     // window end is clamped to the sample grid and the sampler flushes
-    // from the single-threaded barrier step, where probes may safely
+    // from the single-threaded completion step, where probes may safely
     // read any domain's state (exactly what a serial TimeObserver sees).
     pdes_->setBoundaryHook(period, [this](sim::SimTime t) {
       sampler_->flushUntil(t);

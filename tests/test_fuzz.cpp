@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,15 @@ struct FuzzParams {
   nic::Reliability rel;
   int messages;
 };
+
+// gtest_discover_tests bakes the printed parameter into each ctest name.
+// gtest's default dump of this struct is its raw bytes, including the
+// string's heap pointer, which changes from build to build; print the
+// fields instead.
+void PrintTo(const FuzzParams& p, std::ostream* os) {
+  *os << p.profile << " seed " << p.seed << ", loss " << p.loss << ", "
+      << nic::toString(p.rel) << ", " << p.messages << " messages";
+}
 
 class FuzzStream : public ::testing::TestWithParam<FuzzParams> {};
 

@@ -182,6 +182,20 @@ TEST(MetricsRegistryTest, ScopedJoinsWithSlash) {
             "bench.pingpong/latency_ns");
 }
 
+TEST(MetricsRegistryTest, ShardProfilesPublishEveryWallClock) {
+  sim::ShardProfile p;
+  p.shard = 1;
+  p.execNs = 30;
+  p.barrierWaitNs = 20;
+  p.completionNs = 10;
+  MetricsRegistry m;
+  obs::publishShardProfiles(m, "pdes", {p}, 1.5);
+  EXPECT_EQ(m.counter("pdes/shard1/exec_ns").value(), 30u);
+  EXPECT_EQ(m.counter("pdes/shard1/barrier_wait_ns").value(), 20u);
+  EXPECT_EQ(m.counter("pdes/shard1/completion_ns").value(), 10u);
+  EXPECT_DOUBLE_EQ(m.gauge("pdes/load_imbalance").value(), 1.5);
+}
+
 // --- SpanProfiler --------------------------------------------------------
 
 TEST(SpanProfilerTest, MalformedSpanCountsAsMismatch) {

@@ -16,8 +16,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fabric/pdes_traffic.hpp"
@@ -155,7 +159,7 @@ TEST(ShardedEngineSerial, BitIdenticalWithSerialEngine) {
 
 /// Every domain sends every other domain (and itself) events that all
 /// land at exactly the same timestamp, for several waves. The merge at
-/// the window barrier must order them by (time, srcDomain, srcSeq) no
+/// the completion step must order them by (time, srcDomain, srcSeq) no
 /// matter which shard parked them in which outbox.
 struct StormLog {
   // Per destination domain: the (wave, srcDomain) tags in execution order.
@@ -416,6 +420,194 @@ TEST(ShardedEngineRunUntil, HorizonPartitionsTheRun) {
     EXPECT_EQ(fired, gather(wholeFiredBy));
     delete wctx;
   }
+}
+
+// --- Active-set window dispatch -------------------------------------------
+
+/// A workload whose windows cycle through three shapes: only domain 0 has
+/// work, domains 0 and 1 do, or every domain does. Domain 0 ticks once
+/// per lookahead and fans work out for the next window; each
+/// worker adds a mid-window local event and replies to domain 0, so the
+/// replies tie with the next tick and exercise the merge order.
+struct AlternatingLoad {
+  static constexpr Duration kLa = 100;
+  ShardedEngine* eng = nullptr;
+  std::uint32_t domains = 0;
+  std::uint32_t ticks = 0;
+  std::vector<std::uint64_t> digest;  // per domain, in execution order
+
+  void record(std::uint32_t d, std::uint64_t tag) {
+    digest[d] = Tracer::combineDigest(
+        digest[d], mix64(tag ^ static_cast<std::uint64_t>(eng->now(d)) << 24));
+  }
+  void tick(std::uint32_t k) {
+    record(0, k);
+    if (k + 1 >= ticks) return;
+    const std::uint32_t shape = (k + 1) % 3;  // next window: 1, 2 or all
+    const std::uint32_t fan = shape == 0 ? 0 : shape == 1 ? 1 : domains - 1;
+    for (std::uint32_t to = 1; to <= fan; ++to) {
+      eng->send(0, to, kLa, [this, to, k] { work(to, k + 1); });
+    }
+    eng->post(0, kLa, [this, k] { tick(k + 1); });
+  }
+  void work(std::uint32_t d, std::uint32_t k) {
+    record(d, 1000 + k);
+    eng->post(d, kLa / 2, [this, d, k] { record(d, 2000 + k); });
+    eng->send(d, 0, kLa, [this, d, k] { record(0, 3000 + d * 100 + k); });
+  }
+};
+
+struct AlternatingRun {
+  std::vector<std::uint64_t> digest;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  std::vector<sim::ShardProfile> profiles;
+};
+
+AlternatingRun runAlternating(unsigned shards, std::uint32_t ticks) {
+  const std::uint32_t kDomains = 8;
+  ShardedEngine eng({.domains = kDomains,
+                     .lookahead = AlternatingLoad::kLa,
+                     .shards = shards});
+  eng.setProfiling(true);
+  AlternatingLoad load{&eng, kDomains, ticks,
+                       std::vector<std::uint64_t>(kDomains, 0)};
+  eng.post(0, 0, [&load] { load.tick(0); });
+  eng.run();
+  EXPECT_EQ(eng.pendingEvents(), 0u);
+  return {load.digest, eng.executedEvents(), eng.windowsExecuted(),
+          eng.shardProfiles()};
+}
+
+TEST(ShardedEngineDispatch, AlternatingActiveSetsMatchOneShard) {
+  const std::uint32_t kTicks = 60;
+  const AlternatingRun base = runAlternating(1, kTicks);
+  EXPECT_GT(base.events, 3u * kTicks);
+  for (unsigned shards : {2u, 3u, 4u, 7u}) {
+    const AlternatingRun got = runAlternating(shards, kTicks);
+    EXPECT_EQ(got.digest, base.digest) << "shards=" << shards;
+    EXPECT_EQ(got.events, base.events) << "shards=" << shards;
+    EXPECT_EQ(got.windows, base.windows) << "shards=" << shards;
+    // The shapes really alternate: shard 0 works in every tick window,
+    // shard 1 in two of every three, the rest in one of every three (the
+    // last tick fans nothing out, and domain 7 shares shard 0 at 7).
+    ASSERT_EQ(got.profiles.size(), shards);
+    EXPECT_EQ(got.profiles[0].windowsActive, got.windows)
+        << "shards=" << shards;
+    EXPECT_EQ(got.profiles[1].windowsActive, 2u * kTicks / 3)
+        << "shards=" << shards;
+    for (unsigned s = 2; s < shards; ++s) {
+      EXPECT_EQ(got.profiles[s].windowsActive, kTicks / 3)
+          << "shards=" << shards << " shard " << s;
+    }
+  }
+}
+
+TEST(ShardedEngineDispatch, ShardErrorIsReportedForItsShardOnAnyThread) {
+  // A lone active shard other than 0 is run by the thread that dispatched
+  // the window, not by its own thread; its failure is still its own, and
+  // the engine runs again afterwards.
+  for (std::uint32_t bad = 1; bad < 4; ++bad) {
+    ShardedEngine eng({.domains = 4, .lookahead = 10, .shards = 4});
+    eng.post(bad, 5, [bad] {
+      throw SimError("boom in domain " + std::to_string(bad));
+    });
+    bool later = false;
+    eng.post(0, 1000, [&later] { later = true; });
+    try {
+      eng.run();
+      FAIL() << "expected SimError from domain " << bad;
+    } catch (const SimError& e) {
+      EXPECT_EQ(std::string(e.what()), "boom in domain " + std::to_string(bad));
+    }
+    eng.run();
+    EXPECT_TRUE(later);
+    EXPECT_EQ(eng.pendingEvents(), 0u);
+  }
+
+  // Two failures in one window: the lower shard's wins even when a
+  // higher shard's thread ran it. Shard 3 holds the first window open
+  // until shard 0 is done, so shard 3's thread most likely completes it
+  // and then runs shard 1 of the next window itself while shard 2's own
+  // thread runs shard 2.
+  ShardedEngine eng({.domains = 4, .lookahead = 10, .shards = 4});
+  std::atomic<bool> zeroDone{false};
+  eng.post(0, 0, [&zeroDone] { zeroDone.store(true); });
+  eng.post(3, 0, [&zeroDone] {
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!zeroDone.load() && std::chrono::steady_clock::now() < giveUp) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
+  eng.post(1, 10, [] { throw SimError("boom in domain 1"); });
+  eng.post(2, 10, [] { throw SimError("boom in domain 2"); });
+  try {
+    eng.run();
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()), "boom in domain 1");
+  }
+  eng.run();
+  EXPECT_EQ(eng.pendingEvents(), 0u);
+}
+
+/// Threads of this process, from /proc/self/status; 0 when unreadable.
+unsigned processThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return static_cast<unsigned>(std::stoul(line.substr(8)));
+    }
+  }
+  return 0;
+}
+
+/// The thread count once it has fallen to `atMost`, or after a second:
+/// a joined thread can stay listed for a moment while the kernel reaps
+/// it, but a worker still running or parked never leaves.
+unsigned settledThreads(unsigned atMost) {
+  const auto giveUp =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  unsigned n = processThreads();
+  while (n > atMost && std::chrono::steady_clock::now() < giveUp) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = processThreads();
+  }
+  return n;
+}
+
+TEST(ShardedEngineDispatch, BackToBackRunUntilLeavesNoWorkerBehind) {
+  // The fewest threads seen over 20 ms: an earlier test's workers may
+  // still be listed at first.
+  unsigned before = processThreads();
+  if (before == 0) GTEST_SKIP() << "/proc/self/status has no thread count";
+  for (int i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    before = std::min(before, processThreads());
+  }
+  const std::uint32_t kTicks = 30;
+  const std::uint32_t kDomains = 8;
+  const AlternatingRun whole = runAlternating(1, kTicks);
+  ShardedEngine eng({.domains = kDomains,
+                     .lookahead = AlternatingLoad::kLa,
+                     .shards = 4});
+  AlternatingLoad load{&eng, kDomains, kTicks,
+                       std::vector<std::uint64_t>(kDomains, 0)};
+  eng.post(0, 0, [&load] { load.tick(0); });
+  // Horizons that cut windows short, land between them and pass idle
+  // stretches: every call starts and retires its own threads.
+  bool drained = false;
+  for (SimTime until = 37; !drained; until += 37) {
+    drained = eng.runUntil(until);
+    EXPECT_LE(settledThreads(before), before)
+        << "after runUntil(" << until << ")";
+  }
+  EXPECT_EQ(load.digest, whole.digest);
+  EXPECT_EQ(eng.executedEvents(), whole.events);
+  EXPECT_EQ(eng.pendingEvents(), 0u);
 }
 
 // --- The full-stack invariance proof on the fat-tree workload -------------

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -514,6 +515,13 @@ void expectSameOutcome(const StackOutcome& serial, const StackOutcome& got,
   EXPECT_EQ(serial.metrics, got.metrics) << label;
   EXPECT_EQ(serial.spans, got.spans) << label;
   EXPECT_EQ(serial.samplerCsv, got.samplerCsv) << label;
+}
+
+// gtest_discover_tests bakes the printed parameter into each ctest name.
+// gtest's default dump of this struct is its raw pointer and padding
+// bytes, which change from build to build; print the fields instead.
+void PrintTo(const WorkloadCase& c, std::ostream* os) {
+  *os << c.name << " loss " << c.loss << (c.flap ? " flap" : "");
 }
 
 class PdesStackEquivalence : public ::testing::TestWithParam<WorkloadCase> {};

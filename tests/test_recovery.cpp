@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -588,6 +589,11 @@ struct SweepCase {
   const char* name;
   WorkloadFn fn;
 };
+
+// gtest_discover_tests bakes the printed parameter into each ctest name.
+// gtest's default dump of this struct is its raw pointer bytes, which ASLR
+// moves on every build; print the workload name so the names are stable.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 class RecoverySweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -1,10 +1,14 @@
 // Unit tests for the discrete-event engine, processes, signals, resources,
 // statistics, and the deterministic PRNG.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <array>
+#include <chrono>
 #include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -714,6 +718,97 @@ TEST(HostedPdesTest, PerDomainOrderingIsMergeDeterministic) {
   ASSERT_EQ(base[1].size(), 2u);
   EXPECT_EQ(runOnce(2), base);
   EXPECT_EQ(runOnce(5), base);
+}
+
+TEST(HostedPdesTest, ProcessKeepsItsExceptionAcrossThreads) {
+  // A process parked inside a catch block resumes on whichever thread
+  // runs its shard's next window, and must still see and rethrow its own
+  // exception there. Domain 1's process is sure to move: the first window
+  // has work only in domains 1-3, so the thread that calls run() takes
+  // shard 1 itself; in the second, domain 0 ticks too, and the thread
+  // completing a window never takes a shard it does not own ahead of a
+  // lower active one, so shard 1's own thread runs it.
+  constexpr std::uint32_t kDomains = 4;
+  constexpr int kHops = 16;
+  constexpr Duration kLa = 100;
+  constexpr auto kSpin = std::chrono::milliseconds(20);
+  EngineConfig cfg;
+  cfg.domains = kDomains;
+  cfg.lookahead = kLa;
+  cfg.shards = 4;
+  cfg.hostEngines = true;
+  ShardedEngine pdes(cfg);
+  pdes.setProfiling(true);
+
+  // Threads are told apart by gettid(): std::this_thread::get_id() would
+  // not do, as glibc declares pthread_self() const and the compiler may
+  // reuse one call's result across advance().
+  struct Seen {
+    std::vector<pid_t> threads;
+    bool ownException = true;  // current_exception() was ours at every hop
+    bool noneUncaught = true;  // std::uncaught_exceptions() stayed 0
+    std::string rethrown;
+  };
+  std::array<Seen, kDomains> seen;
+  std::function<void(int)> tick = [&](int k) {
+    if (k < kHops) pdes.domainEngine(0).post(2 * kLa, [&, k] { tick(k + 1); });
+  };
+  pdes.domainEngine(0).postAt(kLa, [&] { tick(0); });
+  std::vector<std::unique_ptr<Process>> procs;
+  for (std::uint32_t d = 1; d < kDomains; ++d) {
+    Engine* eng = &pdes.domainEngine(d);
+    auto body = [&, eng, d] {
+      Process& self = *eng->currentProcess();
+      Seen& mine = seen[d];
+      const std::string what = "domain " + std::to_string(d);
+      try {
+        try {
+          throw std::runtime_error(what);
+        } catch (const std::runtime_error&) {
+          for (int i = 0; i < kHops; ++i) {
+            mine.threads.push_back(gettid());
+            if (d == 1 && i == 0) {  // on the thread that called run()
+              const auto until = std::chrono::steady_clock::now() + kSpin;
+              while (std::chrono::steady_clock::now() < until) {
+              }
+            }
+            try {
+              std::rethrow_exception(std::current_exception());
+            } catch (const std::runtime_error& e) {
+              mine.ownException = mine.ownException && e.what() == what;
+            }
+            mine.noneUncaught =
+                mine.noneUncaught && std::uncaught_exceptions() == 0;
+            self.advance(kLa * (1 + (i + d) % d), CpuUse::Idle);
+          }
+          throw;
+        }
+      } catch (const std::runtime_error& e) {
+        mine.rethrown = e.what();
+      }
+    };
+    procs.push_back(
+        std::make_unique<Process>(*eng, "p" + std::to_string(d), body));
+  }
+  pdes.run();
+
+  for (std::uint32_t d = 1; d < kDomains; ++d) {
+    EXPECT_EQ(seen[d].rethrown, "domain " + std::to_string(d));
+    EXPECT_TRUE(seen[d].ownException) << "domain " << d;
+    EXPECT_TRUE(seen[d].noneUncaught) << "domain " << d;
+    EXPECT_EQ(seen[d].threads.size(), static_cast<std::size_t>(kHops));
+  }
+  const std::vector<pid_t>& ones = seen[1].threads;
+  ASSERT_GE(ones.size(), 2u);
+  EXPECT_EQ(ones[0], gettid());
+  EXPECT_NE(ones[1], ones[0]);
+  // Execution time is charged to the shard whose domain ran, whichever
+  // thread ran it: shard 1 carries the spin that shard 0's thread ran.
+  const std::vector<ShardProfile> profiles = pdes.shardProfiles();
+  ASSERT_EQ(profiles.size(), 4u);
+  EXPECT_GE(profiles[1].execNs,
+            static_cast<std::uint64_t>(
+                std::chrono::nanoseconds(kSpin).count()));
 }
 
 }  // namespace
