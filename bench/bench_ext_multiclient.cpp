@@ -8,12 +8,9 @@
 // queue. Aggregate throughput grows until the server side saturates; on
 // the firmware-polling model each additional *VI* also slows every other
 // client down (the Fig. 6 effect applied to a real server shape).
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -28,33 +25,11 @@ namespace {
 
 using namespace vibe;
 
-/// Engine-mode witness of one incast run: the virtual end time plus a fold
-/// of every node's NicStats. Identical values across shard counts mean the
-/// runs executed the same per-domain schedules, not merely similar ones.
-struct IncastWitness {
-  sim::SimTime endTime = 0;
-  std::uint64_t nicDigest = 0;
-  std::uint64_t events = 0;   // sharded mode: ShardedEngine::executedEvents
-  std::uint64_t windows = 0;  // sharded mode: lockstep windows executed
-};
-
-std::uint64_t foldNicStats(std::uint64_t acc, const nic::NicStats& s) {
-  for (std::uint64_t v :
-       {s.sendsPosted, s.recvsPosted, s.fragsTx, s.fragsRx, s.bytesTx,
-        s.bytesRx, s.acksTx, s.acksRx, s.retransmits, s.rxCorrupted,
-        s.rxDroppedNoDescriptor, s.rxDroppedBadEndpoint,
-        s.rxOutOfOrderDropped, s.protocolErrors}) {
-    acc = sim::Tracer::combineDigest(acc, v);
-  }
-  return acc;
-}
-
 double aggregateTps(const nic::NicProfile& profile, std::uint32_t clients,
                     int callsPerClient, const harness::PointEnv* penv,
                     std::uint32_t fatTreeK = 0,
                     sim::Duration connectStagger = 0,
-                    std::uint32_t simShards = 0,
-                    IncastWitness* witness = nullptr) {
+                    std::uint32_t simShards = 0) {
   suite::ClusterConfig cc = penv
                                 ? bench::clusterFor(profile, clients + 1,
                                                     *penv)
@@ -96,18 +71,6 @@ double aggregateTps(const nic::NicProfile& profile, std::uint32_t clients,
     });
   }
   cluster.run(std::move(programs));
-  if (witness) {
-    witness->endTime = cluster.now();
-    std::uint64_t d = 0xcbf29ce484222325ull;
-    for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
-      d = foldNicStats(d, cluster.node(n).device().stats());
-    }
-    witness->nicDigest = d;
-    if (cluster.sharded()) {
-      witness->events = cluster.shardedEngine().executedEvents();
-      witness->windows = cluster.shardedEngine().windowsExecuted();
-    }
-  }
   return static_cast<double>(clients) * callsPerClient / elapsedSec;
 }
 
@@ -200,7 +163,7 @@ void sloTimeline() {
 /// VIBE_SIM_SHARDS >= 1 and belongs in the golden suite: the shards axis
 /// of the golden matrix re-runs it on real worker threads and diffs it
 /// against the same bytes. Modest sizes keep the matrix affordable; the
-/// 4096-host scale run lives in the standalone binary below.
+/// 4096-host fleet of these incasts is bench_ext_pdes.
 void shardedIncastTable() {
   using namespace vibe::bench;
   suite::ResultTable t(
@@ -232,158 +195,6 @@ void shardedIncastTable() {
       "tps == serial_tps row for row: hosting the stack on the sharded\n"
       "engine changes who executes the events, never what they compute.\n");
 }
-
-#ifndef VIBE_BENCH_LIBRARY
-/// One run of the fleet incast: `groups` independent servers, each taking
-/// a `clientsPerGroup`-client incast, packed into contiguous node ranges
-/// on a k=32 fat-tree. A single 4095-client incast serializes the whole
-/// simulation through the one server's accept loop (and its edge domain),
-/// so sharding cannot help it; a fleet of group incasts is the shape that
-/// actually spreads load across the 1280 domains.
-double fleetIncast(std::uint32_t groups, std::uint32_t clientsPerGroup,
-                   std::uint32_t simShards, IncastWitness* witness) {
-  const std::uint32_t groupSize = clientsPerGroup + 1;
-  constexpr int kCalls = 2;
-  suite::ClusterConfig cc =
-      bench::clusterFor(nic::clanProfile(), groups * groupSize);
-  cc.fatTreeK = 32;
-  cc.simShards = simShards;
-  suite::Cluster cluster(cc);
-
-  std::vector<std::function<void(suite::NodeEnv&)>> programs(
-      groups * groupSize, [](suite::NodeEnv&) {});
-  for (std::uint32_t g = 0; g < groups; ++g) {
-    const std::uint32_t base = g * groupSize;
-    // Each 64-host group spans four 16-host edge switches. Rotate the
-    // server across them: with servers pinned to the group's first node,
-    // every hot server domain has index = 0 (mod 4) and round-robin
-    // domain placement piles all of them onto one worker shard.
-    const std::uint32_t serverNode = base + 16 * (g % 4);
-    programs[serverNode] = [&, clientsPerGroup](suite::NodeEnv& env) {
-      upper::rpc::RpcServer server(env);
-      server.registerMethod(1, [](std::span<const std::byte>) {
-        return std::vector<std::byte>(256, std::byte{0x11});
-      });
-      server.acceptClients(clientsPerGroup);
-      server.serve();
-    };
-    std::uint32_t c = 0;
-    for (std::uint32_t n = base; n < base + groupSize; ++n) {
-      if (n == serverNode) continue;
-      // Phase-shift the dial schedule per group: with every group's
-      // c-th client starting together, the active clients of a phase
-      // all sit at the same in-group offset — i.e. the same edge-switch
-      // residue, i.e. one worker shard — and the fleet serializes.
-      const std::uint32_t phase = (c + g * 7) % clientsPerGroup;
-      programs[n] = [&, serverNode, phase](suite::NodeEnv& env) {
-        env.self.advance(sim::usec(1200) * phase, sim::CpuUse::Idle);
-        upper::rpc::RpcClient client(env, serverNode);
-        std::vector<std::byte> args(16, std::byte{0x22});
-        for (int i = 0; i < kCalls; ++i) (void)client.call(1, args);
-        client.shutdown();
-      };
-      ++c;
-    }
-  }
-  const bool prof =
-      cluster.sharded() && std::getenv("VIBE_PDES_PROFILE") != nullptr;
-  if (prof) cluster.shardedEngine().setProfiling(true);
-  cluster.run(std::move(programs));
-  if (prof) {
-    for (const sim::ShardProfile& p :
-         cluster.shardedEngine().shardProfiles()) {
-      std::fprintf(stderr,
-                   "  [prof] shard %u: domains=%u events=%llu active=%llu "
-                   "exec_ms=%.1f completion_ms=%.1f parked_ms=%.1f\n",
-                   p.shard, p.domains,
-                   static_cast<unsigned long long>(p.events),
-                   static_cast<unsigned long long>(p.windowsActive),
-                   p.execNs / 1e6, p.completionNs / 1e6,
-                   p.barrierWaitNs / 1e6);
-    }
-  }
-  if (witness) {
-    witness->endTime = cluster.now();
-    std::uint64_t d = 0xcbf29ce484222325ull;
-    for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
-      d = foldNicStats(d, cluster.node(n).device().stats());
-    }
-    witness->nicDigest = d;
-    if (cluster.sharded()) {
-      witness->events = cluster.shardedEngine().executedEvents();
-      witness->windows = cluster.shardedEngine().windowsExecuted();
-    }
-  }
-  return static_cast<double>(groups) * clientsPerGroup * kCalls /
-         sim::toSec(cluster.now());
-}
-
-/// Standalone-only (wall-clock columns cannot be golden): 64 concurrent
-/// 63-client incasts on a k=32 fat-tree — 4096 hosts across 1280 PDES
-/// domains — swept over worker shard counts. Every run must reproduce the
-/// shards=1 witness bit-for-bit; the speedup column is the point of the
-/// exercise.
-int shardedScaleDemo() {
-  const std::uint32_t groups = 64, clientsPerGroup = 63;
-  std::printf(
-      "\nScale demo: %u concurrent %u-client incasts, k=32 fat-tree "
-      "(4096 hosts, 1280 PDES domains)\n",
-      groups, clientsPerGroup);
-  struct ShardRun {
-    std::uint32_t shards = 0;
-    double wallMs = 0;
-    double tps = 0;
-    IncastWitness w;
-  };
-  std::vector<std::uint32_t> shardCounts = {1u, 2u, 4u};
-  const std::uint32_t hw = std::max(1u, sim::shardCount());
-  if (hw > 4) shardCounts.push_back(hw);
-  std::vector<ShardRun> runs;
-  for (std::uint32_t s : shardCounts) {
-    ShardRun r;
-    r.shards = s;
-    const auto t0 = std::chrono::steady_clock::now();
-    r.tps = fleetIncast(groups, clientsPerGroup, s, &r.w);
-    r.wallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    runs.push_back(r);
-  }
-  const ShardRun& base = runs.front();
-  bool deterministic = true;
-  std::printf("%8s %12s %14s %12s %10s %10s\n", "shards", "wall_ms",
-              "events/sec", "tps", "speedup", "witness");
-  for (const ShardRun& r : runs) {
-    const bool same = r.w.endTime == base.w.endTime &&
-                      r.w.nicDigest == base.w.nicDigest &&
-                      r.w.events == base.w.events &&
-                      r.w.windows == base.w.windows;
-    deterministic = deterministic && same;
-    std::printf("%8u %12.0f %14.0f %12.0f %9.2fx %10s\n", r.shards, r.wallMs,
-                static_cast<double>(r.w.events) / (r.wallMs / 1e3), r.tps,
-                base.wallMs / r.wallMs, same ? "match" : "DIVERGED");
-    if (!same) {
-      std::printf(
-          "DETERMINISM FAIL at shards=%u: end %lld vs %lld, digest %016llx "
-          "vs %016llx, events %llu vs %llu\n",
-          r.shards, static_cast<long long>(r.w.endTime),
-          static_cast<long long>(base.w.endTime),
-          static_cast<unsigned long long>(r.w.nicDigest),
-          static_cast<unsigned long long>(base.w.nicDigest),
-          static_cast<unsigned long long>(r.w.events),
-          static_cast<unsigned long long>(base.w.events));
-    }
-  }
-  std::printf("determinism across shard counts: %s\n",
-              deterministic ? "OK (witnesses byte-identical)" : "FAILED");
-  if (std::thread::hardware_concurrency() <= 1) {
-    std::printf(
-        "note: single-core host; worker threads time-slice one core, so "
-        "speedup ~= 1.0 here by necessity (see docs/PDES.md)\n");
-  }
-  return deterministic ? 0 : 1;
-}
-#endif  // VIBE_BENCH_LIBRARY
 
 int run(int, char**) {
   using namespace vibe::bench;
@@ -458,11 +269,7 @@ int run(int, char**) {
       "server downlink shared by every transaction.\n");
   shardedIncastTable();
   sloTimeline();
-#ifndef VIBE_BENCH_LIBRARY
-  return shardedScaleDemo();
-#else
   return 0;
-#endif
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ class Network {
 
   Network(sim::Engine& engine, const NetworkParams& params);
 
-  /// Sharded construction: builds the topology across the hosted
+  /// Sharded construction: builds the topology across the
   /// ShardedEngine's domains (one per switch — size the engine with
   /// stackDomainCount(specFor(params))). See the Topology sharded ctor
   /// for the placement and lookahead contract.

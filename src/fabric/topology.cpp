@@ -22,6 +22,15 @@ void checkIndex(std::size_t i, std::size_t size, const char* what) {
   }
 }
 
+/// Leaf switches of a two-level tree. A zero fan-out would leave the
+/// hosts no leaf to hang from (and divide by zero).
+std::uint32_t treeLeaves(const TopologySpec& spec) {
+  if (spec.nodesPerSwitch == 0) {
+    throw sim::SimError("Topology: two-level tree needs nodesPerSwitch > 0");
+  }
+  return (spec.nodes + spec.nodesPerSwitch - 1) / spec.nodesPerSwitch;
+}
+
 /// splitmix64 finalizer: the ECMP flow-hash mixer. Pure function of its
 /// input, so path selection is reproducible from (seed, flow) alone.
 std::uint64_t mix(std::uint64_t x) {
@@ -32,6 +41,27 @@ std::uint64_t mix(std::uint64_t x) {
 }
 
 }  // namespace
+
+std::uint32_t stackDomainCount(const TopologySpec& spec) {
+  switch (spec.kind) {
+    case TopologyKind::Star:
+      return 1;
+    case TopologyKind::TwoLevelTree:
+      return treeLeaves(spec) + 1;  // + root
+    case TopologyKind::FatTree: {
+      const std::uint32_t half = spec.fatTreeK / 2;
+      return 2 * spec.fatTreeK * half + half * half;  // edges, aggrs, cores
+    }
+  }
+  throw sim::SimError("stackDomainCount: unknown topology kind");
+}
+
+sim::Duration hopLookahead(const TopologySpec& spec) {
+  if (spec.kind == TopologyKind::Star) return 0;
+  return sim::transferTime(spec.fabricLink.headerBytes,
+                           spec.fabricLink.bandwidthMBps) +
+         spec.fabricLink.propagation;
+}
 
 const char* toString(SwitchTier t) {
   switch (t) {
@@ -273,7 +303,7 @@ void Topology::buildStar() {
 
 void Topology::buildTree() {
   const std::uint32_t nps = spec_.nodesPerSwitch;
-  const std::uint32_t leaves = (spec_.nodes + nps - 1) / nps;
+  const std::uint32_t leaves = treeLeaves(spec_);
   // Domains: leaf l -> l, root -> leaves.
   domainCount_ = leaves + 1;
   const std::uint32_t rootDom = leaves;

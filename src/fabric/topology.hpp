@@ -83,6 +83,26 @@ struct TopologySpec {
   std::uint32_t portBufferFrames = 0;
 };
 
+/// Number of PDES domains the sharded Topology builds for `spec` — one
+/// per switch, in the builder's numbering (star: 1; tree: leaves then
+/// root; fat-tree: edges, then aggregations, then cores). Use this to
+/// size the ShardedEngine before constructing the Topology, which checks
+/// the rest of the spec.
+std::uint32_t stackDomainCount(const TopologySpec& spec);
+
+/// Window width for that partition: the minimum virtual time between a
+/// frame entering any inter-switch link and its delivery at the far
+/// switch,
+///
+///   hop = serialize(fabricLink.headerBytes) + fabricLink.propagation
+///
+/// Link::send schedules delivery at serialization-complete + propagation
+/// with serialization-complete >= now + serialize(header), and latency
+/// windows only add delay, so every cross-domain delivery arrives at
+/// least `hop` after the send. A star (one switch) returns 0: there is
+/// nothing to cross.
+sim::Duration hopLookahead(const TopologySpec& spec);
+
 class Topology;
 
 /// One switch: output ports, a per-destination routing table, an ECMP
@@ -180,14 +200,14 @@ class Topology {
 
   Topology(sim::Engine& engine, const TopologySpec& spec, Deliver deliver);
 
-  /// Sharded construction (conservative PDES): `pdes` must be a hosted-
-  /// mode ShardedEngine with one domain per switch of this spec (see
-  /// stackDomainCount). Every switch and link is built on its domain's
-  /// hosted engine — one domain per edge switch covering its hosts and
-  /// host links, one per aggregation/core switch — and every inter-switch
-  /// link whose endpoints straddle domains routes its delivery through
-  /// ShardedEngine::sendAt. The executed event schedule per domain is
-  /// byte-identical at any shard count.
+  /// Sharded construction (conservative PDES): `pdes` must have one
+  /// domain per switch of this spec (see stackDomainCount). Every switch
+  /// and link is built on its domain's engine — one domain per edge
+  /// switch covering its hosts and host links, one per aggregation/core
+  /// switch — and every inter-switch link whose endpoints straddle
+  /// domains routes its delivery through ShardedEngine::sendAt. The
+  /// executed event schedule per domain is byte-identical at any shard
+  /// count.
   Topology(sim::ShardedEngine& pdes, const TopologySpec& spec,
            Deliver deliver);
 

@@ -96,10 +96,10 @@ class Engine {
   /// than the current time leaves the clock where it is.
   bool runUntil(SimTime until);
 
-  /// --- Windowed driving (conservative-PDES hosted mode) ---
+  /// --- Windowed driving (conservative PDES) ---
   ///
-  /// A ShardedEngine in hosted mode owns one Engine per domain and drives
-  /// them in lockstep lookahead windows: runWindow executes one window,
+  /// A ShardedEngine owns one Engine per domain and drives them in
+  /// lockstep lookahead windows: runWindow executes one window,
   /// cross-domain arrivals merge between windows via postAtMerge, and
   /// setWindowedMode brackets the whole run. While windowed mode is on and
   /// no window is open on this engine, postAt/cancel throw — posting into
@@ -121,10 +121,11 @@ class Engine {
   SimTime nextEventTime();
 
   /// Advances now() to `t`, firing the time observer; no-op when t <=
-  /// now(). Hosted runUntil uses this to land the clock on the horizon.
+  /// now(). ShardedEngine::runUntil uses this to land the clock on the
+  /// horizon.
   void advanceTo(SimTime t);
 
-  /// Hosted-mode guard (see block comment above). Toggling it changes
+  /// Windowed-mode guard (see block comment above). Toggling it changes
   /// nothing until postAt/cancel are called outside an open window.
   void setWindowedMode(bool on) { windowed_ = on; }
   bool windowedMode() const { return windowed_; }
@@ -136,9 +137,10 @@ class Engine {
     return postAtImpl(t, std::move(fn));
   }
 
-  /// True when any registered process is blocked on a signal. The hosted
-  /// run uses these for the global drain-time deadlock check; `Names`
-  /// joins the blocked names with ", " for the error message.
+  /// True when any registered process is blocked on a signal. A
+  /// ShardedEngine run uses these for the global drain-time deadlock
+  /// check; `Names` joins the blocked names with ", " for the error
+  /// message.
   bool hasBlockedProcesses() const;
   std::string blockedProcessNames() const;
 

@@ -1,74 +1,52 @@
 // Conservative parallel discrete-event engine (PDES).
 //
-// A ShardedEngine partitions simulation state into `domains` — logical
-// groups (e.g. the hosts under one edge switch) whose events never touch
-// another domain's state directly. Domains are packed onto `shards`
-// (domain d belongs to shard d % shards) and advance in lockstep windows
-// of virtual time:
+// A ShardedEngine partitions a simulation into `domains` — state-disjoint
+// groups (the VIA stack uses one per fabric switch, with its hosts under
+// the edge switches) — and hosts one full serial sim::Engine per domain
+// (domainEngine()). Within a domain the whole serial API is legal:
+// cancellable timers, cooperative Processes, tracers. Domains are packed
+// onto `shards` (domain d belongs to shard d % shards) and advance in
+// lockstep windows of virtual time:
 //
 //   window = [T, T + lookahead)  where T is the global minimum pending
 //   event time and `lookahead` is the minimum latency any cross-domain
-//   interaction must pay (the smallest cross-shard link latency in the
-//   fabric being modeled).
+//   interaction must pay (the smallest inter-switch hop of the fabric).
 //
-// Within one window every shard executes its domains' events with no
-// locks and no communication: a cross-domain message sent at time
-// t >= T arrives at t + delay >= T + lookahead, i.e. at or after the
-// window's end, so nothing a peer does during the window can affect
-// events inside it. Cross-domain sends are buffered in per-domain
-// outboxes (the "mailbox") and merged into the destination domains by
-// the window's completion step.
+// Within one window every shard runs its domains' engines with no locks
+// and no communication: a cross-domain message sent at time t >= T
+// arrives at or after the window's end, so nothing a peer does during the
+// window can affect events inside it. sendAt() is the only cross-domain
+// path. It parks the message in the source domain's outbox, and the
+// window's completion step merges the outboxes into the destination
+// engines. A parked engine rejects postAt/cancel outright (the
+// windowed-mode guard of sim::Engine).
 //
 // Window dispatch: each shard has a home thread (shard 0's is the thread
-// that calls run()), parked on its own futex word while it has no work.
-// Only the shards with an event before the window's end are active. The
-// thread that finishes a window's last active shard runs the completion
-// step — the domain-ordered merge and the next-window bounds — then runs
-// one active shard of the next window itself (its own if active, else the
-// lowest-numbered one) and wakes only the home threads of the others. A
-// shard therefore runs on more than one thread over a run, and so do the
-// Process fibers of its domains; exactly one thread runs a shard at a
-// time.
+// that calls run(); a run starts shards - 1 more), parked on its own
+// futex word while it has no work. Only the shards with an event before
+// the window's end are active. The thread that finishes a window's last
+// active shard runs the completion step — the domain-ordered merge and
+// the next window's bounds — then runs one active shard of the next
+// window itself (its own if active, else the lowest-numbered one) and
+// wakes only the home threads of the others. A shard therefore runs on
+// more than one thread over a run, and so do the Process fibers of its
+// domains; exactly one thread runs a shard at a time. At one shard the
+// same loop starts no thread and wakes no one.
 //
-// Determinism contract (see docs/PDES.md):
-//   Every event carries the key (time, srcDomain, srcSeq), where srcSeq
-//   is a per-domain counter stamped when the event is posted or sent.
-//   Each domain executes its events in ascending key order, and the
-//   conservative window guarantees a key can never arrive after a larger
-//   key has executed. Because the key is stamped by the *posting* domain
-//   — never by a shard or thread — the per-domain execution order, and
-//   therefore every per-domain output, is byte-identical for any shard
-//   count and any thread schedule. shards=1 runs the same window loop
-//   inline on the calling thread: no pool, no parking, no atomics — the
-//   exact serial path, mirroring the harness's VIBE_JOBS=1 contract.
+// Determinism contract (see docs/PDES.md): a hosted engine breaks ties at
+// one timestamp by insertion order. Events a domain posts to itself are
+// inserted as it runs; cross-domain arrivals are inserted by the merge,
+// which drains the outboxes in ascending source-domain order, entries in
+// send order, whatever the shard count — even when source and
+// destination share a shard. The window bounds come from the heap keys
+// each domain files, not from the shard packing, so every domain's
+// insertion order, and therefore its execution order and every
+// per-domain output, is byte-identical for any shard count and any
+// thread schedule.
 //
-// Two modes share the window machinery:
-//
-//   Synthetic (default)  the engine owns per-domain keyed heaps and the
-//                        callback-only post()/send() API — no cancel, no
-//                        processes. The traffic models built before the
-//                        stack port use this.
-//   Hosted               `EngineConfig::hostEngines`: every domain hosts
-//                        a full serial sim::Engine (cancellable timers,
-//                        cooperative Processes), driven window-by-window
-//                        via Engine::runWindow. Within a domain the full
-//                        serial feature set — including O(1) timer
-//                        cancel — is legal; *cross-domain* interaction is
-//                        restricted to sendAt(), and a parked foreign
-//                        engine rejects postAt/cancel outright (the
-//                        windowed-mode guard). This is what the VIA
-//                        NIC/VIPL/Cluster stack runs on.
-//
-// In hosted mode every cross-domain send goes through the per-domain
-// outbox even when source and destination share a shard: a hosted
-// engine's tie order is insertion order, so delivery must always happen
-// in the completion step, in domain order, for the executed schedule to
-// be byte-identical at any shard count.
-//
-// Use this substrate for domain-partitioned models that must scale a
-// *single* simulation across cores (VIBE_SIM_SHARDS), orthogonal to the
-// sweep harness that runs independent simulations in parallel
-// (VIBE_JOBS).
+// Use this engine to scale a *single* simulation across cores
+// (VIBE_SIM_SHARDS), orthogonal to the sweep harness that runs
+// independent simulations in parallel (VIBE_JOBS).
 #pragma once
 
 #include <atomic>
@@ -103,7 +81,7 @@ struct ShardProfile {
   // Wall time executing this shard's events, on whichever thread ran them.
   std::uint64_t execNs = 0;
   // Wall time this shard's home thread spent parked, waiting to be woken
-  // for work (0 on the serial path, which never parks).
+  // for work (0 at one shard, which never parks).
   std::uint64_t barrierWaitNs = 0;
   // Wall time this shard's home thread spent in completion steps: the
   // outbox merge, the next-window reduce and the wake-ups.
@@ -117,16 +95,13 @@ struct EngineConfig {
   /// Minimum virtual-time latency of any cross-domain interaction; the
   /// conservative window width. Must be > 0 when more than one shard
   /// actually runs (with a single shard 0 is allowed: the window
-  /// degenerates to one timestamp at a time).
+  /// degenerates to one timestamp at a time). A single domain has no
+  /// cross-domain traffic and runs to the horizon in one window.
   Duration lookahead = 0;
   /// Shards; a run uses the calling thread plus shards - 1 more. 0 =
   /// shardCount() (VIBE_SIM_SHARDS / hardware). Clamped to `domains`. 1
   /// runs inline with no other thread.
   unsigned shards = 0;
-  /// Hosted mode: each domain owns a full serial sim::Engine reachable
-  /// via domainEngine(). post()/send() are disabled in favor of the
-  /// hosted engines' own API plus sendAt() for cross-domain delivery.
-  bool hostEngines = false;
 };
 
 class ShardedEngine {
@@ -145,62 +120,40 @@ class ShardedEngine {
     return domain % shards_;
   }
 
-  /// Virtual time of `domain`: the time of its currently executing event
-  /// during run(), its last executed event (or the horizon) otherwise.
-  /// During a parallel run, call only from `domain`'s own context.
-  SimTime now(std::uint32_t domain) const;
-
-  /// Schedules `fn` in `domain`, `delay` >= 0 from the domain's now().
-  /// During run() this may only be called from an event executing in the
-  /// same domain — cross-domain scheduling must go through send(), which
-  /// is what keeps the execution order independent of the shard count.
-  /// Before run() (setup) any domain may be targeted from the driving
-  /// thread.
-  void post(std::uint32_t domain, Duration delay, EventFn fn);
-
-  /// Sends a cross-domain event: `fn` runs in `dst` at src.now() + delay.
-  /// When src != dst, `delay` must be >= lookahead() — the conservative
-  /// guarantee that makes the window safe; a smaller delay throws
-  /// SimError. src == dst degenerates to post(). During run() this may
-  /// only be called from an event executing in `src`.
-  void send(std::uint32_t src, std::uint32_t dst, Duration delay,
-            EventFn fn);
-
-  /// --- Hosted mode (EngineConfig::hostEngines) ---
-
-  bool hosted() const { return hosted_; }
-
   /// The serial engine hosted by `domain`. Build the domain's simulation
   /// state (NICs, processes, timers) directly on it; during run() it is
-  /// driven in lockstep windows. Hosted mode only.
+  /// driven in lockstep windows.
   Engine& domainEngine(std::uint32_t domain);
 
-  /// Cross-domain delivery for hosted mode: `fn` runs in `dst`'s engine
-  /// at absolute time `at`. During run() `at` must lie at or past the
-  /// open window's end (i.e. the caller must have paid the lookahead —
-  /// link serialization + propagation guarantees this for fabric
-  /// traffic); violations throw SimError. src == dst posts directly.
-  /// Setup-time calls (before run()) schedule directly too.
+  /// Cross-domain delivery: `fn` runs in `dst`'s engine at absolute time
+  /// `at`. During run() `at` must lie at or past the end of the open
+  /// window — for a boundary hook, the window about to run (i.e. the
+  /// caller must have paid the lookahead; link serialization +
+  /// propagation guarantees this for fabric traffic); violations throw
+  /// SimError. src == dst posts directly. Setup-time calls (before run())
+  /// schedule directly too.
   void sendAt(std::uint32_t src, std::uint32_t dst, SimTime at, EventFn fn);
 
-  /// Hosted-mode sampling support: clamps every window end to the next
-  /// multiple of `period` and invokes `flush(T)` at each window start T
-  /// from the single-threaded completion step — every event strictly
-  /// before T has executed, none at or after T has, so `flush` may read
-  /// any domain's state and sees exactly what a serial TimeObserver
-  /// would at boundaries <= T. While a hook is set every shard is active
-  /// in every window. Pass (0, nullptr) to clear.
+  /// Sampling support: clamps every window end to the next multiple of
+  /// `period` and invokes `flush(T)` at each window start T from the
+  /// single-threaded completion step — every event strictly before T has
+  /// executed, none at or after T has, so `flush` may read any domain's
+  /// state and sees exactly what a serial TimeObserver would at
+  /// boundaries <= T. The hook cannot post into or cancel on a parked
+  /// domain engine (that throws); its sendAt() is held to the window
+  /// starting at T. Pass (0, nullptr) to clear.
   void setBoundaryHook(Duration period, std::function<void(SimTime)> flush);
 
-  /// Max over domain clocks — the hosted equivalent of Engine::now()
-  /// after a run (the time of the last executed event, or the horizon).
+  /// Max over domain clocks — the equivalent of Engine::now() after a run
+  /// (the time of the last executed event, or the horizon).
   SimTime maxNow() const;
 
   /// Runs windows until every domain queue and mailbox drains. Rethrows
-  /// the first (lowest-shard) exception raised by an event callback. In
-  /// hosted mode, throws DeadlockError after the drain if any hosted
-  /// process is still blocked on a signal (the global analogue of the
-  /// serial engine's drain-time deadlock check).
+  /// the first (lowest-shard) exception raised by an event callback, after
+  /// the failed window's merge; the engine can run again. Throws
+  /// DeadlockError after the drain if any hosted process is still blocked
+  /// on a signal (the global analogue of the serial engine's drain-time
+  /// deadlock check).
   void run();
 
   /// Runs events with time <= `until` (absolute). Returns true if the
@@ -211,14 +164,14 @@ class ShardedEngine {
 
   /// Total events executed.
   std::uint64_t executedEvents() const;
-  /// Events scheduled and not yet fired (pending in heaps + mailboxes).
+  /// Events scheduled and not yet fired (pending in engines + outboxes).
   std::uint64_t pendingEvents() const;
-  /// send() calls with src != dst (independent of the shard count).
+  /// sendAt() calls with src != dst (independent of the shard count).
   std::uint64_t crossDomainEvents() const;
-  /// send() calls whose source and destination domains live on different
-  /// shards — the events that actually paid the mailbox.
+  /// sendAt() calls whose source and destination domains live on
+  /// different shards.
   std::uint64_t crossShardEvents() const;
-  /// Conservative windows executed (completion steps in a parallel run).
+  /// Conservative windows executed (one completion step each).
   std::uint64_t windowsExecuted() const { return windows_; }
 
   /// --- Runtime profiler (opt-in; see docs/PDES.md) ---
@@ -241,10 +194,6 @@ class ShardedEngine {
 
  private:
   struct Domain;
-  struct CrossMsg;
-
-  // Strict weak order "a fires after b" over the (time, src, seq) key.
-  struct ItemAfter;
 
   // Per-shard wall-clock accumulators; cache-line aligned because several
   // threads write distinct entries concurrently during a parallel run.
@@ -265,36 +214,26 @@ class ShardedEngine {
     std::atomic<std::uint32_t> ticket{0};
   };
 
-  SimTime nextEventTime() const;
-  SimTime hostedNextEventTime();
-  std::uint64_t runDomainWindow(std::uint32_t d, SimTime windowEnd);
-  std::uint64_t execDomainWindow(std::uint32_t d, SimTime windowEnd);
   void deliverOutboxes();
-  void pushEvent(Domain& dom, SimTime t, std::uint32_t srcDomain,
-                 std::uint64_t seq, EventFn fn);
-  bool runWindows(SimTime horizon);          // serial (shards_ == 1)
-  bool runWindowsParallel(SimTime horizon);  // active-set dispatch
+  bool runWindows(SimTime horizon);
   void prepareWindow();
   void serveShard(unsigned home, unsigned shard);
   void runShard(unsigned shard);
   unsigned completeWindow(unsigned home);
   unsigned dispatchWindow(unsigned home);
   void wake(unsigned shard);
-  void checkContext(std::uint32_t domain, const char* what) const;
   SimTime clampToBoundary(SimTime t, SimTime windowEnd) const;
-  void setHostedWindowedMode(bool on);
-  void checkHostedDeadlock() const;
+  void setWindowedMode(bool on);
+  void checkDeadlock() const;
   bool runDispatch(SimTime horizon);
-  SimTime domainNextTime(std::uint32_t d);
   void markOutboxDirty(std::uint32_t src);
   void initRunnable();
   void pushRunnable(std::uint32_t d, SimTime t);
   SimTime runnableTop(unsigned shard) const;
+  void pruneTop(unsigned shard);
   std::uint64_t execShardWindow(unsigned shard, SimTime windowEnd);
 
   std::vector<Domain> domains_;
-  std::vector<std::unique_ptr<Engine>> engines_;  // hosted mode only
-  bool hosted_ = false;
   Duration boundaryPeriod_ = 0;
   std::function<void(SimTime)> boundaryFlush_;
   std::uint32_t domainCountU32_ = 0;
@@ -304,8 +243,8 @@ class ShardedEngine {
   bool profiling_ = false;
   std::vector<ShardTiming> timing_;  // sized to shards_ when profiling
 
-  // Parallel-run shared state. Written only by the completion step (or
-  // before the threads start) and read by a shard's runner after its
+  // Run state shared between threads. Written only by the completion step
+  // (or before the threads start) and read by a shard's runner after its
   // hand-off: the last runner's acq_rel decrement of pending_ carries
   // every runner's writes to the completion step, and a wake-up's
   // release/acquire on the ticket carries the step's writes on.
@@ -315,29 +254,29 @@ class ShardedEngine {
   bool done_ = false;
   std::atomic<bool> abort_{false};
   std::vector<std::exception_ptr> shardErrors_;
-  std::unique_ptr<Parker[]> parkers_;  // one per shard, parallel runs only
+  std::unique_ptr<Parker[]> parkers_;  // one per shard when shards_ > 1
   std::atomic<unsigned> pending_{0};   // active shards still running
 
   // Runnable-domain heaps: at thousands of mostly-idle domains, touching
-  // every domain every window — the completion step's O(domains) next-
-  // event scan plus each worker's O(domains/shards) execute pass — is
+  // every domain every window — an O(domains) next-event scan in the
+  // completion step plus an O(domains/shards) execute pass per shard — is
   // the Amdahl floor of thin-window runs. Instead each shard keeps a
   // lazy min-heap of (next event time, domain) over the domains it owns,
   // so a window costs O(active domains · log). domKey_[d] is the key the
   // owner's heap currently holds for d (kNoEvent when absent): pushes
   // that don't beat it are skipped, pops that don't match it are stale
-  // duplicates. Keys may run stale-low (a superseded entry surfaces
-  // first); the pop re-checks the real next time and re-files, costing
-  // at worst an empty window round. Rebuilt at every run entry; disabled
-  // while a boundary hook is set (the hook may schedule new work behind
-  // the heaps' backs).
+  // duplicates. A superseded entry can surface first (stale-low); the pop
+  // skips it, costing at worst an empty window round. Rebuilt at every
+  // run entry. Only a domain's own window and the merge change what a
+  // domain holds (a boundary hook cannot post or cancel), and both re-file
+  // it, so a live key is always the domain's real next event time.
   std::vector<std::vector<std::pair<SimTime, std::uint32_t>>> runnable_;
   std::vector<SimTime> domKey_;
-  bool runnableActive_ = false;
   // Outbox dirty lists, per owning shard: domains that parked >= 1
   // cross-domain message this window. Single-writer (each shard appends
-  // only its own list, in ascending domain order); the merge gathers and
-  // sorts them so the drain order stays the full scan's domain order.
+  // only its own list; a boundary hook appends from the completion step);
+  // the merge gathers and sorts them so the drain runs in ascending
+  // domain order.
   std::vector<std::vector<std::uint32_t>> dirtyByShard_;
   std::vector<std::uint32_t> dirtyScratch_;
 

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "fabric/domain.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
@@ -40,7 +39,6 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
     ec.domains = fabric::stackDomainCount(spec);
     ec.lookahead = fabric::hopLookahead(spec);
     ec.shards = config_.simShards;
-    ec.hostEngines = true;
     pdes_ = std::make_unique<sim::ShardedEngine>(ec);
     net_ = std::make_unique<fabric::Network>(*pdes_, np);
   } else {

@@ -5,14 +5,15 @@
 // (the digest is sensitive enough to see a single reordered drop).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "fabric/pdes_traffic.hpp"
 #include "harness/sweep.hpp"
 #include "nic/profiles.hpp"
+#include "simcore/pdes.hpp"
 #include "simcore/trace.hpp"
 #include "test_env.hpp"
 #include "vibe/cluster.hpp"
@@ -205,8 +206,8 @@ TEST_P(DeterminismTest, SeedSweepComposesDigestIndependentOfJobs) {
 // independent sweep points, VIBE_SIM_SHARDS threads a single simulation.
 // Digests must be byte-identical across the full {shards} x {jobs}
 // matrix — for the serial VIA stack (which ignores shards entirely) and
-// for the sharded PDES workload (whose digest is shard-invariant by the
-// (time, srcDomain, srcSeq) key contract).
+// for the stack hosted on the sharded engine (whose digest is
+// shard-invariant by the domain-ordered merge contract).
 
 using vibe::testing::ScopedEnv;
 
@@ -229,28 +230,27 @@ TEST(ShardsAxis, SerialStackDigestIgnoresSimShards) {
 }
 
 TEST(ShardsAxis, PdesSweepDigestInvariantAcrossShardsTimesJobs) {
-  // A seed sweep of sharded PDES simulations, swept through the jobs
-  // harness: every (VIBE_SIM_SHARDS, jobs) cell folds the identical
-  // digest. cfg.shards = 0 so each simulation picks the env value up —
-  // the exact path a harness-ported PDES bench uses.
+  // A seed sweep of hosted clusters, swept through the jobs harness:
+  // every (VIBE_SIM_SHARDS, jobs) cell folds the identical digest. Each
+  // cluster resolves VIBE_SIM_SHARDS into simShards the way the hosted
+  // golden tables do — the exact path a harness-ported bench uses.
   auto sweepDigest = [&](const char* shards, unsigned jobs) {
     ScopedEnv env("VIBE_SIM_SHARDS", shards);
     harness::SweepOptions opts;
     opts.jobs = jobs;
-    const auto digests = harness::runSweep(
+    const auto outs = harness::runSweep(
         6,
         [&](harness::PointEnv& env2) {
-          fabric::PdesTrafficConfig cfg;
-          cfg.fatTreeK = 4;
-          cfg.rounds = 4;
-          cfg.computeIters = 4;
-          cfg.seed = 5000 + env2.index * 13;
-          cfg.shards = 0;
-          return fabric::runPdesTraffic(cfg).digest;
+          return lossyPingPong("clan", 5000 + env2.index * 13,
+                               std::max(1u, sim::shardCount()));
         },
         opts);
     std::uint64_t acc = sim::Tracer::kDigestSeed;
-    for (std::uint64_t d : digests) acc = sim::Tracer::combineDigest(acc, d);
+    for (const RunOutcome& o : outs) {
+      acc = sim::Tracer::combineDigest(acc, o.digest);
+      acc = sim::Tracer::combineDigest(acc,
+                                       static_cast<std::uint64_t>(o.endTime));
+    }
     return acc;
   };
   const std::uint64_t base = sweepDigest("1", 1);

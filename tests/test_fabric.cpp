@@ -6,10 +6,11 @@
 #include <string>
 #include <vector>
 
-#include "fabric/domain.hpp"
 #include "fabric/link.hpp"
 #include "fabric/network.hpp"
+#include "fabric/topology.hpp"
 #include "simcore/engine.hpp"
+#include "simcore/pdes.hpp"
 
 namespace vibe::fabric {
 namespace {
@@ -669,19 +670,39 @@ TEST(TopologyGuardTest, SwitchPortAndRouteRejectOutOfRange) {
 }
 
 // ---------------------------------------------------------------------------
-// PDES domain partitioning (fabric/domain.hpp)
+// PDES domain partition: one domain per switch (stackDomainCount,
+// hopLookahead, Topology::hostDomain)
 // ---------------------------------------------------------------------------
+
+/// `spec` built on a one-shard ShardedEngine sized by stackDomainCount —
+/// the way Cluster builds its sharded fabric.
+struct ShardedTopology {
+  sim::ShardedEngine pdes;
+  Topology topo;
+  explicit ShardedTopology(const TopologySpec& spec)
+      : pdes({.domains = stackDomainCount(spec), .lookahead = 1, .shards = 1}),
+        topo(pdes, spec, [](NodeId, Packet&&) {}) {}
+};
+
+/// The builder numbers exactly one domain per switch, in switch order.
+void expectOneDomainPerSwitch(const Topology& topo, std::uint32_t domains) {
+  ASSERT_EQ(topo.switches().size(), domains);
+  EXPECT_EQ(topo.domainCount(), domains);
+  for (std::uint32_t i = 0; i < domains; ++i) {
+    EXPECT_EQ(topo.switches()[i]->domain(), i) << topo.switches()[i]->name();
+  }
+}
 
 TEST(DomainPartitionTest, StarIsOneDomain) {
   TopologySpec spec;
   spec.kind = TopologyKind::Star;
   spec.nodes = 5;
-  const DomainPartition part = DomainPartition::fromSpec(spec);
-  EXPECT_EQ(part.domains, 1u);
-  for (std::uint32_t n = 0; n < 5; ++n) EXPECT_EQ(part.domainOf(n), 0u);
-  EXPECT_THROW(part.domainOf(5), sim::SimError);
-  EXPECT_EQ(crossDomainLookahead(spec), 0);
-  EXPECT_EQ(pathTier(spec, 0, 4), PathTier::SameEdge);
+  EXPECT_EQ(stackDomainCount(spec), 1u);
+  EXPECT_EQ(hopLookahead(spec), 0);  // one switch: nothing crosses
+  ShardedTopology s(spec);
+  expectOneDomainPerSwitch(s.topo, 1);
+  for (NodeId n = 0; n < 5; ++n) EXPECT_EQ(s.topo.hostDomain(n), 0u);
+  EXPECT_THROW(s.topo.hostDomain(5), sim::SimError);
 }
 
 TEST(DomainPartitionTest, TreeGroupsByLeaf) {
@@ -689,15 +710,19 @@ TEST(DomainPartitionTest, TreeGroupsByLeaf) {
   spec.kind = TopologyKind::TwoLevelTree;
   spec.nodes = 7;
   spec.nodesPerSwitch = 3;
-  const DomainPartition part = DomainPartition::fromSpec(spec);
-  EXPECT_EQ(part.domains, 3u);  // leaves {0,1,2}, {3,4,5}, {6}
-  EXPECT_EQ(part.domainOf(2), 0u);
-  EXPECT_EQ(part.domainOf(3), 1u);
-  EXPECT_EQ(part.domainOf(6), 2u);
-  EXPECT_EQ(pathTier(spec, 0, 2), PathTier::SameEdge);
-  EXPECT_EQ(pathTier(spec, 0, 6), PathTier::SamePod);
+  // Leaves {0,1,2}, {3,4,5}, {6}, then the root.
+  EXPECT_EQ(stackDomainCount(spec), 4u);
+  ShardedTopology s(spec);
+  expectOneDomainPerSwitch(s.topo, 4);
+  EXPECT_EQ(s.topo.switches()[3]->tier(), SwitchTier::Core);
+  EXPECT_EQ(s.topo.hostDomain(2), 0u);
+  EXPECT_EQ(s.topo.hostDomain(3), 1u);
+  EXPECT_EQ(s.topo.hostDomain(6), 2u);
+  // A zero fan-out has no leaf to hang hosts from.
   spec.nodesPerSwitch = 0;
-  EXPECT_THROW(DomainPartition::fromSpec(spec), sim::SimError);
+  EXPECT_THROW(stackDomainCount(spec), sim::SimError);
+  sim::Engine eng;
+  EXPECT_THROW(Topology(eng, spec, [](NodeId, Packet&&) {}), sim::SimError);
 }
 
 TEST(DomainPartitionTest, FatTreeGroupsByEdgeSwitch) {
@@ -705,37 +730,57 @@ TEST(DomainPartitionTest, FatTreeGroupsByEdgeSwitch) {
   spec.kind = TopologyKind::FatTree;
   spec.nodes = 16;
   spec.fatTreeK = 4;
-  const DomainPartition part = DomainPartition::fromSpec(spec);
-  EXPECT_EQ(part.domains, 8u);  // k/2 = 2 hosts per edge switch
-  EXPECT_EQ(part.domainOf(0), part.domainOf(1));
-  EXPECT_NE(part.domainOf(1), part.domainOf(2));
-  // Tiers: same edge, same pod (hosts 0..3), cross pod.
-  EXPECT_EQ(pathTier(spec, 0, 1), PathTier::SameEdge);
-  EXPECT_EQ(pathTier(spec, 0, 3), PathTier::SamePod);
-  EXPECT_EQ(pathTier(spec, 0, 4), PathTier::CrossPod);
-  EXPECT_THROW(pathTier(spec, 0, 16), sim::SimError);
-
+  // k = 4: 8 edge, then 8 aggregation, then 4 core switches.
+  EXPECT_EQ(stackDomainCount(spec), 20u);
+  {
+    ShardedTopology s(spec);
+    expectOneDomainPerSwitch(s.topo, 20);
+    EXPECT_EQ(s.topo.switches()[7]->tier(), SwitchTier::Edge);
+    EXPECT_EQ(s.topo.switches()[8]->tier(), SwitchTier::Aggregation);
+    EXPECT_EQ(s.topo.switches()[16]->tier(), SwitchTier::Core);
+    // k/2 = 2 hosts per edge switch.
+    EXPECT_EQ(s.topo.hostDomain(0), 0u);
+    EXPECT_EQ(s.topo.hostDomain(1), 0u);
+    EXPECT_EQ(s.topo.hostDomain(2), 1u);
+    EXPECT_EQ(s.topo.hostDomain(15), 7u);
+  }
+  // A partial population still builds every switch.
+  TopologySpec ragged = spec;
+  ragged.nodes = 11;
+  EXPECT_EQ(stackDomainCount(ragged), 20u);
+  {
+    ShardedTopology s(ragged);
+    expectOneDomainPerSwitch(s.topo, 20);
+    EXPECT_EQ(s.topo.hostDomain(10), 5u);
+  }
+  // The builder checks the rest of the spec, and the engine's size.
   TopologySpec bad = spec;
   bad.fatTreeK = 3;
-  EXPECT_THROW(DomainPartition::fromSpec(bad), sim::SimError);
+  EXPECT_THROW(ShardedTopology{bad}, sim::SimError);
   bad = spec;
   bad.nodes = 17;
-  EXPECT_THROW(DomainPartition::fromSpec(bad), sim::SimError);
+  EXPECT_THROW(ShardedTopology{bad}, sim::SimError);
+  sim::ShardedEngine wrong({.domains = 19, .lookahead = 1, .shards = 1});
+  EXPECT_THROW(Topology(wrong, spec, [](NodeId, Packet&&) {}),
+               sim::SimError);
 }
 
-TEST(DomainPartitionTest, LookaheadIsHeaderHopPlusCoreLatency) {
-  TopologySpec spec;
-  spec.kind = TopologyKind::FatTree;
-  spec.nodes = 16;
-  spec.fatTreeK = 4;
-  spec.fabricLink.bandwidthMBps = 100.0;
-  spec.fabricLink.headerBytes = 40;
-  spec.fabricLink.propagation = 250;
-  spec.coreLatency = 600;
-  const sim::Duration hop =
-      sim::transferTime(40, 100.0) + 250;  // serialize header + propagate
-  EXPECT_EQ(crossDomainLookahead(spec), 2 * hop + 600);
-  EXPECT_GT(crossDomainLookahead(spec), 0);
+TEST(DomainPartitionTest, HopLookaheadIsHeaderSerializationPlusPropagation) {
+  // One inter-switch hop of a header-only frame: 40 B at 100 MB/s is
+  // 400 ns, plus 250 ns of propagation. Switch latencies play no part.
+  for (TopologyKind kind : {TopologyKind::TwoLevelTree, TopologyKind::FatTree}) {
+    TopologySpec spec;
+    spec.kind = kind;
+    spec.nodes = 16;
+    spec.nodesPerSwitch = 4;
+    spec.fatTreeK = 4;
+    spec.fabricLink.bandwidthMBps = 100.0;
+    spec.fabricLink.headerBytes = 40;
+    spec.fabricLink.propagation = 250;
+    spec.coreLatency = 600;
+    spec.edgeLatency = 300;
+    EXPECT_EQ(hopLookahead(spec), 650);
+  }
 }
 
 }  // namespace

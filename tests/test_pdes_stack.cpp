@@ -34,7 +34,7 @@
 #include <thread>
 #include <vector>
 
-#include "fabric/domain.hpp"
+#include "fabric/topology.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "nic/profiles.hpp"
@@ -454,9 +454,11 @@ std::string renderNicStats(Cluster& cluster) {
 
 /// One full run of `wc` on a 16-host k=4 fat-tree. `simShards` 0 = the
 /// classic serial engine; >= 1 = hosted ShardedEngine with that many
-/// worker threads (1 runs the identical window loop inline).
+/// worker threads (1 runs the identical window loop inline). A positive
+/// `samplePeriod` attaches a TimeSeriesSampler at that period.
 StackOutcome runStack(const WorkloadCase& wc, std::uint32_t simShards,
-                      std::uint64_t seed) {
+                      std::uint64_t seed,
+                      sim::Duration samplePeriod = sim::msec(1)) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
   cfg.nodes = kNodes;
@@ -482,7 +484,7 @@ StackOutcome runStack(const WorkloadCase& wc, std::uint32_t simShards,
   obs::SpanProfiler spans;
   cluster.setSpanProfiler(&spans);
   obs::TimeSeriesSampler sampler;
-  cluster.setSampler(&sampler, sim::msec(1));
+  if (samplePeriod > 0) cluster.setSampler(&sampler, samplePeriod);
 
   std::unique_ptr<FaultInjector> injector;
   if (wc.flap) {
@@ -547,13 +549,49 @@ TEST_P(PdesStackEquivalence, SerialAndShardedAreByteIdentical) {
   }
 }
 
+const auto kWorkloads = ::testing::Values(
+    WorkloadCase{"pingPongLossy", pingPongWorkload, 0.02, false},
+    WorkloadCase{"multiclientRpc", rpcWorkload, 0.0, false},
+    WorkloadCase{"streamingPairs", streamingWorkload, 0.0, false},
+    WorkloadCase{"sessionFlap", sessionFlapWorkload, 0.0, true});
+
 INSTANTIATE_TEST_SUITE_P(
-    Workloads, PdesStackEquivalence,
-    ::testing::Values(
-        WorkloadCase{"pingPongLossy", pingPongWorkload, 0.02, false},
-        WorkloadCase{"multiclientRpc", rpcWorkload, 0.0, false},
-        WorkloadCase{"streamingPairs", streamingWorkload, 0.0, false},
-        WorkloadCase{"sessionFlap", sessionFlapWorkload, 0.0, true}),
+    Workloads, PdesStackEquivalence, kWorkloads,
+    [](const auto& pi) { return std::string(pi.param.name); });
+
+// --- sampler neutrality --------------------------------------------------
+
+// A sampler only reads. On the hosted engine it also clamps every window
+// end to its grid and runs from the completion step between windows, so
+// it changes the window bounds, and the runnable heaps must stay exact
+// under it. Neither may move an output byte: in each engine mode, a run
+// with a sampler every 0.7 us (two hop lookaheads), 20 us or 1 ms must
+// match the same run with none.
+class PdesStackSamplerNeutrality
+    : public ::testing::TestWithParam<WorkloadCase> {};
+
+TEST_P(PdesStackSamplerNeutrality, SamplerNeverChangesTheRun) {
+  const WorkloadCase wc = GetParam();
+  const std::uint64_t seed = 1234;
+  for (std::uint32_t shards : {0u, 1u, 4u}) {
+    const StackOutcome plain = runStack(wc, shards, seed, /*samplePeriod=*/0);
+    for (sim::Duration period : {sim::Duration{700}, sim::usec(20),
+                                 sim::msec(1)}) {
+      const StackOutcome got = runStack(wc, shards, seed, period);
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " period=" + std::to_string(period) + "ns";
+      EXPECT_EQ(plain.endTime, got.endTime) << label;
+      EXPECT_EQ(plain.nodeDigests, got.nodeDigests) << label;
+      EXPECT_EQ(plain.nicStats, got.nicStats) << label;
+      EXPECT_EQ(plain.metrics, got.metrics) << label;
+      EXPECT_EQ(plain.spans, got.spans) << label;
+      EXPECT_NE(got.samplerCsv, plain.samplerCsv) << label << ": no samples";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, PdesStackSamplerNeutrality, kWorkloads,
     [](const auto& pi) { return std::string(pi.param.name); });
 
 // --- the Cluster-level shadow tracer -----------------------------------

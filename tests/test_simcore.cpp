@@ -679,7 +679,6 @@ TEST(HostedPdesTest, CrossDomainSendBelowWindowEndThrows) {
   cfg.domains = 2;
   cfg.lookahead = 10;
   cfg.shards = 1;
-  cfg.hostEngines = true;
   ShardedEngine pdes(cfg);
   pdes.domainEngine(0).postAt(0, [&] {
     EXPECT_THROW(pdes.sendAt(0, 1, 3, [] {}), SimError);
@@ -696,7 +695,6 @@ TEST(HostedPdesTest, PerDomainOrderingIsMergeDeterministic) {
     cfg.domains = 2;
     cfg.lookahead = 10;
     cfg.shards = shards;
-    cfg.hostEngines = true;
     ShardedEngine pdes(cfg);
     std::vector<std::vector<int>> log(2);
     for (std::uint32_t d = 0; d < 2; ++d) {
@@ -736,7 +734,6 @@ TEST(HostedPdesTest, ProcessKeepsItsExceptionAcrossThreads) {
   cfg.domains = kDomains;
   cfg.lookahead = kLa;
   cfg.shards = 4;
-  cfg.hostEngines = true;
   ShardedEngine pdes(cfg);
   pdes.setProfiling(true);
 
