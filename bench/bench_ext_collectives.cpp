@@ -257,8 +257,7 @@ CollectiveTimes hypercube(const nic::NicProfile& profile,
       }
     });
   }
-  const bool prof =
-      cluster.sharded() && std::getenv("VIBE_PDES_PROFILE") != nullptr;
+  const bool prof = std::getenv("VIBE_PDES_PROFILE") != nullptr;
   if (prof) cluster.shardedEngine().setProfiling(true);
   cluster.run(std::move(programs));
   if (prof) {
@@ -281,10 +280,8 @@ CollectiveTimes hypercube(const nic::NicProfile& profile,
       d = hcFoldNicStats(d, cluster.node(n).device().stats());
     }
     witness->nicDigest = d;
-    if (cluster.sharded()) {
-      witness->events = cluster.shardedEngine().executedEvents();
-      witness->windows = cluster.shardedEngine().windowsExecuted();
-    }
+    witness->events = cluster.shardedEngine().executedEvents();
+    witness->windows = cluster.shardedEngine().windowsExecuted();
   }
   return result;
 }

@@ -11,31 +11,32 @@
 
 #include "bench_common.hpp"
 #include "bench_registry.hpp"
-#include "fabric/network.hpp"
-#include "simcore/engine.hpp"
+#include "fabric/topology.hpp"
+#include "simcore/pdes.hpp"
 #include "vibe/datatransfer.hpp"
 
 namespace {
 
-/// Raw-fabric NetworkParams on the cLAN link model (no NIC/VIPL stack):
+/// Raw-fabric TopologySpec on the cLAN link model (no NIC/VIPL stack):
 /// at 1024 hosts the full provider stack is too heavy, but the fabric
 /// alone — links, switches, ECMP, buffers — simulates in milliseconds.
-vibe::fabric::NetworkParams rawFatTree(std::uint32_t k, std::uint32_t nodes,
-                                       std::uint32_t bufferFrames,
-                                       double trunkMBps = 0.0) {
+vibe::fabric::TopologySpec rawFatTree(std::uint32_t k, std::uint32_t nodes,
+                                      std::uint32_t bufferFrames,
+                                      double trunkMBps = 0.0) {
   const vibe::nic::NicProfile p = vibe::nic::clanProfile();
-  vibe::fabric::NetworkParams np;
-  np.nodes = nodes;
-  np.link.bandwidthMBps = p.linkMBps;
-  np.link.propagation = p.linkPropagation;
-  np.link.headerBytes = p.linkHeaderBytes;
-  np.switchLatency = p.switchLatency;
-  np.fatTreeK = k;
-  np.trunk = np.link;
-  if (trunkMBps > 0.0) np.trunk.bandwidthMBps = trunkMBps;
-  np.rootSwitchLatency = p.switchLatency;
-  np.switchBufferFrames = bufferFrames;
-  return np;
+  vibe::fabric::TopologySpec spec;
+  spec.kind = vibe::fabric::TopologyKind::FatTree;
+  spec.nodes = nodes;
+  spec.hostLink.bandwidthMBps = p.linkMBps;
+  spec.hostLink.propagation = p.linkPropagation;
+  spec.hostLink.headerBytes = p.linkHeaderBytes;
+  spec.edgeLatency = p.switchLatency;
+  spec.fatTreeK = k;
+  spec.fabricLink = spec.hostLink;
+  if (trunkMBps > 0.0) spec.fabricLink.bandwidthMBps = trunkMBps;
+  spec.coreLatency = p.switchLatency;
+  spec.portBufferFrames = bufferFrames;
+  return spec;
 }
 
 vibe::fabric::Packet rawFrame(std::uint32_t src, std::uint32_t dst,
@@ -152,8 +153,8 @@ int run(int, char**) {
   const std::vector<IncastPoint> incastRows = harness::runSweep(
       bufs.size(),
       [&](harness::PointEnv& env) {
-        sim::Engine eng;
-        fabric::Network net(eng, rawFatTree(16, 1024, bufs[env.index]));
+        sim::ShardedEngine eng(sim::EngineConfig{});
+        fabric::Topology net(eng, rawFatTree(16, 1024, bufs[env.index]));
         std::uint64_t delivered = 0;
         for (std::uint32_t n = 0; n < 1024; ++n) {
           net.setReceiver(n, [&](fabric::Packet&&) { ++delivered; });
@@ -164,7 +165,7 @@ int run(int, char**) {
         eng.run();
         return IncastPoint{static_cast<double>(delivered),
                            static_cast<double>(net.switchBufferDrops()),
-                           static_cast<double>(net.maxSwitchQueueDepth())};
+                           static_cast<double>(net.maxQueueDepth())};
       },
       sweepOptions());
   for (std::size_t i = 0; i < bufs.size(); ++i) {
@@ -189,18 +190,19 @@ int run(int, char**) {
   const std::vector<OversubPoint> oversubRows = harness::runSweep(
       trunks.size(),
       [&](harness::PointEnv& env) {
-        sim::Engine eng;
+        sim::ShardedEngine eng(sim::EngineConfig{});
+        const sim::Engine& clock = eng.domainEngine(0);
         // Buffers large enough never to drop (4096 frames) but finite, so
         // the fabric meters occupancy: max_queue shows where the slow
         // trunks back traffic up.
-        fabric::Network net(
+        fabric::Topology net(
             eng, rawFatTree(16, 1024, 4096, trunks[env.index]));
         std::uint64_t deliveredBytes = 0;
         sim::SimTime last = 0;
         for (std::uint32_t n = 0; n < 1024; ++n) {
           net.setReceiver(n, [&](fabric::Packet&& f) {
             deliveredBytes += f.payload.size();
-            last = std::max(last, eng.now());
+            last = std::max(last, clock.now());
           });
         }
         for (std::uint32_t s = 0; s < 1024; ++s) {
@@ -211,7 +213,7 @@ int run(int, char**) {
         eng.run();
         return OversubPoint{
             static_cast<double>(deliveredBytes) / 1e6 / sim::toSec(last),
-            static_cast<double>(net.maxSwitchQueueDepth())};
+            static_cast<double>(net.maxQueueDepth())};
       },
       sweepOptions());
   for (std::size_t i = 0; i < trunks.size(); ++i) {

@@ -103,6 +103,6 @@ int main() {
               static_cast<unsigned long long>(remoteReads),
               static_cast<unsigned long long>(writeThroughs));
   std::printf("  simulated time: %.2f ms\n",
-              sim::toUsec(cluster.engine().now()) / 1000.0);
+              sim::toUsec(cluster.now()) / 1000.0);
   return 0;
 }

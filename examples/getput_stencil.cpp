@@ -113,7 +113,7 @@ int main() {
         profileName, kIterations, residual,
         static_cast<unsigned long long>(rdmaPuts),
         static_cast<unsigned long long>(emulatedPuts),
-        sim::toUsec(cluster.engine().now()) / 1000.0);
+        sim::toUsec(cluster.now()) / 1000.0);
   }
   std::printf("both models compute identical physics; only the transport "
               "path differs\n");

@@ -142,6 +142,6 @@ int main() {
 
   cluster.run({client, server});
   std::printf("quickstart finished cleanly after %.1f simulated us\n",
-              sim::toUsec(cluster.engine().now()));
+              sim::toUsec(cluster.now()));
   return 0;
 }

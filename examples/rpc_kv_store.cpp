@@ -147,6 +147,6 @@ int main() {
   cluster.run(std::move(programs));
 
   std::printf("kv-store demo finished after %.2f simulated ms\n",
-              sim::toUsec(cluster.engine().now()) / 1000.0);
+              sim::toUsec(cluster.now()) / 1000.0);
   return 0;
 }

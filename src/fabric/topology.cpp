@@ -13,8 +13,7 @@ namespace {
 
 /// Uniform bounds guard for the index-based accessors: every
 /// out-of-range index surfaces as a SimError naming the accessor and
-/// the valid range (the Network::leafOf contract), never as a raw
-/// std::out_of_range.
+/// the valid range, never as a raw std::out_of_range.
 void checkIndex(std::size_t i, std::size_t size, const char* what) {
   if (i >= size) {
     throw sim::SimError(std::string(what) + ": index " + std::to_string(i) +
@@ -171,53 +170,30 @@ void Switch::forward(Packet&& p, bool fromHost) {
 
 // --- Topology -------------------------------------------------------------
 
-Topology::Topology(sim::Engine& engine, const TopologySpec& spec,
-                   Deliver deliver)
-    : engine_(&engine), spec_(spec), deliver_(std::move(deliver)) {
+Topology::Topology(sim::ShardedEngine& pdes, const TopologySpec& spec)
+    : pdes_(pdes), spec_(spec), receivers_(spec.nodes) {
+  const std::uint32_t perSwitch = stackDomainCount(spec_);
+  domainCount_ = pdes.domainCount();
+  if (domainCount_ != 1 && domainCount_ != perSwitch) {
+    throw sim::SimError("Topology: spec needs 1 PDES domain or " +
+                        std::to_string(perSwitch) +
+                        " (one per switch) but the engine has " +
+                        std::to_string(domainCount_));
+  }
   switch (spec_.kind) {
     case TopologyKind::Star: buildStar(); break;
     case TopologyKind::TwoLevelTree: buildTree(); break;
     case TopologyKind::FatTree: buildFatTree(); break;
   }
-  // Serial: everything runs on one engine; the builders' switch-level
-  // domain numbering is kept (it costs nothing) but the topology spans a
-  // single logical domain.
-  domainCount_ = 1;
-}
-
-Topology::Topology(sim::ShardedEngine& pdes, const TopologySpec& spec,
-                   Deliver deliver)
-    : pdes_(&pdes), spec_(spec), deliver_(std::move(deliver)) {
-  switch (spec_.kind) {
-    case TopologyKind::Star: buildStar(); break;
-    case TopologyKind::TwoLevelTree: buildTree(); break;
-    case TopologyKind::FatTree: buildFatTree(); break;
-  }
-  if (pdes.domainCount() != domainCount_) {
-    throw sim::SimError("Topology: spec needs " +
-                        std::to_string(domainCount_) +
-                        " PDES domains (one per switch) but the engine has " +
-                        std::to_string(pdes.domainCount()));
-  }
-}
-
-sim::Engine& Topology::engine() {
-  if (pdes_ != nullptr) {
-    throw sim::SimError(
-        "Topology::engine: topology is sharded across PDES domains; use "
-        "engineForDomain");
-  }
-  return *engine_;
 }
 
 sim::Engine& Topology::engineForDomain(std::uint32_t domain) {
-  if (pdes_ != nullptr) return pdes_->domainEngine(domain);
-  return *engine_;
+  return pdes_.domainEngine(domain);
 }
 
 std::uint32_t Topology::hostDomain(NodeId n) const {
-  if (pdes_ == nullptr) return 0;
   checkIndex(n, spec_.nodes, "Topology::hostDomain");
+  if (domainCount_ == 1) return 0;
   switch (spec_.kind) {
     case TopologyKind::Star: return 0;
     case TopologyKind::TwoLevelTree: return n / spec_.nodesPerSwitch;
@@ -226,11 +202,26 @@ std::uint32_t Topology::hostDomain(NodeId n) const {
   return 0;
 }
 
+void Topology::setReceiver(NodeId node, Receiver rx) {
+  checkIndex(node, receivers_.size(), "Topology::setReceiver");
+  receivers_[node] = std::move(rx);
+}
+
+void Topology::send(Packet&& p) {
+  if (p.src >= spec_.nodes || p.dst >= spec_.nodes) {
+    throw sim::SimError("Topology::send: node id out of range");
+  }
+  if (p.src == p.dst) {
+    throw sim::SimError("Topology::send: wire loopback not supported");
+  }
+  hostUp_[p.src]->send(std::move(p));
+}
+
 void Topology::placeLink(Link* l, std::uint32_t srcDomain,
                          std::uint32_t dstDomain) {
   linkDomains_.emplace_back(l, srcDomain);
-  if (pdes_ != nullptr && srcDomain != dstDomain) {
-    sim::ShardedEngine* pdes = pdes_;
+  if (srcDomain != dstDomain) {
+    sim::ShardedEngine* pdes = &pdes_;
     l->setRemoteDelivery(
         [pdes, srcDomain, dstDomain](sim::SimTime at, sim::EventFn fn) {
           pdes->sendAt(srcDomain, dstDomain, at, std::move(fn));
@@ -240,6 +231,7 @@ void Topology::placeLink(Link* l, std::uint32_t srcDomain,
 
 Switch* Topology::addSwitch(std::string name, SwitchTier tier,
                             sim::Duration latency, std::uint32_t domain) {
+  if (domainCount_ == 1) domain = 0;
   switches_.push_back(std::make_unique<Switch>(
       *this, engineForDomain(domain), domain,
       static_cast<std::uint32_t>(switches_.size()), std::move(name), tier,
@@ -266,9 +258,9 @@ Link* Topology::addFabricLink(std::string name, std::uint64_t seedSalt,
   return l;
 }
 
-/// Host link pairs, identical names/seeds to the pre-topology Network
-/// ("up<n>"/"down<n>", salts 0x1000/0x2000) so star and tree runs draw
-/// the same PRNG streams and stay byte-identical.
+/// Host link pairs: "up<n>"/"down<n>", salts 0x1000/0x2000. The names
+/// and salts fix every host link's PRNG stream, so changing them moves
+/// every table.
 void Topology::buildHostLinks(const std::function<Switch*(NodeId)>& edgeOf) {
   hostUp_.reserve(spec_.nodes);
   hostDown_.reserve(spec_.nodes);
@@ -285,7 +277,13 @@ void Topology::buildHostLinks(const std::function<Switch*(NodeId)>& edgeOf) {
     lp.seed = spec_.seed ^ (0x2000ULL + n);
     auto down = std::make_unique<Link>(eng, "down" + std::to_string(n), lp);
     connectToSwitch(up.get(), edge, /*fromHost=*/true);
-    down->connect([this, n](Packet&& p) { deliver_(n, std::move(p)); });
+    down->connect([this, n](Packet&& p) {
+      if (!receivers_[n]) {
+        throw sim::SimError("Topology: no receiver registered for node " +
+                            std::to_string(n));
+      }
+      receivers_[n](std::move(p));
+    });
     const std::uint32_t port = edge->addPort(down.get());
     edge->setHostRoute(n, port);
     placeLink(up.get(), edge->domain(), edge->domain());
@@ -296,7 +294,6 @@ void Topology::buildHostLinks(const std::function<Switch*(NodeId)>& edgeOf) {
 }
 
 void Topology::buildStar() {
-  domainCount_ = 1;
   Switch* sw = addSwitch("sw0", SwitchTier::Edge, spec_.edgeLatency, 0);
   buildHostLinks([sw](NodeId) { return sw; });
 }
@@ -305,15 +302,13 @@ void Topology::buildTree() {
   const std::uint32_t nps = spec_.nodesPerSwitch;
   const std::uint32_t leaves = treeLeaves(spec_);
   // Domains: leaf l -> l, root -> leaves.
-  domainCount_ = leaves + 1;
-  const std::uint32_t rootDom = leaves;
   std::vector<Switch*> leafSw(leaves);
   for (std::uint32_t leaf = 0; leaf < leaves; ++leaf) {
     leafSw[leaf] = addSwitch("leaf" + std::to_string(leaf), SwitchTier::Edge,
                              spec_.edgeLatency, leaf);
   }
   Switch* root =
-      addSwitch("root", SwitchTier::Core, spec_.coreLatency, rootDom);
+      addSwitch("root", SwitchTier::Core, spec_.coreLatency, leaves);
 
   buildHostLinks([&leafSw, nps](NodeId n) { return leafSw[n / nps]; });
 
@@ -321,17 +316,19 @@ void Topology::buildTree() {
   // 0x4000), one shared pair per leaf. An up trunk serializes in the leaf
   // domain and delivers into the root domain; a down trunk the reverse.
   for (std::uint32_t leaf = 0; leaf < leaves; ++leaf) {
+    const std::uint32_t leafDom = leafSw[leaf]->domain();
     LinkParams tp = spec_.fabricLink;
     tp.seed = spec_.seed ^ (0x3000ULL + leaf);
     auto up = std::make_unique<Link>(
-        engineForDomain(leaf), "trunkUp" + std::to_string(leaf), tp);
+        engineForDomain(leafDom), "trunkUp" + std::to_string(leaf), tp);
     tp.seed = spec_.seed ^ (0x4000ULL + leaf);
     auto down = std::make_unique<Link>(
-        engineForDomain(rootDom), "trunkDown" + std::to_string(leaf), tp);
+        engineForDomain(root->domain()), "trunkDown" + std::to_string(leaf),
+        tp);
     connectToSwitch(up.get(), root, /*fromHost=*/false);
     connectToSwitch(down.get(), leafSw[leaf], /*fromHost=*/false);
-    placeLink(up.get(), leaf, rootDom);
-    placeLink(down.get(), rootDom, leaf);
+    placeLink(up.get(), leafDom, root->domain());
+    placeLink(down.get(), root->domain(), leafDom);
 
     // Leaf: non-local hosts go up the (single-member ECMP) trunk.
     leafSw[leaf]->setEcmpUplinks({leafSw[leaf]->addPort(up.get())});
@@ -366,7 +363,6 @@ void Topology::buildFatTree() {
 
   // Domains: edge e -> e, aggr a -> numEdges + a, core c -> numEdges +
   // numAggrs + c (one PDES domain per switch).
-  domainCount_ = numEdges + numAggrs + numCores;
   std::vector<Switch*> edges(numEdges);
   std::vector<Switch*> aggrs(numAggrs);
   std::vector<Switch*> cores(numCores);
@@ -449,10 +445,6 @@ void Topology::buildFatTree() {
   }
 }
 
-void Topology::inject(Packet&& p) {
-  hostUp_[p.src]->send(std::move(p));
-}
-
 Link& Topology::hostUplink(NodeId n) {
   checkIndex(n, hostUp_.size(), "Topology::hostUplink");
   return *hostUp_[n];
@@ -479,7 +471,6 @@ Link& Topology::fabricLink(std::size_t i) {
 }
 
 void Topology::setSpanProfiler(obs::SpanProfiler* spans) {
-  spans_ = spans;
   for (auto& [l, d] : linkDomains_) l->setSpanProfiler(spans);
   for (auto& s : switches_) s->setSpanProfiler(spans);
 }
@@ -491,7 +482,6 @@ void Topology::setDomainSpanProfilers(
                         std::to_string(byDomain.size()) + " profilers for " +
                         std::to_string(domainCount_) + " domains");
   }
-  spans_ = nullptr;
   for (auto& [l, d] : linkDomains_) l->setSpanProfiler(byDomain[d]);
   for (auto& s : switches_) s->setSpanProfiler(byDomain[s->domain()]);
 }

@@ -1,12 +1,17 @@
-// Switched-fabric topology layer: switches, routing tables, and the
-// builders that wire them into a graph of Links.
+// The SAN fabric: switches, routing tables, links, and the endpoint
+// surface NICs use (setReceiver / send).
 //
 // Three topology families share one Switch model:
 //
 //   Star          one crossbar switch, every host on a full-duplex link
-//                 pair (the paper's single-switch testbeds).
+//                 pair (the paper's single-switch testbeds: Myrinet,
+//                 Gigabit Ethernet and cLAN5000 switches wiring a handful
+//                 of PCs).
 //   TwoLevelTree  hosts on leaf switches, leaves on one root through
-//                 shared trunk links (`nodesPerSwitch`).
+//                 shared trunk links (`nodesPerSwitch`). Cross-leaf
+//                 traffic pays two extra link traversals plus the root's
+//                 forwarding latency, and trunks are shared — the way a
+//                 real multi-switch SAN oversubscribes.
 //   FatTree       k-ary fat-tree / folded Clos (k even): k pods of k/2
 //                 edge and k/2 aggregation switches, (k/2)^2 core
 //                 switches, up to k^3/4 hosts. Every inter-switch tier is
@@ -29,11 +34,17 @@
 // and oversubscription benches measure. 0 keeps the legacy unbounded
 // FIFO behavior.
 //
+// A Topology is always built on a sim::ShardedEngine, in one of two
+// placements: one PDES domain per switch (the engine has
+// stackDomainCount(spec) domains), or the whole fabric in domain 0 (the
+// engine has one domain). To use the fabric on its own, build it on
+// `sim::ShardedEngine(sim::EngineConfig{})` and drive that engine with
+// run() / runUntil().
+//
 // Determinism contract: construction derives every Link's PRNG stream
-// from (spec.seed, link name) with the same names and salts the
-// pre-topology Network used, so Star and TwoLevelTree specs reproduce the
-// original star/tree byte-for-byte — same event sequence, same loss
-// draws, same spans, same tables.
+// from (spec.seed, link name) with fixed names and salts, so a spec and
+// seed always reproduce the same event sequence, loss draws, spans and
+// tables, in either placement.
 #pragma once
 
 #include <cstdint>
@@ -83,7 +94,7 @@ struct TopologySpec {
   std::uint32_t portBufferFrames = 0;
 };
 
-/// Number of PDES domains the sharded Topology builds for `spec` — one
+/// Number of PDES domains the per-switch placement of `spec` needs — one
 /// per switch, in the builder's numbering (star: 1; tree: leaves then
 /// root; fat-tree: edges, then aggregations, then cores). Use this to
 /// size the ShardedEngine before constructing the Topology, which checks
@@ -191,64 +202,65 @@ class Switch {
   std::uint32_t maxDepth_ = 0;
 };
 
-/// The wired fabric: owns every switch and link of a spec'd topology and
-/// moves packets from host uplinks to host downlinks through them.
+/// The wired fabric: owns every switch and link of a spec'd topology,
+/// takes packets from host uplinks and hands them to the receiver
+/// registered for their destination host.
 class Topology {
  public:
-  /// Called when a frame reaches its destination host's downlink.
-  using Deliver = std::function<void(NodeId, Packet&&)>;
+  /// Called with each frame that reaches its destination host.
+  using Receiver = std::function<void(Packet&&)>;
 
-  Topology(sim::Engine& engine, const TopologySpec& spec, Deliver deliver);
-
-  /// Sharded construction (conservative PDES): `pdes` must have one
-  /// domain per switch of this spec (see stackDomainCount). Every switch
-  /// and link is built on its domain's engine — one domain per edge
-  /// switch covering its hosts and host links, one per aggregation/core
-  /// switch — and every inter-switch link whose endpoints straddle
-  /// domains routes its delivery through ShardedEngine::sendAt. The
-  /// executed event schedule per domain is byte-identical at any shard
-  /// count.
-  Topology(sim::ShardedEngine& pdes, const TopologySpec& spec,
-           Deliver deliver);
+  /// Builds `spec` on `pdes`, which must have either one domain per
+  /// switch (stackDomainCount(spec)) or exactly one; any other count
+  /// throws. Per switch, every switch and link is built on its domain's
+  /// engine — one domain per edge switch covering its hosts and host
+  /// links, one per aggregation/core switch — and every inter-switch link
+  /// whose endpoints straddle domains routes its delivery through
+  /// ShardedEngine::sendAt; the executed event schedule per domain is
+  /// byte-identical at any shard count. With one domain everything runs
+  /// on domain 0's engine and nothing is delivered remotely.
+  Topology(sim::ShardedEngine& pdes, const TopologySpec& spec);
 
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
 
-  /// The serial engine (serial construction only; throws under sharding —
-  /// there is no single engine, use engineForDomain).
-  sim::Engine& engine();
-  bool sharded() const { return pdes_ != nullptr; }
-  /// PDES domains this topology spans (1 when serial).
+  /// PDES domains this topology spans (1 or one per switch).
   std::uint32_t domainCount() const { return domainCount_; }
-  /// Domain of host `n`'s edge switch (0 when serial or star).
+  /// Domain of host `n`'s edge switch (0 on a star or with one domain).
+  /// Throws on an out-of-range host.
   std::uint32_t hostDomain(NodeId n) const;
-  /// The engine owning `domain` (the serial engine when not sharded).
+  /// The engine owning `domain`.
   sim::Engine& engineForDomain(std::uint32_t domain);
   const TopologySpec& spec() const { return spec_; }
 
-  /// Sends a frame down its source host's uplink (no validation; the
-  /// Network facade owns the argument checks).
-  void inject(Packet&& p);
+  /// Registers the NIC RX handler for a host.
+  void setReceiver(NodeId node, Receiver rx);
 
-  /// Attaches a span profiler to every link and switch hop. nullptr
-  /// detaches.
+  /// Injects a packet from its source host's uplink. The destination must
+  /// be a valid host other than the source (no loopback on the wire).
+  void send(Packet&& p);
+
+  /// Attaches one span profiler to every link and switch hop, so Wire
+  /// spans tile the whole wire interval (host link, each switch hop, each
+  /// inter-switch link). nullptr detaches. With more than one shard use
+  /// setDomainSpanProfilers: an emit must stay inside its domain.
   void setSpanProfiler(obs::SpanProfiler* spans);
-  obs::SpanProfiler* spanProfiler() const { return spans_; }
 
-  /// Sharded alternative: one profiler per domain (indexed by domain id;
-  /// size must equal domainCount()). Each link and switch attaches its
-  /// owning domain's profiler, so every emit is domain-local and the
-  /// per-domain profilers can be merged deterministically after the run.
+  /// One profiler per domain (indexed by domain id; size must equal
+  /// domainCount()). Each link and switch attaches its owning domain's
+  /// profiler, so every emit is domain-local and the per-domain profilers
+  /// can be merged deterministically after the run.
   void setDomainSpanProfilers(const std::vector<obs::SpanProfiler*>& byDomain);
 
-  // Link accessors. Every accessor below throws SimError naming the
-  // accessor and the offending index on out-of-range arguments — the
-  // same contract as Network::leafOf — rather than leaking a raw
+  // Link accessors, exposed for fault injection and utilization stats.
+  // Every accessor below throws SimError naming the accessor and the
+  // offending index on out-of-range arguments, rather than leaking a raw
   // std::out_of_range from the underlying container.
   Link& hostUplink(NodeId n);
   Link& hostDownlink(NodeId n);
 
-  /// Tree trunks (empty outside TwoLevelTree).
+  /// Shared leaf<->root trunk links (empty outside TwoLevelTree): the
+  /// links most worth failing are the shared ones.
   std::uint32_t trunkCount() const {
     return static_cast<std::uint32_t>(trunkUp_.size());
   }
@@ -287,6 +299,8 @@ class Topology {
   void buildStar();
   void buildTree();
   void buildFatTree();
+  /// Adds a switch in `domain` of the per-switch numbering (domain 0
+  /// when the topology spans one domain).
   Switch* addSwitch(std::string name, SwitchTier tier, sim::Duration latency,
                     std::uint32_t domain);
   /// Creates one directed inter-switch link (salted off the running
@@ -295,15 +309,14 @@ class Topology {
   Link* addFabricLink(std::string name, std::uint64_t seedSalt, Switch* from,
                       Switch* to);
   void connectToSwitch(Link* l, Switch* sw, bool fromHost);
-  /// Registers a newly built link's owning domain and, under sharding,
-  /// routes its delivery through sendAt when `dstDomain` differs.
+  /// Registers a newly built link's owning domain and routes its delivery
+  /// through sendAt when `dstDomain` differs.
   void placeLink(Link* l, std::uint32_t srcDomain, std::uint32_t dstDomain);
 
-  sim::Engine* engine_ = nullptr;        // serial construction
-  sim::ShardedEngine* pdes_ = nullptr;   // sharded construction
+  sim::ShardedEngine& pdes_;
   std::uint32_t domainCount_ = 1;
   TopologySpec spec_;
-  Deliver deliver_;
+  std::vector<Receiver> receivers_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::vector<std::unique_ptr<Link>> hostUp_;
   std::vector<std::unique_ptr<Link>> hostDown_;
@@ -313,7 +326,6 @@ class Topology {
   // (link, owner domain) in construction order, for per-domain span
   // attachment; owner = the domain whose engine runs the link's events.
   std::vector<std::pair<Link*, std::uint32_t>> linkDomains_;
-  obs::SpanProfiler* spans_ = nullptr;
 };
 
 }  // namespace vibe::fabric

@@ -12,7 +12,7 @@ void FaultInjector::arm(suite::Cluster& cluster) {
   cluster.attachFaultInjector(this);
   for (const FaultAction& a : plan_.actions) {
     if (a.target == FaultTarget::Trunk) {
-      const std::uint32_t trunks = cluster.network().trunkCount();
+      const std::uint32_t trunks = cluster.topology().trunkCount();
       if (a.node >= trunks) {
         throw sim::SimError(
             "FaultInjector: trunk action targets leaf " +
@@ -34,12 +34,13 @@ void FaultInjector::arm(suite::Cluster& cluster) {
 }
 
 void FaultInjector::apply(suite::Cluster& cluster, const FaultAction& a) {
-  fabric::Network& net = cluster.network();
+  fabric::Topology& topo = cluster.topology();
   // Trunk actions hit the shared leaf<->root pair ("up" = leaf-to-root);
   // host actions hit the node's own link pair, exactly as before.
   const bool trunk = a.target == FaultTarget::Trunk;
-  fabric::Link& up = trunk ? net.trunkUp(a.node) : net.uplink(a.node);
-  fabric::Link& down = trunk ? net.trunkDown(a.node) : net.downlink(a.node);
+  fabric::Link& up = trunk ? topo.trunkUp(a.node) : topo.hostUplink(a.node);
+  fabric::Link& down =
+      trunk ? topo.trunkDown(a.node) : topo.hostDownlink(a.node);
   const bool onUp = a.side != LinkSide::Downlink;
   const bool onDown = a.side != LinkSide::Uplink;
   switch (a.kind) {

@@ -61,7 +61,7 @@ const char* toString(WorkStatus s) {
   return "Unknown";
 }
 
-NicDevice::NicDevice(sim::Engine& engine, fabric::Network& net, NodeId node,
+NicDevice::NicDevice(sim::Engine& engine, fabric::Topology& net, NodeId node,
                      const NicProfile& profile, mem::MemoryRegistry& registry,
                      mem::HostMemory& memory)
     : engine_(engine),

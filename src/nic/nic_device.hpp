@@ -21,8 +21,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fabric/network.hpp"
 #include "fabric/packet.hpp"
+#include "fabric/topology.hpp"
 #include "mem/host_memory.hpp"
 #include "mem/memory_registry.hpp"
 #include "mem/tlb.hpp"
@@ -68,7 +68,7 @@ class NicDevice {
     std::function<void(ViEndpointId, WorkStatus)> connectionError;
   };
 
-  NicDevice(sim::Engine& engine, fabric::Network& net, NodeId node,
+  NicDevice(sim::Engine& engine, fabric::Topology& net, NodeId node,
             const NicProfile& profile, mem::MemoryRegistry& registry,
             mem::HostMemory& memory);
 
@@ -231,7 +231,7 @@ class NicDevice {
   void flushEndpoint(ViEndpointId id, Endpoint& e, WorkStatus status);
 
   sim::Engine& engine_;
-  fabric::Network& net_;
+  fabric::Topology& net_;
   NodeId node_;
   NicProfile profile_;
   mem::MemoryRegistry& registry_;

@@ -77,7 +77,28 @@ void Engine::compactIfStale() {
 
 void Engine::run() {
   DriveGuard guard(*this);
-  while (!heap_.empty()) {
+  dispatchThrough(kNoEventTime);
+  checkDeadlock();
+}
+
+bool Engine::runUntil(SimTime until) {
+  DriveGuard guard(*this);
+  dispatchThrough(until);
+  advanceTo(until);
+  if (live_ != 0) return false;
+  checkDeadlock();
+  return true;
+}
+
+std::uint64_t Engine::runWindow(SimTime windowEnd) {
+  DriveGuard guard(*this);
+  WindowScope scope(*this);
+  return dispatchThrough(windowEnd - 1);
+}
+
+std::uint64_t Engine::dispatchThrough(SimTime last) {
+  const std::uint64_t before = executed_;
+  while (!heap_.empty() && heap_.front().time <= last) {
     std::pop_heap(heap_.begin(), heap_.end(), HandleAfter{});
     const Handle h = heap_.back();
     heap_.pop_back();
@@ -97,77 +118,7 @@ void Engine::run() {
     freeSlot(h.slot);
     fn();
   }
-  checkDeadlock();
-}
-
-bool Engine::runUntil(SimTime until) {
-  DriveGuard guard(*this);
-  while (!heap_.empty()) {
-    const Handle top = heap_.front();
-    if (slotAt(top.slot).gen != top.gen) {  // stale handle at the top
-      std::pop_heap(heap_.begin(), heap_.end(), HandleAfter{});
-      heap_.pop_back();
-      --staleInHeap_;
-      continue;
-    }
-    if (top.time > until) {
-      if (until > now_) {
-        now_ = until;
-        if (observer_ != nullptr) observer_->onTimeAdvance(now_);
-      }
-      return false;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), HandleAfter{});
-    heap_.pop_back();
-    Slot& s = slotAt(top.slot);
-    if (top.time != now_) {
-      now_ = top.time;
-      if (observer_ != nullptr) observer_->onTimeAdvance(now_);
-    }
-    ++executed_;
-    --live_;
-    EventFn fn = std::move(s.fn);
-    ++s.gen;
-    freeSlot(top.slot);
-    fn();
-  }
-  if (until > now_) {
-    now_ = until;
-    if (observer_ != nullptr) observer_->onTimeAdvance(now_);
-  }
-  checkDeadlock();
-  return true;
-}
-
-std::uint64_t Engine::runWindow(SimTime windowEnd) {
-  DriveGuard guard(*this);
-  WindowScope scope(*this);
-  std::uint64_t n = 0;
-  while (!heap_.empty()) {
-    const Handle top = heap_.front();
-    if (slotAt(top.slot).gen != top.gen) {  // stale handle at the top
-      std::pop_heap(heap_.begin(), heap_.end(), HandleAfter{});
-      heap_.pop_back();
-      --staleInHeap_;
-      continue;
-    }
-    if (top.time >= windowEnd) break;
-    std::pop_heap(heap_.begin(), heap_.end(), HandleAfter{});
-    heap_.pop_back();
-    Slot& s = slotAt(top.slot);
-    if (top.time != now_) {
-      now_ = top.time;
-      if (observer_ != nullptr) observer_->onTimeAdvance(now_);
-    }
-    ++executed_;
-    --live_;
-    EventFn fn = std::move(s.fn);
-    ++s.gen;
-    freeSlot(top.slot);
-    fn();
-    ++n;
-  }
-  return n;
+  return executed_ - before;
 }
 
 SimTime Engine::nextEventTime() {

@@ -241,6 +241,10 @@ class Engine {
     Engine& engine;
   };
   EventId postAtImpl(SimTime t, EventFn fn);
+  /// The one dispatch loop: fires every pending event with time <= `last`
+  /// in (time, insertion seq) order, skipping cancelled handles, and
+  /// returns how many fired. run(), runUntil() and runWindow() wrap it.
+  std::uint64_t dispatchThrough(SimTime last);
   void checkDeadlock() const;
   void registerProcess(Process* p) { processes_.push_back(p); }
   void unregisterProcess(Process* p);

@@ -275,17 +275,13 @@ void ShardedEngine::prepareWindow() {
     done_ = true;
     return;
   }
-  // O(shards) reduce over the heap tops, not an O(domains) rescan. A
-  // superseded duplicate on top (left by a cancelled timer) starts a
-  // window early, at a time with no event. A hook would take that start
-  // for a boundary the run reached (a sample row past the last event),
-  // so while one is set the tops are pruned first and every window
-  // starts at a real event, as a serial sampler sees. Without a hook an
-  // early start costs at most an empty window, and the tops stay as
-  // filed.
+  // O(shards) reduce over the heap tops, not an O(domains) rescan. The
+  // tops are pruned first, so a superseded duplicate (left by a
+  // cancelled timer) never starts a window early: every window starts at
+  // a real event, which is also the boundary a hook may take it for.
   SimTime t = kNoEvent;
   for (unsigned s = 0; s < shards_; ++s) {
-    if (boundaryFlush_) pruneTop(s);
+    pruneTop(s);
     t = std::min(t, runnableTop(s));
   }
   if (t == kNoEvent) {

@@ -265,11 +265,13 @@ class ShardedEngine {
   // so a window costs O(active domains · log). domKey_[d] is the key the
   // owner's heap currently holds for d (kNoEvent when absent): pushes
   // that don't beat it are skipped, pops that don't match it are stale
-  // duplicates. A superseded entry can surface first (stale-low); the pop
-  // skips it, costing at worst an empty window round. Rebuilt at every
-  // run entry. Only a domain's own window and the merge change what a
-  // domain holds (a boundary hook cannot post or cancel), and both re-file
-  // it, so a live key is always the domain's real next event time.
+  // duplicates. A superseded entry can sit below a live one (a timer
+  // cancelled after a merge lowered the key): the completion step prunes
+  // such tops before it picks a window start, and the pops skip the
+  // deeper ones. Rebuilt at every run entry. Only a domain's own window
+  // and the merge change what a domain holds (a boundary hook cannot
+  // post or cancel), and both re-file it, so a live key is always the
+  // domain's real next event time.
   std::vector<std::vector<std::pair<SimTime, std::uint32_t>>> runnable_;
   std::vector<SimTime> domKey_;
   // Outbox dirty lists, per owning shard: domains that parked >= 1

@@ -10,45 +10,58 @@
 
 namespace vibe::suite {
 
+namespace {
+
+/// The fabric a config describes: the profile's link on every host port
+/// and, past one switch, on the inter-switch links too (at trunkMBps when
+/// set).
+fabric::TopologySpec topologySpecFor(const ClusterConfig& c) {
+  fabric::TopologySpec spec;
+  spec.nodes = c.nodes;
+  spec.hostLink.bandwidthMBps = c.profile.linkMBps;
+  spec.hostLink.propagation = c.profile.linkPropagation;
+  spec.hostLink.headerBytes = c.profile.linkHeaderBytes;
+  spec.hostLink.lossRate = c.lossRate;
+  spec.edgeLatency = c.profile.switchLatency;
+  spec.seed = c.seed;
+  spec.portBufferFrames = c.switchBufferFrames;
+  if (c.fatTreeK != 0 || c.nodesPerSwitch != 0) {
+    spec.kind = c.fatTreeK != 0 ? fabric::TopologyKind::FatTree
+                                : fabric::TopologyKind::TwoLevelTree;
+    spec.nodesPerSwitch = c.nodesPerSwitch;
+    spec.fatTreeK = c.fatTreeK;
+    spec.fabricLink = spec.hostLink;
+    if (c.trunkMBps > 0.0) spec.fabricLink.bandwidthMBps = c.trunkMBps;
+    spec.coreLatency = c.profile.switchLatency;
+  }
+  return spec;
+}
+
+}  // namespace
+
 Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   ns_ = std::make_shared<vipl::NameService>();
 
-  fabric::NetworkParams np;
-  np.nodes = config_.nodes;
-  np.link.bandwidthMBps = config_.profile.linkMBps;
-  np.link.propagation = config_.profile.linkPropagation;
-  np.link.headerBytes = config_.profile.linkHeaderBytes;
-  np.link.lossRate = config_.lossRate;
-  np.switchLatency = config_.profile.switchLatency;
-  np.seed = config_.seed;
-  if (config_.nodesPerSwitch != 0 || config_.fatTreeK != 0) {
-    np.nodesPerSwitch = config_.nodesPerSwitch;
-    np.fatTreeK = config_.fatTreeK;
-    np.trunk = np.link;
-    if (config_.trunkMBps > 0.0) np.trunk.bandwidthMBps = config_.trunkMBps;
-    np.rootSwitchLatency = config_.profile.switchLatency;
-  }
-  np.switchBufferFrames = config_.switchBufferFrames;
+  const fabric::TopologySpec spec = topologySpecFor(config_);
+  // simShards == 0: one domain, one shard, one window to the drain.
+  // Otherwise one domain per switch, windows bounded by the minimum
+  // inter-switch hop (header serialization + propagation); every shard
+  // count runs the same per-domain schedules, simShards only chooses how
+  // many threads execute them.
+  sim::EngineConfig ec;
+  ec.shards = 1;
   if (config_.simShards > 0) {
-    // Hosted PDES: one domain per switch, windows bounded by the minimum
-    // inter-switch hop (header serialization + propagation). Every
-    // shard-count value runs the same per-domain schedules; simShards
-    // only chooses how many worker threads execute them.
-    const fabric::TopologySpec spec = fabric::Network::specFor(np);
-    sim::EngineConfig ec;
     ec.domains = fabric::stackDomainCount(spec);
     ec.lookahead = fabric::hopLookahead(spec);
     ec.shards = config_.simShards;
-    pdes_ = std::make_unique<sim::ShardedEngine>(ec);
-    net_ = std::make_unique<fabric::Network>(*pdes_, np);
-  } else {
-    net_ = std::make_unique<fabric::Network>(engine_, np);
   }
+  pdes_ = std::make_unique<sim::ShardedEngine>(ec);
+  topo_ = std::make_unique<fabric::Topology>(*pdes_, spec);
 
   providers_.reserve(config_.nodes);
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
     providers_.push_back(std::make_unique<vipl::Provider>(
-        nodeEngine(n), *net_, n, config_.profile, ns_,
+        nodeEngine(n), *topo_, n, config_.profile, ns_,
         "node" + std::to_string(n)));
   }
 
@@ -64,37 +77,15 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
 
 Cluster::~Cluster() = default;
 
-sim::Engine& Cluster::engine() {
-  if (pdes_ != nullptr) {
-    throw sim::SimError(
-        "Cluster::engine: sharded cluster has no single engine; use now(), "
-        "shardedEngine(), or nodeEngine()");
-  }
-  return engine_;
-}
-
-sim::ShardedEngine& Cluster::shardedEngine() {
-  if (pdes_ == nullptr) {
-    throw sim::SimError("Cluster::shardedEngine: cluster is not sharded "
-                        "(config.simShards == 0)");
-  }
-  return *pdes_;
-}
-
 sim::Engine& Cluster::nodeEngine(std::uint32_t i) {
-  if (pdes_ == nullptr) return engine_;
-  fabric::Topology& topo = net_->topology();
-  return topo.engineForDomain(topo.hostDomain(i));
-}
-
-sim::SimTime Cluster::now() const {
-  return pdes_ != nullptr ? pdes_->maxNow() : engine_.now();
+  return topo_->engineForDomain(topo_->hostDomain(i));
 }
 
 void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
                          sim::Duration period) {
   if (sampler == nullptr) {
     sampler_ = nullptr;
+    pdes_->setBoundaryHook(0, nullptr);
     return;
   }
   if (period <= 0) {
@@ -105,17 +96,14 @@ void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
                         "(probes register once)");
   }
   sampler_ = sampler;
-  samplePeriod_ = period;
   sampler_->setPeriod(period);
-  if (pdes_ != nullptr) {
-    // Sharded runs have no engine observer to attach to; instead every
-    // window end is clamped to the sample grid and the sampler flushes
-    // from the single-threaded completion step, where probes may safely
-    // read any domain's state (exactly what a serial TimeObserver sees).
-    pdes_->setBoundaryHook(period, [this](sim::SimTime t) {
-      sampler_->flushUntil(t);
-    });
-  }
+  // Every window end is clamped to the sample grid and the sampler
+  // flushes from the single-threaded completion step, where probes may
+  // safely read any domain's state (exactly what a serial TimeObserver
+  // sees).
+  pdes_->setBoundaryHook(period, [this](sim::SimTime t) {
+    sampler_->flushUntil(t);
+  });
   // Aggregate probes: sums over nodes, so the series count stays O(1)
   // whether the cluster has 2 nodes or 1024. Probes only read.
   sampler_->addProbe("nic/tx_backlog", [this](sim::SimTime) {
@@ -136,14 +124,14 @@ void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
   sampler_->addProbe("fabric/host_link_frames", [this](sim::SimTime at) {
     std::uint64_t n = 0;
     for (std::uint32_t i = 0; i < config_.nodes; ++i) {
-      n += net_->uplink(i).queuedFrames(at);
-      n += net_->downlink(i).queuedFrames(at);
+      n += topo_->hostUplink(i).queuedFrames(at);
+      n += topo_->hostDownlink(i).queuedFrames(at);
     }
     return static_cast<double>(n);
   });
   sampler_->addProbe("fabric/switch_queue_frames", [this](sim::SimTime at) {
     std::uint64_t n = 0;
-    for (const auto& sw : net_->topology().switches()) {
+    for (const auto& sw : topo_->switches()) {
       for (std::uint32_t i = 0; i < sw->portCount(); ++i) {
         const fabric::Switch::Port& port = sw->port(i);
         if (port.out != nullptr) n += port.out->queuedFrames(at);
@@ -152,30 +140,23 @@ void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
     return static_cast<double>(n);
   });
   sampler_->addProbe("fabric/switch_buffer_drops", [this](sim::SimTime) {
-    return static_cast<double>(net_->switchBufferDrops());
+    return static_cast<double>(topo_->switchBufferDrops());
   });
 }
 
 void Cluster::setSpanProfiler(obs::SpanProfiler* spans) {
   spans_ = spans;
-  if (pdes_ == nullptr) {
+  shadowSpans_.clear();
+  if (spans == nullptr || topo_->domainCount() == 1) {
     for (auto& p : providers_) p->setSpanProfiler(spans);
-    net_->setSpanProfiler(spans);
-    return;
-  }
-  if (spans == nullptr) {
-    for (auto& p : providers_) p->setSpanProfiler(nullptr);
-    net_->setSpanProfiler(nullptr);
-    shadowSpans_.clear();
+    topo_->setSpanProfiler(spans);
     return;
   }
   // Per-domain shadows: each provider and switch emits into its own
   // domain's profiler (single-writer during a window); run() folds them
   // into the user profiler in domain order, which makes the merged
   // histograms and event buffer shard-count independent.
-  fabric::Topology& topo = net_->topology();
-  const std::uint32_t doms = topo.domainCount();
-  shadowSpans_.clear();
+  const std::uint32_t doms = topo_->domainCount();
   shadowSpans_.reserve(doms);
   std::vector<obs::SpanProfiler*> byDomain(doms);
   for (std::uint32_t d = 0; d < doms; ++d) {
@@ -185,9 +166,9 @@ void Cluster::setSpanProfiler(obs::SpanProfiler* spans) {
     shadowSpans_.push_back(std::move(sp));
   }
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-    providers_[n]->setSpanProfiler(byDomain[topo.hostDomain(n)]);
+    providers_[n]->setSpanProfiler(byDomain[topo_->hostDomain(n)]);
   }
-  topo.setDomainSpanProfilers(byDomain);
+  topo_->setDomainSpanProfilers(byDomain);
 }
 
 void Cluster::mergeShadowSpans() {
@@ -235,17 +216,17 @@ void Cluster::publishStats() {
     if (cur > last) m.counter(obs::scoped("fabric", name)).add(cur - last);
     last = cur;
   };
-  pubNet("frames_dropped", net_->framesDropped(), lastFramesDropped_);
-  pubNet("frames_corrupted", net_->framesCorrupted(), lastFramesCorrupted_);
-  pubNet("packets_forwarded", net_->packetsForwarded(), lastForwarded_);
-  pubNet("switch_buffer_drops", net_->switchBufferDrops(), lastSwitchDrops_);
+  pubNet("frames_dropped", topo_->framesDropped(), lastFramesDropped_);
+  pubNet("frames_corrupted", topo_->framesCorrupted(), lastFramesCorrupted_);
+  pubNet("packets_forwarded", topo_->hostIngressForwards(), lastForwarded_);
+  pubNet("switch_buffer_drops", topo_->switchBufferDrops(), lastSwitchDrops_);
   // Per-switch congestion stats appear only when a finite buffer actually
   // queued or dropped something, so metric dumps for the star/tree
   // configurations (which never do) are unchanged.
-  if (net_->maxSwitchQueueDepth() > 0) {
+  if (topo_->maxQueueDepth() > 0) {
     m.gauge(obs::scoped("fabric", "switch_queue_depth_max"))
-        .set(net_->maxSwitchQueueDepth());
-    for (const auto& sw : net_->topology().switches()) {
+        .set(topo_->maxQueueDepth());
+    for (const auto& sw : topo_->switches()) {
       if (sw->bufferDrops() == 0 && sw->maxQueueDepth() == 0) continue;
       const std::string scope = "fabric." + sw->name();
       if (sw->bufferDrops() > 0) {
@@ -261,20 +242,17 @@ void Cluster::publishStats() {
 
 void Cluster::setTracer(sim::Tracer* tracer) {
   tracer_ = tracer;
-  if (pdes_ == nullptr) {
+  shadowTracers_.clear();
+  shadowTraceLogs_.clear();
+  if (tracer == nullptr || topo_->domainCount() == 1) {
+    // One domain records in execution order. A replay would reorder
+    // records that share a timestamp by node: a different trace.
     for (auto& p : providers_) p->device().setTracer(tracer);
-    return;
-  }
-  if (tracer == nullptr) {
-    for (auto& p : providers_) p->device().setTracer(nullptr);
-    shadowTracers_.clear();
-    shadowTraceLogs_.clear();
     return;
   }
   // Per-node shadows record everything (the user tracer's enablement is
   // applied at replay, so late enable() calls still work) into per-node
   // logs that stay single-writer inside the node's domain.
-  shadowTracers_.clear();
   shadowTraceLogs_.assign(config_.nodes, {});
   shadowTracers_.reserve(config_.nodes);
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
@@ -331,38 +309,22 @@ void Cluster::run(std::vector<std::function<void(NodeEnv&)>> programs) {
           providers_[i]->quiesce();
         }));
   }
-  if (pdes_ != nullptr) {
-    try {
-      pdes_->run();
-    } catch (...) {
-      // Deadlock/error dumps still want the trace: replay whatever the
-      // shadows captured before rethrowing.
-      replayShadowTraces();
-      throw;
-    }
-    if (sampler_ != nullptr) {
-      // Tail boundaries past the last window (same contract as serial).
-      sampler_->flushUntil(pdes_->maxNow());
-    }
-    replayShadowTraces();
-    mergeShadowSpans();
-    publishStats();
-    return;
-  }
-  if (sampler_ != nullptr) sampler_->attach(engine_);
   try {
-    engine_.run();
+    pdes_->run();
   } catch (...) {
-    if (sampler_ != nullptr) sampler_->detach();
+    // Deadlock/error dumps still want the trace: replay whatever the
+    // shadows captured before rethrowing.
+    replayShadowTraces();
     throw;
   }
   if (sampler_ != nullptr) {
     // Capture remaining whole boundaries up to the drain time, so the
     // timeline's tail does not depend on whether a final event happened
     // to land past the last boundary.
-    sampler_->flushUntil(engine_.now());
-    sampler_->detach();
+    sampler_->flushUntil(pdes_->maxNow());
   }
+  replayShadowTraces();
+  mergeShadowSpans();
   publishStats();
 }
 

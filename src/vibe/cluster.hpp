@@ -1,6 +1,10 @@
 // Cluster: a ready-to-use simulated testbed — engine + SAN fabric + one
 // VIA provider stack per host — assembled from a NicProfile. Micro-
 // benchmarks run node programs (lambdas) as cooperative processes on it.
+//
+// Every Cluster runs on a sim::ShardedEngine. With simShards == 0 the
+// whole stack sits in one domain, run in one window to the drain; with
+// simShards >= 1 each switch is a domain (see ClusterConfig::simShards).
 #pragma once
 
 #include <functional>
@@ -8,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "fabric/network.hpp"
+#include "fabric/topology.hpp"
 #include "nic/profile.hpp"
 #include "simcore/engine.hpp"
 #include "simcore/pdes.hpp"
@@ -46,14 +50,15 @@ struct ClusterConfig {
   // Finite per-port switch output buffers, in frames (0 = unbounded).
   std::uint32_t switchBufferFrames = 0;
 
-  // Conservative-PDES sharding: 0 = the classic single serial engine.
-  // >= 1 builds the whole stack on a hosted ShardedEngine — one PDES
-  // domain per switch, each node's NIC + host program placed in its edge
-  // switch's domain, cross-domain frames paying the fabric hop lookahead
-  // — with this many worker shards (clamped to the domain count; 1 runs
-  // the identical window loop inline). Per-domain event schedules, and
-  // therefore every stat, digest, and table, are byte-identical at any
-  // value >= 1; benches resolve VIBE_SIM_SHARDS into this field.
+  // Conservative-PDES sharding. 0 = the whole stack in one domain of the
+  // ShardedEngine, run on the calling thread (the serial schedule).
+  // >= 1 = one PDES domain per switch, each node's NIC + host program
+  // placed in its edge switch's domain, cross-domain frames paying the
+  // fabric hop lookahead, with this many worker shards (clamped to the
+  // domain count; 1 runs the same window loop inline). Per-domain event
+  // schedules, and therefore every stat, digest, and table, are
+  // byte-identical at any value >= 1; benches resolve VIBE_SIM_SHARDS
+  // into this field.
   std::uint32_t simShards = 0;
 
   // Observability attachments (all optional; null = zero-cost disabled).
@@ -90,34 +95,31 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// The single serial engine (throws when sharded: there is no single
-  /// engine, use now()/shardedEngine()/nodeEngine()).
-  sim::Engine& engine();
-  /// True when the cluster runs on a hosted ShardedEngine (simShards >=
-  /// 1 in the config).
-  bool sharded() const { return pdes_ != nullptr; }
-  /// The hosted PDES engine (throws when serial).
-  sim::ShardedEngine& shardedEngine();
-  /// The engine node `i`'s NIC, programs, and timers run on: the serial
-  /// engine, or the node's domain engine under sharding.
+  /// The engine the cluster runs on: one domain when simShards == 0,
+  /// one per switch otherwise.
+  sim::ShardedEngine& shardedEngine() { return *pdes_; }
+  /// The engine node `i`'s NIC, programs, and timers run on: its edge
+  /// switch's domain engine (domain 0's with one domain).
   sim::Engine& nodeEngine(std::uint32_t i);
-  /// Virtual time of the cluster: Engine::now() serially, the max over
-  /// domain clocks under sharding. Use instead of engine().now() in
-  /// mode-agnostic harness code.
-  sim::SimTime now() const;
-  fabric::Network& network() { return *net_; }
+  /// Virtual time of the cluster: the max over domain clocks.
+  sim::SimTime now() const { return pdes_->maxNow(); }
+  fabric::Topology& topology() { return *topo_; }
   vipl::Provider& node(std::uint32_t i) { return *providers_.at(i); }
   std::uint32_t nodeCount() const { return config_.nodes; }
   const ClusterConfig& config() const { return config_; }
 
   /// Attaches one tracer to every node's NIC device (and detaches with
-  /// nullptr). Chaos/invariant harnesses consume the merged stream.
+  /// nullptr). Chaos/invariant harnesses consume the merged stream. With
+  /// one domain the devices record straight into it, in execution order;
+  /// with more, per-node shadows are replayed into it after run() in
+  /// (time, node, record) order, the same at any shard count.
   void setTracer(sim::Tracer* tracer);
   sim::Tracer* tracer() const { return tracer_; }
 
   /// Attaches one span profiler to every provider (Post spans), NIC device
-  /// (Doorbell/NicTx/Rx/Reassembly/Completion/EndToEnd), and the network
-  /// (Wire). nullptr detaches everywhere.
+  /// (Doorbell/NicTx/Rx/Reassembly/Completion/EndToEnd), and the fabric
+  /// (Wire). nullptr detaches everywhere. With more than one domain the
+  /// emits go to per-domain shadows, merged in domain order after run().
   void setSpanProfiler(obs::SpanProfiler* spans);
   obs::SpanProfiler* spanProfiler() const { return spans_; }
 
@@ -136,15 +138,15 @@ class Cluster {
 
   /// Registers a time-series sampler: aggregate queue-depth probes are
   /// added once (NIC tx/rx backlog summed over nodes, total CQ depth,
-  /// host-link occupancy, switch buffer depth/drops) and run() attaches
-  /// the sampler to the engine at `period` cadence for its duration.
+  /// host-link occupancy, switch buffer depth/drops), and the engine's
+  /// boundary hook flushes the sampler at `period` cadence during run().
   /// Call once per sampler; the sampler must outlive the cluster's use.
   void setSampler(obs::TimeSeriesSampler* sampler, sim::Duration period);
   obs::TimeSeriesSampler* sampler() const { return sampler_; }
 
   /// Records the fault injector driving this cluster (called by
   /// fault::FaultInjector::arm). Purely an attachment registry — the
-  /// injector acts on the network links directly.
+  /// injector acts on the fabric links directly.
   void attachFaultInjector(fault::FaultInjector* inj) { injector_ = inj; }
   fault::FaultInjector* faultInjector() const { return injector_; }
 
@@ -162,14 +164,14 @@ class Cluster {
   void mergeShadowSpans();
 
   ClusterConfig config_;
-  sim::Engine engine_;
-  std::unique_ptr<sim::ShardedEngine> pdes_;  // sharded mode only
+  std::unique_ptr<sim::ShardedEngine> pdes_;
   std::shared_ptr<vipl::NameService> ns_;
-  std::unique_ptr<fabric::Network> net_;
+  std::unique_ptr<fabric::Topology> topo_;
   std::vector<std::unique_ptr<vipl::Provider>> providers_;
-  // Sharded observability shadows: every tracer/span emit must stay
-  // domain-local during a window, so devices write into per-node tracers
-  // and per-domain span profilers, merged deterministically after run().
+  // Observability shadows for more than one domain: every tracer/span
+  // emit must stay domain-local during a window, so devices write into
+  // per-node tracers and per-domain span profilers, merged
+  // deterministically after run().
   std::vector<std::unique_ptr<sim::Tracer>> shadowTracers_;
   std::vector<std::vector<sim::TraceRecord>> shadowTraceLogs_;
   std::vector<std::unique_ptr<obs::SpanProfiler>> shadowSpans_;
@@ -177,7 +179,6 @@ class Cluster {
   obs::SpanProfiler* spans_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TimeSeriesSampler* sampler_ = nullptr;
-  sim::Duration samplePeriod_ = 0;
   fault::FaultInjector* injector_ = nullptr;
   // Counter snapshots from the last publishStats() (delta publishing).
   std::vector<nic::NicStats> lastPublished_;

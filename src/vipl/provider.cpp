@@ -117,7 +117,7 @@ VipDescriptor VipDescriptor::rdmaRead(mem::VirtAddr localAddr,
   return d;
 }
 
-Provider::Provider(sim::Engine& engine, fabric::Network& net,
+Provider::Provider(sim::Engine& engine, fabric::Topology& net,
                    fabric::NodeId node, const nic::NicProfile& profile,
                    std::shared_ptr<NameService> ns, std::string hostName)
     : engine_(engine),

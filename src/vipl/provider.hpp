@@ -15,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fabric/network.hpp"
+#include "fabric/topology.hpp"
 #include "mem/host_memory.hpp"
 #include "mem/memory_registry.hpp"
 #include "nic/nic_device.hpp"
@@ -133,7 +133,7 @@ struct PendingConn {
 
 class Provider {
  public:
-  Provider(sim::Engine& engine, fabric::Network& net, fabric::NodeId node,
+  Provider(sim::Engine& engine, fabric::Topology& net, fabric::NodeId node,
            const nic::NicProfile& profile, std::shared_ptr<NameService> ns,
            std::string hostName);
   ~Provider();

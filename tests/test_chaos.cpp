@@ -676,8 +676,8 @@ TEST(ChaosFaults, CorruptionIsDetectedCountedAndRecovered) {
 
   // The corrupted frames were counted by the wire and by the receiving
   // NIC, and the reliability engine retransmitted around them.
-  EXPECT_GT(cluster.network().uplink(0).framesCorrupted(), 0u);
-  EXPECT_GT(cluster.network().framesCorrupted(), 0u);
+  EXPECT_GT(cluster.topology().hostUplink(0).framesCorrupted(), 0u);
+  EXPECT_GT(cluster.topology().framesCorrupted(), 0u);
   EXPECT_GT(cluster.node(1).device().stats().rxCorrupted, 0u);
   EXPECT_GT(cluster.node(0).device().stats().retransmits, 0u);
 }
@@ -718,10 +718,10 @@ TEST(ChaosFaults, TrunkFlapHitsCrossLeafTrafficAndRecovers) {
   checker.finalize(cluster);
   EXPECT_TRUE(checker.ok()) << checker.report();
 
-  fabric::Network& net = cluster.network();
+  fabric::Topology& net = cluster.topology();
   EXPECT_GT(net.trunkUp(0).framesDropped(), 0u);
-  EXPECT_EQ(net.uplink(0).framesDropped(), 0u);  // host links untouched
-  EXPECT_EQ(net.uplink(1).framesDropped(), 0u);
+  EXPECT_EQ(net.hostUplink(0).framesDropped(), 0u);  // host links untouched
+  EXPECT_EQ(net.hostUplink(1).framesDropped(), 0u);
   EXPECT_GT(cluster.node(0).device().stats().retransmits, 0u);
 }
 

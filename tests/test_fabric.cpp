@@ -1,5 +1,7 @@
 // Unit tests for the SAN fabric: link timing, FIFO ordering, loss
-// injection, and switch forwarding.
+// injection, and switch forwarding. Topologies run on a one-domain
+// ShardedEngine (EngineConfig{}), the way to use the fabric without a
+// Cluster.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -7,7 +9,6 @@
 #include <vector>
 
 #include "fabric/link.hpp"
-#include "fabric/network.hpp"
 #include "fabric/topology.hpp"
 #include "simcore/engine.hpp"
 #include "simcore/pdes.hpp"
@@ -197,25 +198,48 @@ TEST(LinkTest, LatencyWindowDelaysOnlyFramesSentInside) {
   EXPECT_EQ(arrivals[2], sim::usec(32));  // window over
 }
 
+/// A fabric on a one-domain engine: every switch and link on `eng`.
+struct Fabric {
+  sim::ShardedEngine pdes{sim::EngineConfig{}};
+  sim::Engine& eng = pdes.domainEngine(0);
+  Topology net;
+  explicit Fabric(const TopologySpec& spec) : net(pdes, spec) {}
+  void run() { pdes.run(); }
+};
+
+TopologySpec starSpec(std::uint32_t nodes) {
+  TopologySpec spec;
+  spec.nodes = nodes;
+  return spec;
+}
+
+/// Two-level tree with `perLeaf` hosts per leaf; trunks copy the host link.
+TopologySpec treeSpec(std::uint32_t nodes, std::uint32_t perLeaf) {
+  TopologySpec spec;
+  spec.kind = TopologyKind::TwoLevelTree;
+  spec.nodes = nodes;
+  spec.nodesPerSwitch = perLeaf;
+  spec.fabricLink = spec.hostLink;
+  return spec;
+}
+
 TEST(NetworkTest, AggregatesDropAndCorruptionCountsAcrossLinks) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 2;
-  Network net(eng, np);
+  Fabric f(starSpec(2));
+  Topology& net = f.net;
   net.setReceiver(0, [](Packet&&) {});
   net.setReceiver(1, [](Packet&&) {});
-  net.uplink(0).scheduleLossWindow(0, sim::usec(1), 1.0);
-  net.downlink(1).scheduleCorruptWindow(0, sim::kSecond, 1.0);
+  net.hostUplink(0).scheduleLossWindow(0, sim::usec(1), 1.0);
+  net.hostDownlink(1).scheduleCorruptWindow(0, sim::kSecond, 1.0);
   // First frame enters inside the loss window and drops on the uplink;
   // the second enters after it closed, survives, and gets corrupted on
   // the downlink.
-  eng.postAt(0, [&] { net.send(makeData(0, 1, 64)); });
-  eng.postAt(sim::usec(10), [&] { net.send(makeData(0, 1, 64)); });
-  eng.run();
+  f.eng.postAt(0, [&] { net.send(makeData(0, 1, 64)); });
+  f.eng.postAt(sim::usec(10), [&] { net.send(makeData(0, 1, 64)); });
+  f.run();
   EXPECT_EQ(net.framesDropped(), 1u);
   EXPECT_EQ(net.framesCorrupted(), 1u);
-  EXPECT_EQ(net.uplink(0).framesDropped(), 1u);
-  EXPECT_EQ(net.downlink(1).framesCorrupted(), 1u);
+  EXPECT_EQ(net.hostUplink(0).framesDropped(), 1u);
+  EXPECT_EQ(net.hostDownlink(1).framesCorrupted(), 1u);
 }
 
 TEST(LinkTest, SendWithoutSinkThrows) {
@@ -225,51 +249,44 @@ TEST(LinkTest, SendWithoutSinkThrows) {
 }
 
 TEST(NetworkTest, ForwardsToDestinationOnly) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 4;
-  Network net(eng, np);
+  Fabric f(starSpec(4));
+  Topology& net = f.net;
   std::vector<int> got(4, 0);
   for (NodeId n = 0; n < 4; ++n) {
     net.setReceiver(n, [&got, n](Packet&&) { ++got[n]; });
   }
   net.send(makeData(0, 2, 64));
   net.send(makeData(3, 1, 64));
-  eng.run();
+  f.run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 1, 0}));
-  EXPECT_EQ(net.packetsForwarded(), 2u);
+  EXPECT_EQ(net.hostIngressForwards(), 2u);
 }
 
 TEST(NetworkTest, RejectsSelfAndOutOfRange) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 2;
-  Network net(eng, np);
+  Fabric f(starSpec(2));
+  Topology& net = f.net;
   EXPECT_THROW(net.send(makeData(0, 0, 8)), sim::SimError);
   EXPECT_THROW(net.send(makeData(0, 5, 8)), sim::SimError);
+  EXPECT_THROW(net.setReceiver(2, [](Packet&&) {}), sim::SimError);
 }
 
 TEST(NetworkTest, PayloadArrivesIntact) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 2;
-  Network net(eng, np);
+  Fabric f(starSpec(2));
+  Topology& net = f.net;
   Packet p = makeData(0, 1, 0);
   for (int i = 0; i < 256; ++i) p.payload.push_back(std::byte(i));
   std::vector<std::byte> received;
   net.setReceiver(1, [&](Packet&& in) { received = std::move(in.payload); });
   net.setReceiver(0, [](Packet&&) {});
   net.send(std::move(p));
-  eng.run();
+  f.run();
   ASSERT_EQ(received.size(), 256u);
   for (int i = 0; i < 256; ++i) EXPECT_EQ(received[i], std::byte(i));
 }
 
 TEST(NetworkTest, PerPathOrderIsPreserved) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 3;
-  Network net(eng, np);
+  Fabric f(starSpec(3));
+  Topology& net = f.net;
   std::vector<std::uint64_t> seqs;
   net.setReceiver(1, [&](Packet&& in) { seqs.push_back(in.msgSeq); });
   net.setReceiver(0, [](Packet&&) {});
@@ -279,64 +296,58 @@ TEST(NetworkTest, PerPathOrderIsPreserved) {
     p.msgSeq = i;
     net.send(std::move(p));
   }
-  eng.run();
+  f.run();
   ASSERT_EQ(seqs.size(), 20u);
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(seqs[i], i);
 }
 
 TEST(TreeTopologyTest, CrossLeafPaysTrunkAndRootCosts) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 4;
-  np.nodesPerSwitch = 2;  // leaves {0,1} and {2,3}
-  np.link.bandwidthMBps = 100.0;
-  np.link.propagation = sim::usec(1);
-  np.link.headerBytes = 0;
-  np.trunk = np.link;
-  np.switchLatency = sim::usec(2);
-  np.rootSwitchLatency = sim::usec(3);
-  Network net(eng, np);
+  TopologySpec spec = treeSpec(4, 2);  // leaves {0,1} and {2,3}
+  spec.hostLink.bandwidthMBps = 100.0;
+  spec.hostLink.propagation = sim::usec(1);
+  spec.hostLink.headerBytes = 0;
+  spec.fabricLink = spec.hostLink;
+  spec.edgeLatency = sim::usec(2);
+  spec.coreLatency = sim::usec(3);
+  Fabric f(spec);
+  Topology& net = f.net;
   sim::SimTime local = 0;
   sim::SimTime remote = 0;
   for (NodeId n = 0; n < 4; ++n) {
     net.setReceiver(n, [&, n](Packet&&) {
-      (n == 1 ? local : remote) = eng.now();
+      (n == 1 ? local : remote) = f.eng.now();
     });
   }
   net.send(makeData(0, 1, 100));  // same leaf
-  eng.run();
+  f.run();
   // up(1us ser + 1us prop) + leaf(2us) + down(1+1) = 6us.
   EXPECT_EQ(local, sim::usec(6));
 
   // Second send departs at t=6 (after run() drained the first).
   net.send(makeData(0, 2, 100));  // cross leaf
-  eng.run();
+  f.run();
   // Full cross-leaf path: up(2) + leaf(2) + trunkUp(2) + root(3) +
   // trunkDown(2) + leaf(2) + down(2) = 15 us.
   EXPECT_EQ(remote - local, sim::usec(15));
-  EXPECT_EQ(net.packetsViaRoot(), 1u);
-  EXPECT_EQ(net.leafOf(0), 0u);
-  EXPECT_EQ(net.leafOf(3), 1u);
+  EXPECT_EQ(net.coreForwards(), 1u);
 }
 
 TEST(TreeTopologyTest, SharedTrunkSerializesCrossLeafFlows) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 4;
-  np.nodesPerSwitch = 2;
-  np.link.bandwidthMBps = 100.0;
-  np.link.headerBytes = 0;
-  np.trunk = np.link;
-  Network net(eng, np);
+  TopologySpec spec = treeSpec(4, 2);
+  spec.hostLink.bandwidthMBps = 100.0;
+  spec.hostLink.headerBytes = 0;
+  spec.fabricLink = spec.hostLink;
+  Fabric f(spec);
+  Topology& net = f.net;
   std::vector<sim::SimTime> arrivals;
   for (NodeId n = 0; n < 4; ++n) {
-    net.setReceiver(n, [&](Packet&&) { arrivals.push_back(eng.now()); });
+    net.setReceiver(n, [&](Packet&&) { arrivals.push_back(f.eng.now()); });
   }
   // Two flows from the same leaf to the other leaf share trunkUp[0]:
   // their frames serialize there even though host uplinks are distinct.
   net.send(makeData(0, 2, 1000));  // 10 us serialization per hop
   net.send(makeData(1, 3, 1000));
-  eng.run();
+  f.run();
   ASSERT_EQ(arrivals.size(), 2u);
   // Second arrival is a full trunk serialization later, not parallel.
   EXPECT_GE(arrivals[1] - arrivals[0], sim::usec(10));
@@ -354,30 +365,28 @@ TEST(TreeTopologyTest, WireSpansTileThePathWithPerHopByteCounts) {
   // its *ingress* wire carried, not the host-link constant — and the
   // seven Wire spans (4 links + 3 switch hops) must exactly tile the
   // end-to-end wire interval.
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 4;
-  np.nodesPerSwitch = 2;
-  np.link.bandwidthMBps = 100.0;  // 10 ns/byte
-  np.link.propagation = sim::usec(1);
-  np.link.headerBytes = 8;
-  np.trunk = np.link;
-  np.trunk.propagation = sim::usec(2);
-  np.trunk.headerBytes = 40;  // trunk frames carry a bigger header
-  np.switchLatency = sim::usec(2);
-  np.rootSwitchLatency = sim::usec(3);
-  Network net(eng, np);
+  TopologySpec spec = treeSpec(4, 2);
+  spec.hostLink.bandwidthMBps = 100.0;  // 10 ns/byte
+  spec.hostLink.propagation = sim::usec(1);
+  spec.hostLink.headerBytes = 8;
+  spec.fabricLink = spec.hostLink;
+  spec.fabricLink.propagation = sim::usec(2);
+  spec.fabricLink.headerBytes = 40;  // trunk frames carry a bigger header
+  spec.edgeLatency = sim::usec(2);
+  spec.coreLatency = sim::usec(3);
+  Fabric f(spec);
+  Topology& net = f.net;
   obs::SpanProfiler spans;
   spans.setKeepEvents(true);
   net.setSpanProfiler(&spans);
   sim::SimTime arrival = -1;
   for (NodeId n = 0; n < 4; ++n) {
     net.setReceiver(n, [&, n](Packet&&) {
-      if (n == 2) arrival = eng.now();
+      if (n == 2) arrival = f.eng.now();
     });
   }
   net.send(makeData(0, 2, 192));  // host wire 200 B, trunk wire 232 B
-  eng.run();
+  f.run();
 
   // Path: up0 (2+1 us), leaf hop (2), trunkUp0 (2.32+2), root (3),
   // trunkDown1 (2.32+2), leaf hop (2), down2 (2+1) = 21.64 us.
@@ -396,12 +405,8 @@ TEST(TreeTopologyTest, WireSpansTileThePathWithPerHopByteCounts) {
 }
 
 TEST(TreeTopologyTest, TrunkAccessorsExposeSharedLinksForFaults) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 4;
-  np.nodesPerSwitch = 2;
-  np.trunk = np.link;
-  Network net(eng, np);
+  Fabric f(treeSpec(4, 2));
+  Topology& net = f.net;
   ASSERT_EQ(net.trunkCount(), 2u);
   EXPECT_EQ(net.trunkUp(0).name(), "trunkUp0");
   EXPECT_EQ(net.trunkDown(1).name(), "trunkDown1");
@@ -417,63 +422,43 @@ TEST(TreeTopologyTest, TrunkAccessorsExposeSharedLinksForFaults) {
   }
   net.send(makeData(0, 1, 64));  // same leaf: unaffected
   net.send(makeData(0, 2, 64));  // cross leaf: dies on trunkUp0
-  eng.run();
+  f.run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(net.trunkUp(0).framesDropped(), 1u);
   EXPECT_EQ(net.framesDropped(), 1u);
 }
 
 TEST(NetworkTest, StarHasNoTrunks) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 2;
-  Network net(eng, np);
+  Fabric f(starSpec(2));
+  Topology& net = f.net;
   EXPECT_EQ(net.trunkCount(), 0u);
   EXPECT_THROW(net.trunkUp(0), sim::SimError);
   EXPECT_THROW(net.trunkDown(0), sim::SimError);
-}
-
-TEST(NetworkTest, LeafOfRejectsOutOfRangeNodeIds) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 4;
-  np.nodesPerSwitch = 2;
-  np.trunk = np.link;
-  Network tree(eng, np);
-  EXPECT_EQ(tree.leafOf(3), 1u);
-  EXPECT_THROW(tree.leafOf(4), sim::SimError);
-
-  sim::Engine eng2;
-  NetworkParams star;
-  star.nodes = 2;
-  Network flat(eng2, star);
-  EXPECT_EQ(flat.leafOf(1), 0u);
-  EXPECT_THROW(flat.leafOf(2), sim::SimError);
 }
 
 // ---------------------------------------------------------------------------
 // k-ary fat-tree
 // ---------------------------------------------------------------------------
 
-NetworkParams fatTreeParams(std::uint32_t k, std::uint32_t nodes) {
-  NetworkParams np;
-  np.nodes = nodes;
-  np.fatTreeK = k;
-  np.link.bandwidthMBps = 100.0;
-  np.link.headerBytes = 0;
-  np.trunk = np.link;
-  return np;
+TopologySpec fatTreeSpec(std::uint32_t k, std::uint32_t nodes) {
+  TopologySpec spec;
+  spec.kind = TopologyKind::FatTree;
+  spec.nodes = nodes;
+  spec.fatTreeK = k;
+  spec.hostLink.bandwidthMBps = 100.0;
+  spec.hostLink.headerBytes = 0;
+  spec.fabricLink = spec.hostLink;
+  return spec;
 }
 
 TEST(FatTreeTest, RejectsBadSpecs) {
-  sim::Engine eng;
-  EXPECT_THROW(Network(eng, fatTreeParams(3, 4)), sim::SimError);   // odd k
-  EXPECT_THROW(Network(eng, fatTreeParams(4, 17)), sim::SimError);  // > k^3/4
+  EXPECT_THROW(Fabric(fatTreeSpec(3, 4)), sim::SimError);   // odd k
+  EXPECT_THROW(Fabric(fatTreeSpec(4, 17)), sim::SimError);  // > k^3/4
 }
 
 TEST(FatTreeTest, DeliversAllPairsAtFullPopulation) {
-  sim::Engine eng;
-  Network net(eng, fatTreeParams(4, 16));
+  Fabric f(fatTreeSpec(4, 16));
+  Topology& net = f.net;
   std::vector<int> got(16, 0);
   for (NodeId n = 0; n < 16; ++n) {
     net.setReceiver(n, [&got, n](Packet&&) { ++got[n]; });
@@ -483,16 +468,16 @@ TEST(FatTreeTest, DeliversAllPairsAtFullPopulation) {
       if (s != d) net.send(makeData(s, d, 32));
     }
   }
-  eng.run();
+  f.run();
   for (NodeId n = 0; n < 16; ++n) EXPECT_EQ(got[n], 15) << "node " << n;
   EXPECT_EQ(net.framesDropped(), 0u);
   // Every packet was forwarded once by its ingress edge switch.
-  EXPECT_EQ(net.packetsForwarded(), 16u * 15u);
+  EXPECT_EQ(net.hostIngressForwards(), 16u * 15u);
 }
 
 TEST(FatTreeTest, EcmpSpreadsDistinctFlowsAcrossCores) {
-  sim::Engine eng;
-  Network net(eng, fatTreeParams(4, 16));
+  Fabric f(fatTreeSpec(4, 16));
+  Topology& net = f.net;
   int delivered = 0;
   for (NodeId n = 0; n < 16; ++n) {
     net.setReceiver(n, [&](Packet&&) { ++delivered; });
@@ -504,11 +489,11 @@ TEST(FatTreeTest, EcmpSpreadsDistinctFlowsAcrossCores) {
     p.srcVi = vi;
     net.send(std::move(p));
   }
-  eng.run();
+  f.run();
   EXPECT_EQ(delivered, 16);
-  EXPECT_EQ(net.packetsViaRoot(), 16u);  // every flow crossed a core
+  EXPECT_EQ(net.coreForwards(), 16u);  // every flow crossed a core
   int coresUsed = 0;
-  for (const auto& sw : net.topology().switches()) {
+  for (const auto& sw : net.switches()) {
     if (sw->tier() == SwitchTier::Core && sw->packetsForwarded() > 0) {
       ++coresUsed;
     }
@@ -517,8 +502,8 @@ TEST(FatTreeTest, EcmpSpreadsDistinctFlowsAcrossCores) {
 }
 
 TEST(FatTreeTest, OneFlowStaysOnOnePathInOrder) {
-  sim::Engine eng;
-  Network net(eng, fatTreeParams(4, 16));
+  Fabric f(fatTreeSpec(4, 16));
+  Topology& net = f.net;
   std::vector<std::uint64_t> seqs;
   for (NodeId n = 0; n < 16; ++n) {
     net.setReceiver(n, [&, n](Packet&& p) {
@@ -530,12 +515,12 @@ TEST(FatTreeTest, OneFlowStaysOnOnePathInOrder) {
     p.msgSeq = i;
     net.send(std::move(p));
   }
-  eng.run();
+  f.run();
   ASSERT_EQ(seqs.size(), 20u);
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(seqs[i], i);
   // One flow, one path: exactly one core saw traffic.
   int coresUsed = 0;
-  for (const auto& sw : net.topology().switches()) {
+  for (const auto& sw : net.switches()) {
     if (sw->tier() == SwitchTier::Core && sw->packetsForwarded() > 0) {
       ++coresUsed;
     }
@@ -545,10 +530,10 @@ TEST(FatTreeTest, OneFlowStaysOnOnePathInOrder) {
 
 TEST(FatTreeTest, FiniteBuffersTailDropUnderIncast) {
   auto run = [](std::uint32_t bufferFrames) {
-    sim::Engine eng;
-    NetworkParams np = fatTreeParams(4, 16);
-    np.switchBufferFrames = bufferFrames;
-    Network net(eng, np);
+    TopologySpec spec = fatTreeSpec(4, 16);
+    spec.portBufferFrames = bufferFrames;
+    Fabric f(spec);
+    Topology& net = f.net;
     int delivered = 0;
     for (NodeId n = 0; n < 16; ++n) {
       net.setReceiver(n, [&](Packet&&) { ++delivered; });
@@ -558,7 +543,7 @@ TEST(FatTreeTest, FiniteBuffersTailDropUnderIncast) {
     for (NodeId s = 1; s < 8; ++s) {
       for (int i = 0; i < 4; ++i) net.send(makeData(s, 0, 1000));
     }
-    eng.run();
+    f.run();
     return std::pair<int, std::uint64_t>(delivered,
                                          net.switchBufferDrops());
   };
@@ -578,10 +563,10 @@ TEST(FatTreeTest, FiniteBuffersTailDropUnderIncast) {
 }
 
 TEST(FatTreeTest, BufferOccupancyStatsTrackBackpressure) {
-  sim::Engine eng;
-  NetworkParams np = fatTreeParams(4, 16);
-  np.switchBufferFrames = 3;
-  Network net(eng, np);
+  TopologySpec spec = fatTreeSpec(4, 16);
+  spec.portBufferFrames = 3;
+  Fabric f(spec);
+  Topology& net = f.net;
   int delivered = 0;
   for (NodeId n = 0; n < 16; ++n) {
     net.setReceiver(n, [&](Packet&&) { ++delivered; });
@@ -589,21 +574,21 @@ TEST(FatTreeTest, BufferOccupancyStatsTrackBackpressure) {
   for (NodeId s = 1; s < 4; ++s) {
     for (int i = 0; i < 3; ++i) net.send(makeData(s, 0, 500));
   }
-  eng.run();
+  f.run();
   // 9 frames into one down port with room for 3: some queued behind
   // others (backpressure counter), the watermark never exceeds the cap.
-  EXPECT_LE(net.maxSwitchQueueDepth(), 3u);
+  EXPECT_LE(net.maxQueueDepth(), 3u);
   std::uint64_t queued = 0;
-  for (const auto& sw : net.topology().switches()) {
+  for (const auto& sw : net.switches()) {
     queued += sw->framesQueued();
   }
   EXPECT_GT(queued, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Topology accessor bounds guards (the Network::leafOf contract): every
-// index-based accessor throws SimError — never a raw std::out_of_range —
-// and names the accessor in the message.
+// Topology accessor bounds guards: every index-based accessor throws
+// SimError — never a raw std::out_of_range — and names the accessor in
+// the message.
 // ---------------------------------------------------------------------------
 
 void expectGuarded(const std::function<void()>& call, const char* name) {
@@ -619,11 +604,8 @@ void expectGuarded(const std::function<void()>& call, const char* name) {
 }
 
 TEST(TopologyGuardTest, StarAccessorsRejectOutOfRange) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 3;
-  Network net(eng, np);
-  Topology& topo = net.topology();
+  Fabric f(starSpec(3));
+  Topology& topo = f.net;
   EXPECT_NO_THROW(topo.hostUplink(2));
   EXPECT_NO_THROW(topo.hostDownlink(2));
   expectGuarded([&] { topo.hostUplink(3); }, "Topology::hostUplink");
@@ -635,21 +617,15 @@ TEST(TopologyGuardTest, StarAccessorsRejectOutOfRange) {
 }
 
 TEST(TopologyGuardTest, TreeAndFatTreeAccessorsRejectOutOfRange) {
-  sim::Engine eng;
-  NetworkParams np;
-  np.nodes = 4;
-  np.nodesPerSwitch = 2;
-  np.trunk = np.link;
-  Network tree(eng, np);
-  Topology& ttopo = tree.topology();
+  Fabric tree(treeSpec(4, 2));
+  Topology& ttopo = tree.net;
   EXPECT_NO_THROW(ttopo.trunkUp(1));
   EXPECT_NO_THROW(ttopo.trunkDown(1));
   expectGuarded([&] { ttopo.trunkUp(2); }, "Topology::trunkUp");
   expectGuarded([&] { ttopo.trunkDown(2); }, "Topology::trunkDown");
 
-  sim::Engine eng2;
-  Network fat(eng2, fatTreeParams(4, 16));
-  Topology& ftopo = fat.topology();
+  Fabric fat(fatTreeSpec(4, 16));
+  Topology& ftopo = fat.net;
   ASSERT_GT(ftopo.fabricLinkCount(), 0u);
   EXPECT_NO_THROW(ftopo.fabricLink(ftopo.fabricLinkCount() - 1));
   expectGuarded([&] { ftopo.fabricLink(ftopo.fabricLinkCount()); },
@@ -657,21 +633,20 @@ TEST(TopologyGuardTest, TreeAndFatTreeAccessorsRejectOutOfRange) {
 }
 
 TEST(TopologyGuardTest, SwitchPortAndRouteRejectOutOfRange) {
-  sim::Engine eng;
-  Network net(eng, fatTreeParams(4, 16));
-  const Switch& edge = *net.topology().switches().front();
+  Fabric f(fatTreeSpec(4, 16));
+  const Switch& edge = *f.net.switches().front();
   ASSERT_GT(edge.portCount(), 0u);
   EXPECT_NO_THROW(edge.port(edge.portCount() - 1));
   expectGuarded([&] { edge.port(edge.portCount()); }, "Switch::port");
-  Switch& mut = *net.topology().switches().front();
+  Switch& mut = *f.net.switches().front();
   expectGuarded([&] { mut.setHostRoute(16, 0); }, "Switch::setHostRoute");
   expectGuarded([&] { mut.setHostRoute(0, mut.portCount()); },
                 "Switch::setHostRoute");
 }
 
 // ---------------------------------------------------------------------------
-// PDES domain partition: one domain per switch (stackDomainCount,
-// hopLookahead, Topology::hostDomain)
+// PDES domain placement: one domain per switch (stackDomainCount,
+// hopLookahead, Topology::hostDomain) or the whole fabric in domain 0
 // ---------------------------------------------------------------------------
 
 /// `spec` built on a one-shard ShardedEngine sized by stackDomainCount —
@@ -681,7 +656,7 @@ struct ShardedTopology {
   Topology topo;
   explicit ShardedTopology(const TopologySpec& spec)
       : pdes({.domains = stackDomainCount(spec), .lookahead = 1, .shards = 1}),
-        topo(pdes, spec, [](NodeId, Packet&&) {}) {}
+        topo(pdes, spec) {}
 };
 
 /// The builder numbers exactly one domain per switch, in switch order.
@@ -721,8 +696,8 @@ TEST(DomainPartitionTest, TreeGroupsByLeaf) {
   // A zero fan-out has no leaf to hang hosts from.
   spec.nodesPerSwitch = 0;
   EXPECT_THROW(stackDomainCount(spec), sim::SimError);
-  sim::Engine eng;
-  EXPECT_THROW(Topology(eng, spec, [](NodeId, Packet&&) {}), sim::SimError);
+  sim::ShardedEngine one(sim::EngineConfig{});
+  EXPECT_THROW(Topology(one, spec), sim::SimError);
 }
 
 TEST(DomainPartitionTest, FatTreeGroupsByEdgeSwitch) {
@@ -761,8 +736,59 @@ TEST(DomainPartitionTest, FatTreeGroupsByEdgeSwitch) {
   bad.nodes = 17;
   EXPECT_THROW(ShardedTopology{bad}, sim::SimError);
   sim::ShardedEngine wrong({.domains = 19, .lookahead = 1, .shards = 1});
-  EXPECT_THROW(Topology(wrong, spec, [](NodeId, Packet&&) {}),
-               sim::SimError);
+  EXPECT_THROW(Topology(wrong, spec), sim::SimError);
+}
+
+TEST(DomainPartitionTest, OnlyOneOrOnePerSwitchDomainsBuild) {
+  for (const TopologySpec& spec : {treeSpec(7, 3), fatTreeSpec(4, 16)}) {
+    const std::uint32_t perSwitch = stackDomainCount(spec);
+    for (std::uint32_t domains = 1; domains <= perSwitch + 1; ++domains) {
+      sim::ShardedEngine pdes({.domains = domains, .lookahead = 1, .shards = 1});
+      if (domains == 1 || domains == perSwitch) {
+        EXPECT_NO_THROW(Topology(pdes, spec)) << domains << " domains";
+      } else {
+        EXPECT_THROW(Topology(pdes, spec), sim::SimError)
+            << domains << " domains of " << perSwitch;
+      }
+    }
+  }
+}
+
+/// One domain: every switch and link on domain 0, so all-pairs traffic
+/// delivers without a single cross-domain send.
+void expectOneDomainAllPairs(const TopologySpec& spec) {
+  Fabric f(spec);
+  EXPECT_EQ(f.net.domainCount(), 1u);
+  ASSERT_EQ(f.net.switches().size(), stackDomainCount(spec));
+  for (const auto& sw : f.net.switches()) {
+    EXPECT_EQ(sw->domain(), 0u) << sw->name();
+  }
+  std::vector<int> got(spec.nodes, 0);
+  for (NodeId n = 0; n < spec.nodes; ++n) {
+    EXPECT_EQ(f.net.hostDomain(n), 0u);
+    f.net.setReceiver(n, [&got, n](Packet&&) { ++got[n]; });
+  }
+  EXPECT_THROW(f.net.hostDomain(spec.nodes), sim::SimError);
+  for (NodeId s = 0; s < spec.nodes; ++s) {
+    for (NodeId d = 0; d < spec.nodes; ++d) {
+      if (s != d) f.net.send(makeData(s, d, 32));
+    }
+  }
+  f.run();
+  for (NodeId n = 0; n < spec.nodes; ++n) {
+    EXPECT_EQ(got[n], static_cast<int>(spec.nodes) - 1) << "node " << n;
+  }
+  EXPECT_GT(f.net.coreForwards(), 0u);
+  EXPECT_EQ(f.pdes.crossDomainEvents(), 0u);
+}
+
+TEST(DomainPartitionTest, OneDomainFatTreeStaysInDomainZero) {
+  expectOneDomainAllPairs(fatTreeSpec(4, 16));
+}
+
+TEST(DomainPartitionTest, OneDomainRaggedTreeStaysInDomainZero) {
+  // Leaves {0,1,2}, {3,4,5}, {6}: a partly filled last leaf.
+  expectOneDomainAllPairs(treeSpec(7, 3));
 }
 
 TEST(DomainPartitionTest, HopLookaheadIsHeaderSerializationPlusPropagation) {

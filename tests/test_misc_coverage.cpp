@@ -181,7 +181,7 @@ TEST(ClusterTest, LossRateZeroMeansNoDrops) {
   Cluster cluster(cfg);
   auto a = [&](NodeEnv& env) { env.self.advance(sim::usec(10)); };
   cluster.run({a, nullptr});
-  EXPECT_EQ(cluster.network().uplink(0).framesDropped(), 0u);
+  EXPECT_EQ(cluster.topology().hostUplink(0).framesDropped(), 0u);
 }
 
 }  // namespace

@@ -6,35 +6,38 @@
 #include <memory>
 #include <vector>
 
-#include "fabric/network.hpp"
+#include "fabric/topology.hpp"
 #include "mem/host_memory.hpp"
 #include "mem/memory_registry.hpp"
 #include "nic/nic_device.hpp"
 #include "nic/profiles.hpp"
 #include "simcore/engine.hpp"
+#include "simcore/pdes.hpp"
 
 namespace vibe::nic {
 namespace {
 
-/// Minimal two-node rig driving NicDevice directly.
+/// Minimal two-node rig driving NicDevice directly, on a one-domain
+/// engine: run() drives it, `engine` is its one domain.
 struct Rig {
-  sim::Engine engine;
-  fabric::Network net;
+  sim::ShardedEngine pdes{sim::EngineConfig{}};
+  sim::Engine& engine = pdes.domainEngine(0);
+  fabric::Topology net;
   mem::HostMemory mem0, mem1;
   mem::MemoryRegistry reg0, reg1;
   NicDevice nic0, nic1;
   std::vector<std::pair<ViEndpointId, Completion>> completions0, completions1;
 
   explicit Rig(const NicProfile& profile)
-      : net(engine,
+      : net(pdes,
             [&profile] {
-              fabric::NetworkParams np;
-              np.nodes = 2;
-              np.link.bandwidthMBps = profile.linkMBps;
-              np.link.propagation = profile.linkPropagation;
-              np.link.headerBytes = profile.linkHeaderBytes;
-              np.switchLatency = profile.switchLatency;
-              return np;
+              fabric::TopologySpec spec;
+              spec.nodes = 2;
+              spec.hostLink.bandwidthMBps = profile.linkMBps;
+              spec.hostLink.propagation = profile.linkPropagation;
+              spec.hostLink.headerBytes = profile.linkHeaderBytes;
+              spec.edgeLatency = profile.switchLatency;
+              return spec;
             }()),
         nic0(engine, net, 0, profile, reg0, mem0),
         nic1(engine, net, 1, profile, reg1, mem1) {
@@ -89,7 +92,7 @@ TEST(NicDeviceTest, FragmentCountMatchesMtuArithmetic) {
   auto pr = rig.connect(Reliability::Unreliable);
   rig.nic1.postRecv(pr.e1, sendWr(pr.buf1, pr.h1, 10000, 1));
   rig.nic0.postSend(pr.e0, sendWr(pr.buf0, pr.h0, 10000, 2));
-  rig.engine.run();
+  rig.pdes.run();
   // ceil(10000 / 2048) = 5 data fragments.
   EXPECT_EQ(rig.nic0.stats().fragsTx, 5u);
   EXPECT_EQ(rig.nic1.stats().fragsRx, 5u);
@@ -109,7 +112,7 @@ TEST(NicDeviceTest, ZeroByteMessageIsOneFragment) {
   send.hasImmediate = true;
   send.immediate = 0xABCD;
   rig.nic0.postSend(pr.e0, std::move(send));
-  rig.engine.run();
+  rig.pdes.run();
   EXPECT_EQ(rig.nic0.stats().fragsTx, 1u);
   ASSERT_EQ(rig.completions1.size(), 1u);
   EXPECT_TRUE(rig.completions1[0].second.hasImmediate);
@@ -122,7 +125,7 @@ TEST(NicDeviceTest, UnreliableSendCompletesWithoutReceiver) {
   Rig rig(clanProfile());
   auto pr = rig.connect(Reliability::Unreliable);
   rig.nic0.postSend(pr.e0, sendWr(pr.buf0, pr.h0, 512, 7));
-  rig.engine.run();
+  rig.pdes.run();
   ASSERT_EQ(rig.completions0.size(), 1u);
   EXPECT_EQ(rig.completions0[0].second.status, WorkStatus::Ok);
   EXPECT_EQ(rig.completions1.size(), 0u);
@@ -149,7 +152,7 @@ TEST(NicDeviceTest, ReliableDeliveryCompletionWaitsForAck) {
   rig.nic1.setHandlers(std::move(h1));
 
   rig.nic0.postSend(pr.e0, sendWr(pr.buf0, pr.h0, 4096, 2));
-  rig.engine.run();
+  rig.pdes.run();
   ASSERT_GT(sendDone, 0);
   ASSERT_GT(recvDone, 0);
   // The RD send completion needs the remote receipt-ack: it can only land
@@ -163,7 +166,7 @@ TEST(NicDeviceTest, PostToUnconnectedEndpointFailsCleanly) {
   const auto ptag = rig.reg0.createPtag();
   const ViEndpointId e = rig.nic0.createEndpoint(ptag);
   rig.nic0.postSend(e, sendWr(0x1000, 1, 16, 5));
-  rig.engine.run();
+  rig.pdes.run();
   ASSERT_EQ(rig.completions0.size(), 1u);
   EXPECT_EQ(rig.completions0[0].second.status, WorkStatus::Aborted);
 }
@@ -173,7 +176,7 @@ TEST(NicDeviceTest, DestroyedEndpointDropsArrivals) {
   auto pr = rig.connect(Reliability::Unreliable);
   rig.nic1.destroyEndpoint(pr.e1);
   rig.nic0.postSend(pr.e0, sendWr(pr.buf0, pr.h0, 128, 1));
-  rig.engine.run();
+  rig.pdes.run();
   EXPECT_EQ(rig.nic1.stats().rxDroppedBadEndpoint, 1u);
   EXPECT_EQ(rig.nic1.activeEndpoints(), 0u);
 }
@@ -184,7 +187,7 @@ TEST(NicDeviceTest, TeardownFlushesPostedWork) {
   rig.nic1.postRecv(pr.e1, sendWr(pr.buf1, pr.h1, 128, 11));
   rig.nic1.postRecv(pr.e1, sendWr(pr.buf1, pr.h1, 128, 12));
   rig.nic1.teardownConnection(pr.e1);
-  rig.engine.run();
+  rig.pdes.run();
   ASSERT_EQ(rig.completions1.size(), 2u);
   for (const auto& [ep, c] : rig.completions1) {
     EXPECT_EQ(c.status, WorkStatus::Aborted);
@@ -200,10 +203,10 @@ TEST(NicDeviceTest, RetransmissionRecoversFromBurstLoss) {
   rigPtr = &rig;
   (void)rigPtr;
   auto pr = rig.connect(Reliability::ReliableDelivery);
-  rig.net.uplink(0).setLossRate(0.4);
+  rig.net.hostUplink(0).setLossRate(0.4);
   rig.nic1.postRecv(pr.e1, sendWr(pr.buf1, pr.h1, 8192, 1));
   rig.nic0.postSend(pr.e0, sendWr(pr.buf0, pr.h0, 8192, 2));
-  rig.engine.run();
+  rig.pdes.run();
   ASSERT_EQ(rig.completions1.size(), 1u);
   EXPECT_EQ(rig.completions1[0].second.status, WorkStatus::Ok);
   ASSERT_EQ(rig.completions0.size(), 1u);
@@ -229,7 +232,7 @@ TEST(NicDeviceTest, FirmwarePollProfileScalesDiscoveryWithEndpoints) {
     rig.nic1.setHandlers(std::move(h1));
     rig.nic1.postRecv(pr.e1, sendWr(pr.buf1, pr.h1, 64, 1));
     rig.nic0.postSend(pr.e0, sendWr(pr.buf0, pr.h0, 64, 2));
-    rig.engine.run();
+    rig.pdes.run();
     return done;
   };
   const sim::SimTime base = oneWay(0);
@@ -247,7 +250,7 @@ TEST(NicDeviceTest, MviaSendChargesNothingWithoutProcessContext) {
   auto pr = rig.connect(Reliability::Unreliable);
   rig.nic1.postRecv(pr.e1, sendWr(pr.buf1, pr.h1, 3000, 1));
   rig.nic0.postSend(pr.e0, sendWr(pr.buf0, pr.h0, 3000, 2));
-  rig.engine.run();
+  rig.pdes.run();
   ASSERT_EQ(rig.completions1.size(), 1u);
   EXPECT_EQ(rig.completions1[0].second.status, WorkStatus::Ok);
   EXPECT_GT(rig.completions1[0].second.hostCpuCost, 0);  // kernel RX time
@@ -275,7 +278,7 @@ TEST(NicDeviceTest, RdmaWriteValidationFailureBreaksConnection) {
   wr.remoteAddr = target;
   wr.remoteHandle = th;
   rig.nic0.postSend(pr.e0, std::move(wr));
-  rig.engine.run();
+  rig.pdes.run();
   EXPECT_TRUE(errorSeen);
   // The sender learns through the error ack.
   ASSERT_EQ(rig.completions0.size(), 1u);

@@ -3,7 +3,8 @@
 // one domain per fat-tree switch, and every observable — per-node trace
 // digests, NIC counters, metrics-registry text, span-profiler
 // attribution, time-series CSV, end time — must be byte-identical to the
-// classic serial engine, at every worker shard count.
+// serial run (simShards 0: the whole stack in one domain of the same
+// engine type), at every worker shard count.
 //
 // Two comparison contracts, deliberately distinct:
 //
@@ -422,8 +423,8 @@ struct WorkloadCase {
 };
 
 /// Everything a run exposes, rendered to comparable form. Every field
-/// must be byte-identical between the serial engine and the hosted
-/// ShardedEngine at any shard count.
+/// must be byte-identical between the one-domain serial run and the
+/// per-switch domains at any shard count.
 struct StackOutcome {
   sim::SimTime endTime = 0;
   std::vector<std::uint64_t> nodeDigests;
@@ -431,7 +432,7 @@ struct StackOutcome {
   std::string metrics;
   std::string spans;
   std::string samplerCsv;
-  std::uint64_t windows = 0;  // sharded runs only; 0 when serial
+  std::uint64_t windows = 0;  // conservative windows the engine ran
 };
 
 std::string renderNicStats(Cluster& cluster) {
@@ -452,9 +453,9 @@ std::string renderNicStats(Cluster& cluster) {
   return out;
 }
 
-/// One full run of `wc` on a 16-host k=4 fat-tree. `simShards` 0 = the
-/// classic serial engine; >= 1 = hosted ShardedEngine with that many
-/// worker threads (1 runs the identical window loop inline). A positive
+/// One full run of `wc` on a 16-host k=4 fat-tree. `simShards` 0 = one
+/// domain (the serial schedule); >= 1 = one domain per switch with that
+/// many worker threads (1 runs the identical window loop inline). A positive
 /// `samplePeriod` attaches a TimeSeriesSampler at that period.
 StackOutcome runStack(const WorkloadCase& wc, std::uint32_t simShards,
                       std::uint64_t seed,
@@ -501,7 +502,7 @@ StackOutcome runStack(const WorkloadCase& wc, std::uint32_t simShards,
   out.metrics = metrics.renderText();
   out.spans = spans.renderAttribution();
   out.samplerCsv = sampler.renderCsv();
-  if (cluster.sharded()) out.windows = cluster.shardedEngine().windowsExecuted();
+  out.windows = cluster.shardedEngine().windowsExecuted();
   return out;
 }
 
@@ -642,8 +643,6 @@ TEST(PdesStackCluster, ShardedAccessorsAndDomainPlacement) {
   cfg.simShards = 2;
   Cluster cluster(cfg);
 
-  EXPECT_TRUE(cluster.sharded());
-  EXPECT_THROW(cluster.engine(), sim::SimError);
   // k=4: 8 edge + 8 aggr + 4 core switches = 20 domains.
   EXPECT_EQ(cluster.shardedEngine().domainCount(), 20u);
   // Hosts land on their edge switch's domain: 2 hosts per edge at k=4.
@@ -652,18 +651,26 @@ TEST(PdesStackCluster, ShardedAccessorsAndDomainPlacement) {
   EXPECT_EQ(&cluster.nodeEngine(14), &cluster.nodeEngine(15));
 }
 
+// simShards == 0 puts the whole stack in one domain of the same engine
+// type: every node shares domain 0's engine.
 TEST(PdesStackCluster, SerialAccessors) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
-  cfg.nodes = 4;
+  cfg.nodes = kNodes;
   cfg.fatTreeK = kFatTreeK;
   Cluster cluster(cfg);
 
-  EXPECT_FALSE(cluster.sharded());
-  EXPECT_NO_THROW(cluster.engine());
-  EXPECT_THROW(cluster.shardedEngine(), sim::SimError);
-  EXPECT_EQ(&cluster.nodeEngine(0), &cluster.engine());
-  EXPECT_EQ(cluster.now(), cluster.engine().now());
+  sim::ShardedEngine& se = cluster.shardedEngine();
+  EXPECT_EQ(se.domainCount(), 1u);
+  EXPECT_EQ(se.shards(), 1u);
+  EXPECT_EQ(cluster.topology().domainCount(), 1u);
+  for (std::uint32_t i = 0; i < cfg.nodes; ++i) {
+    EXPECT_EQ(&cluster.nodeEngine(i), &se.domainEngine(0)) << "node " << i;
+  }
+  streamingWorkload(cluster, 5);
+  EXPECT_GT(cluster.now(), 0);
+  EXPECT_EQ(cluster.now(), se.maxNow());
+  EXPECT_EQ(se.crossDomainEvents(), 0u);
 }
 
 // The hop lookahead the Cluster derives is the floor of any cross-domain
@@ -671,15 +678,16 @@ TEST(PdesStackCluster, SerialAccessors) {
 // zero or negative lookahead would serialize the PDES windows entirely.
 TEST(PdesStackCluster, DerivedLookaheadIsPositive) {
   const nic::NicProfile prof = nic::profileByName("clan");
-  fabric::NetworkParams np;
-  np.nodes = kNodes;
-  np.fatTreeK = kFatTreeK;
-  np.link.bandwidthMBps = prof.linkMBps;
-  np.link.propagation = prof.linkPropagation;
-  np.link.headerBytes = prof.linkHeaderBytes;
-  np.trunk = np.link;
-  const fabric::TopologySpec spec = fabric::Network::specFor(np);
+  ClusterConfig cfg;
+  cfg.profile = prof;
+  cfg.nodes = kNodes;
+  cfg.fatTreeK = kFatTreeK;
+  cfg.simShards = 1;
+  Cluster cluster(cfg);
+  const fabric::TopologySpec& spec = cluster.topology().spec();
+  EXPECT_EQ(spec.fabricLink.headerBytes, prof.linkHeaderBytes);
   EXPECT_GT(fabric::hopLookahead(spec), 0);
+  EXPECT_EQ(cluster.shardedEngine().lookahead(), fabric::hopLookahead(spec));
   EXPECT_EQ(fabric::stackDomainCount(spec), 20u);
 }
 
@@ -706,10 +714,10 @@ TEST(PdesStackCounters, FabricCountersAreEngineModeInvariant) {
     cfg.simShards = simShards;
     Cluster cluster(cfg);
     streamingWorkload(cluster, 77);
-    fabric::Network& net = cluster.network();
-    return FabricCounts{net.framesDropped(),      net.framesCorrupted(),
-                        net.packetsForwarded(),   net.packetsViaRoot(),
-                        net.switchBufferDrops(),  net.maxSwitchQueueDepth()};
+    fabric::Topology& net = cluster.topology();
+    return FabricCounts{net.framesDropped(),       net.framesCorrupted(),
+                        net.hostIngressForwards(), net.coreForwards(),
+                        net.switchBufferDrops(),   net.maxQueueDepth()};
   };
   const FabricCounts serial = runOnce(0);
   EXPECT_GT(serial.forwarded, 0u);

@@ -345,7 +345,7 @@ void runLossBurstRecovery(nic::Reliability rel) {
   // Connection setup takes ~2.7ms of virtual time (the CM dialog is
   // loss-exempt), so a [0, 6ms) window blacks out the first ~3ms of data.
   // The ~3ms outage costs 2-3 RTO strikes, well under the budget of 16.
-  cluster.network().uplink(0).scheduleLossWindow(0, sim::msec(6), 1.0);
+  cluster.topology().hostUplink(0).scheduleLossWindow(0, sim::msec(6), 1.0);
 
   constexpr int kMessages = 40;
   constexpr std::size_t kBytes = 5000;
@@ -449,7 +449,7 @@ TEST(ReliabilityTest, LossBurstOnUnreliableDropsWithoutRetransmission) {
 
   // Data flows from ~2.7ms (post-connect); the sender paces one message
   // per 100us, so a [3ms, 5ms) outage swallows a middle chunk.
-  cluster.network().uplink(0).scheduleLossWindow(sim::msec(3), sim::msec(5),
+  cluster.topology().hostUplink(0).scheduleLossWindow(sim::msec(3), sim::msec(5),
                                                  1.0);
 
   constexpr int kMessages = 40;
@@ -513,7 +513,7 @@ TEST(ReliabilityTest, LossBurstOnUnreliableDropsWithoutRetransmission) {
   EXPECT_GT(delivered, 0);
   EXPECT_LT(delivered, kMessages);
   EXPECT_EQ(cluster.node(0).device().stats().retransmits, 0u);
-  EXPECT_GT(cluster.network().uplink(0).framesDropped(), 0u);
+  EXPECT_GT(cluster.topology().hostUplink(0).framesDropped(), 0u);
 }
 
 TEST(ReliabilityTest, ReliableMissingDescriptorBreaksConnection) {
