@@ -61,6 +61,8 @@ struct ShardRun {
   IncastWitness w;
   std::uint64_t crossDomain = 0;
   std::uint64_t crossShard = 0;
+  std::uint64_t fannedOut = 0;      // windows handed to several threads
+  std::uint64_t inlineWindows = 0;  // windows one thread ran alone
   std::vector<sim::ShardProfile> profiles;
   double loadImbalance = 1.0;
 };
@@ -132,6 +134,8 @@ ShardRun fleetIncast(std::uint32_t groups, std::uint32_t clientsPerGroup,
   r.w.windows = se.windowsExecuted();
   r.crossDomain = se.crossDomainEvents();
   r.crossShard = se.crossShardEvents();
+  r.fannedOut = se.fannedOutWindows();
+  r.inlineWindows = se.inlineWindows();
   r.profiles = se.shardProfiles();
   r.loadImbalance = se.loadImbalance();
   r.tps = static_cast<double>(groups) * clientsPerGroup * kCalls /
@@ -166,8 +170,8 @@ int run(int, char**) {
   suite::ResultTable table(
       "PDES scaling of the VIA stack: 64 concurrent 63-client RPC incasts, "
       "cLAN k=32 fat-tree (4096 hosts, 1280 switch domains)",
-      {"shards", "events", "windows", "wall_ms", "ev_per_sec", "speedup",
-       "xshard_frac"});
+      {"shards", "events", "windows", "fanned_out", "wall_ms", "ev_per_sec",
+       "speedup", "xshard_frac"});
   const ShardRun& base = runs.front();
   bool deterministic = true;
   double speedup4 = 0.0;
@@ -198,7 +202,8 @@ int run(int, char**) {
     }
     table.addRow({static_cast<double>(r.shards),
                   static_cast<double>(r.w.events),
-                  static_cast<double>(r.w.windows), r.wallMs,
+                  static_cast<double>(r.w.windows),
+                  static_cast<double>(r.fannedOut), r.wallMs,
                   static_cast<double>(r.w.events) / (r.wallMs / 1e3),
                   speedup, xfrac});
   }
@@ -212,7 +217,8 @@ int run(int, char**) {
   // --- PDES runtime profiler: per-shard breakdown ----------------------
   // Wall-clock columns (exec_ms, completion_ms, barrier_pct) vary run to
   // run; the event and window counts are deterministic. Totals must
-  // reconcile with the engine-wide executedEvents() introspection.
+  // reconcile with the engine-wide executedEvents() introspection, and
+  // every window must have been dispatched once, fanned out or inline.
   // barrier_pct is the share of the shard's wall time its home thread
   // spent parked with no work.
   bool reconciled = true;
@@ -245,13 +251,18 @@ int run(int, char**) {
                    static_cast<double>(p.crossShardSent)});
     }
     vibe::bench::emit(prof);
+    const bool ok = evTotal == r.w.events &&
+                    r.fannedOut + r.inlineWindows == r.w.windows;
     std::printf("shard profile reconciliation (shards=%u): events %llu/%llu "
-                "windows %llu, load imbalance %.3f: %s\n",
+                "windows %llu = %llu fanned out + %llu inline, load "
+                "imbalance %.3f: %s\n",
                 r.shards, static_cast<unsigned long long>(evTotal),
                 static_cast<unsigned long long>(r.w.events),
                 static_cast<unsigned long long>(r.w.windows),
-                r.loadImbalance, evTotal == r.w.events ? "OK" : "FAIL");
-    if (evTotal != r.w.events) reconciled = false;
+                static_cast<unsigned long long>(r.fannedOut),
+                static_cast<unsigned long long>(r.inlineWindows),
+                r.loadImbalance, ok ? "OK" : "FAIL");
+    if (!ok) reconciled = false;
     if (statsAttached()) {
       obs::publishShardProfiles(statsRegistry(),
                                 "pdes.shards" + std::to_string(r.shards),
@@ -290,8 +301,9 @@ int run(int, char**) {
       recorder->dump(!deterministic
                          ? "bench_ext_pdes: determinism divergence across "
                            "shard counts"
-                         : "bench_ext_pdes: shard profile failed to "
-                           "reconcile with executedEvents()");
+                         : "bench_ext_pdes: shard profile or window "
+                           "dispatch failed to reconcile with the engine "
+                           "totals");
     }
     return 1;
   }

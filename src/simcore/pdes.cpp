@@ -78,7 +78,7 @@ ShardedEngine::ShardedEngine(const EngineConfig& cfg)
         "than one shard (no cross-shard latency means no safe window)");
   }
   domains_.resize(cfg.domains);
-  if (shards_ > 1) parkers_ = std::make_unique<Parker[]>(shards_);
+  windowEvents_.resize(shards_);
   runnable_.resize(shards_);
   dirtyByShard_.resize(shards_);
 }
@@ -312,29 +312,74 @@ void ShardedEngine::wake(unsigned shard) {
   p.ticket.notify_one();
 }
 
-/// Hands out the prepared window: counts the active shards, wakes the
-/// home threads of all but one, and returns the shard the calling thread
-/// runs itself (its own if active, else the lowest-numbered active one).
-/// Once the run is done it wakes every other thread to exit instead and
-/// returns shards_.
+/// Starts the home threads of shards 1.., parked, at a run's first
+/// fanned-out window. Only the thread that called run() gets here: until
+/// the threads exist, it runs every window itself. If a thread cannot be
+/// started, the ones already started are woken to exit and joined before
+/// the error propagates.
+void ShardedEngine::startThreads() {
+  if (!parkers_) parkers_ = std::make_unique<Parker[]>(shards_);
+  for (unsigned s = 0; s < shards_; ++s) {
+    parkers_[s].ticket.store(0, std::memory_order_relaxed);
+  }
+  pool_.reserve(shards_ - 1);
+  try {
+    for (unsigned s = 1; s < shards_; ++s) {
+      pool_.emplace_back([this, s] { serveShard(s, shards_); });
+    }
+  } catch (...) {
+    done_ = true;  // could not start a thread: release the started ones
+    for (unsigned s = 1; s <= pool_.size(); ++s) wake(s);
+    joinThreads();
+    throw;
+  }
+}
+
+/// Joins the started threads once they have been told the run is done.
+/// The thread that called run() only, once per run: cold.
+[[gnu::cold]] void ShardedEngine::joinThreads() {
+  for (std::thread& th : pool_) th.join();
+  pool_.clear();
+}
+
+/// Hands out the prepared window and returns the first shard the calling
+/// thread runs. A window fans out when the window before it ran at least
+/// kFanOutEvents events and more than one shard is active: the caller
+/// keeps one active shard (its own if active, else the lowest-numbered
+/// one) and wakes the home threads of the others, starting them first if
+/// this is the run's first fan-out. Otherwise it runs inline: the caller
+/// keeps every active shard and wakes no one. Once the run is done it
+/// wakes every other thread to exit instead and returns shards_.
 unsigned ShardedEngine::dispatchWindow(unsigned home) {
   if (done_) {
-    for (unsigned s = 0; s < shards_; ++s) {
-      if (s != home) wake(s);
+    if (!pool_.empty()) {
+      for (unsigned s = 0; s < shards_; ++s) {
+        if (s != home) wake(s);
+      }
     }
     return shards_;
   }
   // Active: exactly the shards execShardWindow has work for.
   auto active = [this](unsigned s) { return runnableTop(s) < windowEnd_; };
+  unsigned first = shards_;
   unsigned mine = shards_;
   unsigned count = 0;
   for (unsigned s = 0; s < shards_; ++s) {
     if (!active(s)) continue;
     ++count;
+    if (first == shards_) first = s;
     if (mine == shards_ || s == home) mine = s;
   }
-  // The window start is some shard's heap top, so count >= 1. Set before
-  // any wake-up, whose release publishes it.
+  // The window start is some shard's heap top, so count >= 1.
+  fanOut_ = count > 1 && lastWindowEvents_ >= kFanOutEvents;
+  if (!fanOut_) {
+    ++inline_;
+    pending_.store(1, std::memory_order_relaxed);
+    return first;
+  }
+  if (pool_.empty()) startThreads();
+  ++fannedOut_;
+  // Set before any wake-up, whose release publishes it.
   pending_.store(count, std::memory_order_relaxed);
   for (unsigned s = 0; s < shards_; ++s) {
     if (s != mine && active(s)) wake(s);
@@ -350,6 +395,7 @@ void ShardedEngine::runShard(unsigned shard) {
   try {
     const std::uint64_t w0 = profiling_ ? wallNowNs() : 0;
     const std::uint64_t executed = execShardWindow(shard, windowEnd_);
+    windowEvents_[shard].events = executed;
     if (profiling_) {
       timing_[shard].execNs += wallNowNs() - w0;
       if (executed > 0) ++timing_[shard].windowsActive;
@@ -360,14 +406,30 @@ void ShardedEngine::runShard(unsigned shard) {
   }
 }
 
+/// Runs what the dispatch kept for the calling thread: shard `first`
+/// alone in a fanned-out window, every active shard from `first` up, in
+/// ascending order, in an inline one. A shard's window touches only its
+/// own heap, so the active set stays the one the dispatch saw.
+void ShardedEngine::runKept(unsigned first) {
+  const unsigned end = fanOut_ ? first + 1 : shards_;
+  for (unsigned s = first; s < end; ++s) {
+    if (runnableTop(s) < windowEnd_) runShard(s);
+  }
+}
+
 /// The completion step, on the thread that finished the window's last
-/// active shard: every other thread is parked or about to park, so the
-/// merge and the next window's bounds need no locks. The merge runs even
-/// after a failure, so a failed window's messages are never left behind.
-/// Returns the shard this thread runs next (see dispatchWindow).
+/// runner: every other thread is parked or about to park, so the merge
+/// and the next window's bounds need no locks. The merge runs even after
+/// a failure, so a failed window's messages are never left behind.
+/// Returns the first shard this thread runs next (see dispatchWindow).
 unsigned ShardedEngine::completeWindow(unsigned home) {
   const std::uint64_t c0 = profiling_ ? wallNowNs() : 0;
   ++windows_;
+  lastWindowEvents_ = 0;
+  for (WindowTally& t : windowEvents_) {
+    lastWindowEvents_ += t.events;
+    t.events = 0;
+  }
   try {
     deliverOutboxes();
     prepareWindow();
@@ -383,9 +445,10 @@ unsigned ShardedEngine::completeWindow(unsigned home) {
   return next;
 }
 
-/// The loop of `home`'s thread, starting with `shard` (shards_: park
-/// first): run the shard it was handed, then either complete the window
-/// (last one out) or park until woken for its own shard.
+/// The loop of `home`'s thread, starting with the shards a dispatch kept
+/// for it from `shard` up (shards_: park first): run them, then either
+/// complete the window (last runner out) or park until woken for its own
+/// shard.
 void ShardedEngine::serveShard(unsigned home, unsigned shard) {
   std::uint32_t seen = 0;  // tickets reset to 0 before the threads start
   for (;;) {
@@ -396,9 +459,10 @@ void ShardedEngine::serveShard(unsigned home, unsigned shard) {
       seen = ticket.load(std::memory_order_acquire);
       if (profiling_) timing_[home].barrierWaitNs += wallNowNs() - b0;
       if (done_) return;
-      shard = home;
+      runShard(home);
+    } else {
+      runKept(shard);
     }
-    runShard(shard);
     if (pending_.fetch_sub(1, std::memory_order_acq_rel) != 1) {
       shard = shards_;  // others still running: park
       continue;
@@ -418,27 +482,10 @@ bool ShardedEngine::runWindows(SimTime horizon) {
 
   prepareWindow();
   if (!done_) {
-    // The calling thread serves as shard 0; the others start parked. At
-    // one shard no thread starts, and the caller never parks.
-    if (shards_ > 1) {
-      for (unsigned s = 0; s < shards_; ++s) {
-        parkers_[s].ticket.store(0, std::memory_order_relaxed);
-      }
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(shards_ - 1);
-    try {
-      for (unsigned s = 1; s < shards_; ++s) {
-        pool.emplace_back([this, s] { serveShard(s, shards_); });
-      }
-    } catch (...) {
-      done_ = true;  // could not start a thread: release the started ones
-      dispatchWindow(0);
-      for (std::thread& th : pool) th.join();
-      throw;
-    }
+    // The calling thread serves as shard 0's home; the others start at
+    // the first window that fans out, if one does.
     serveShard(0, dispatchWindow(0));
-    for (std::thread& th : pool) th.join();
+    joinThreads();
   }
 
   // Failure reports are schedule-independent: the lowest shard's

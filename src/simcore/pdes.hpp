@@ -21,17 +21,22 @@
 // engines. A parked engine rejects postAt/cancel outright (the
 // windowed-mode guard of sim::Engine).
 //
-// Window dispatch: each shard has a home thread (shard 0's is the thread
-// that calls run(); a run starts shards - 1 more), parked on its own
-// futex word while it has no work. Only the shards with an event before
-// the window's end are active. The thread that finishes a window's last
-// active shard runs the completion step — the domain-ordered merge and
-// the next window's bounds — then runs one active shard of the next
-// window itself (its own if active, else the lowest-numbered one) and
-// wakes only the home threads of the others. A shard therefore runs on
-// more than one thread over a run, and so do the Process fibers of its
-// domains; exactly one thread runs a shard at a time. At one shard the
-// same loop starts no thread and wakes no one.
+// Window dispatch: the thread that finishes a window's last active shard
+// runs the completion step — the domain-ordered merge and the next
+// window's bounds — and then chooses which of the next window's active
+// shards (those with an event before the window's end) it runs itself.
+// If the window just completed ran fewer than kFanOutEvents events, or
+// only one shard is active, it runs every active shard itself, in
+// ascending shard order, and wakes no one: the window runs inline.
+// Otherwise the window fans out: it runs one active shard itself (its own
+// if active, else the lowest-numbered one) and wakes only the home
+// threads of the others, each parked on its own futex word. Shard 0's
+// home thread is the thread that calls run(); the other shards - 1 home
+// threads are started at the run's first fanned-out window and joined
+// before run() returns, so a run whose windows are all thin, and every
+// run at one shard, starts no thread. A shard therefore runs on more than
+// one thread over a run, and so do the Process fibers of its domains;
+// exactly one thread runs a shard at a time.
 //
 // Determinism contract (see docs/PDES.md): a hosted engine breaks ties at
 // one timestamp by insertion order. Events a domain posts to itself are
@@ -54,6 +59,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -81,7 +87,8 @@ struct ShardProfile {
   // Wall time executing this shard's events, on whichever thread ran them.
   std::uint64_t execNs = 0;
   // Wall time this shard's home thread spent parked, waiting to be woken
-  // for work (0 at one shard, which never parks).
+  // for work (0 at one shard, which never parks, and 0 for a shard whose
+  // home thread never started because no window fanned out).
   std::uint64_t barrierWaitNs = 0;
   // Wall time this shard's home thread spent in completion steps: the
   // outbox merge, the next-window reduce and the wake-ups.
@@ -98,14 +105,23 @@ struct EngineConfig {
   /// degenerates to one timestamp at a time). A single domain has no
   /// cross-domain traffic and runs to the horizon in one window.
   Duration lookahead = 0;
-  /// Shards; a run uses the calling thread plus shards - 1 more. 0 =
-  /// shardCount() (VIBE_SIM_SHARDS / hardware). Clamped to `domains`. 1
-  /// runs inline with no other thread.
+  /// Shards; domain d runs on shard d % shards. 0 = shardCount()
+  /// (VIBE_SIM_SHARDS / hardware). Clamped to `domains`. A run uses the
+  /// calling thread alone until a window fans out (see the header), and
+  /// then shards - 1 more; 1 never starts another thread.
   unsigned shards = 0;
 };
 
 class ShardedEngine {
  public:
+  /// A window fans out only after a window that ran at least this many
+  /// events; after a thinner one its active shards run inline on one
+  /// thread. One hand-off (a wake-up, a park and their context switches:
+  /// about 3.6 us with every thread on one CPU) over the cost of one
+  /// event (about 0.25 us) is about 14, rounded up to a power of two;
+  /// docs/PDES.md has the measurement.
+  static constexpr std::uint64_t kFanOutEvents = 16;
+
   explicit ShardedEngine(const EngineConfig& cfg);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -173,6 +189,12 @@ class ShardedEngine {
   std::uint64_t crossShardEvents() const;
   /// Conservative windows executed (one completion step each).
   std::uint64_t windowsExecuted() const { return windows_; }
+  /// Windows handed to more than one thread, and windows one thread ran
+  /// alone. Counted when a window is dispatched, so the two sum to
+  /// windowsExecuted(); like it, they depend only on the simulation and
+  /// the shard count, never on the thread schedule.
+  std::uint64_t fannedOutWindows() const { return fannedOut_; }
+  std::uint64_t inlineWindows() const { return inline_; }
 
   /// --- Runtime profiler (opt-in; see docs/PDES.md) ---
 
@@ -214,13 +236,23 @@ class ShardedEngine {
     std::atomic<std::uint32_t> ticket{0};
   };
 
+  // Events a shard ran in the open window: written by whichever thread
+  // runs the shard, summed and cleared by the completion step after the
+  // pending_ hand-off. Aligned like ShardTiming.
+  struct alignas(64) WindowTally {
+    std::uint64_t events = 0;
+  };
+
   void deliverOutboxes();
   bool runWindows(SimTime horizon);
   void prepareWindow();
   void serveShard(unsigned home, unsigned shard);
   void runShard(unsigned shard);
+  void runKept(unsigned first);
   unsigned completeWindow(unsigned home);
   unsigned dispatchWindow(unsigned home);
+  void startThreads();
+  void joinThreads();
   void wake(unsigned shard);
   SimTime clampToBoundary(SimTime t, SimTime windowEnd) const;
   void setWindowedMode(bool on);
@@ -240,6 +272,11 @@ class ShardedEngine {
   unsigned shards_ = 1;
   Duration lookahead_ = 0;
   std::uint64_t windows_ = 0;
+  std::uint64_t fannedOut_ = 0;
+  std::uint64_t inline_ = 0;
+  // Events the last completed window ran, the predictor of the next
+  // window's: it fans out only from kFanOutEvents up. Kept across runs.
+  std::uint64_t lastWindowEvents_ = 0;
   bool profiling_ = false;
   std::vector<ShardTiming> timing_;  // sized to shards_ when profiling
 
@@ -254,8 +291,18 @@ class ShardedEngine {
   bool done_ = false;
   std::atomic<bool> abort_{false};
   std::vector<std::exception_ptr> shardErrors_;
-  std::unique_ptr<Parker[]> parkers_;  // one per shard when shards_ > 1
-  std::atomic<unsigned> pending_{0};   // active shards still running
+  std::vector<WindowTally> windowEvents_;  // one per shard
+  // Whether the open window fanned out; read back only by the thread
+  // whose completion step dispatched it.
+  bool fanOut_ = false;
+  // Runners still in the open window: one per active shard when it
+  // fanned out, one when it runs inline.
+  std::atomic<unsigned> pending_{0};
+  // Allocated at the engine's first fanned-out window, one per shard.
+  std::unique_ptr<Parker[]> parkers_;
+  // The home threads of shards 1.., started by the calling thread at a
+  // run's first fanned-out window and joined when the run ends.
+  std::vector<std::thread> pool_;
 
   // Runnable-domain heaps: at thousands of mostly-idle domains, touching
   // every domain every window — an O(domains) next-event scan in the

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -461,6 +462,9 @@ struct AlternatingLoad {
   std::uint32_t domains = 0;
   std::uint32_t ticks = 0;
   std::vector<std::uint64_t> digest;  // per domain, in execution order
+  // No-op events domain 0 runs with every tick: kFanOutEvents of them
+  // make each window fat enough for the next one to fan out.
+  std::uint64_t ballast = 0;
 
   Engine& at(std::uint32_t d) { return eng->domainEngine(d); }
   void record(std::uint32_t d, std::uint64_t tag) {
@@ -469,6 +473,7 @@ struct AlternatingLoad {
   }
   void tick(std::uint32_t k) {
     record(0, k);
+    for (std::uint64_t i = 0; i < ballast; ++i) at(0).post(0, [] {});
     if (k + 1 >= ticks) return;
     const std::uint32_t shape = (k + 1) % 3;  // next window: 1, 2 or all
     const std::uint32_t fan = shape == 0 ? 0 : shape == 1 ? 1 : domains - 1;
@@ -495,33 +500,41 @@ struct AlternatingRun {
   SimTime endTime = 0;
   std::vector<sim::ShardProfile> profiles;
   double loadImbalance = 1.0;
+  std::uint64_t fannedOut = 0;
 };
 
 /// `shards` 0 takes the engine's default (VIBE_SIM_SHARDS / hardware).
 AlternatingRun runAlternating(unsigned shards, std::uint32_t ticks,
-                              bool profile = true) {
+                              bool profile = true,
+                              std::uint64_t ballast = 0) {
   const std::uint32_t kDomains = 8;
   ShardedEngine eng({.domains = kDomains,
                      .lookahead = AlternatingLoad::kLa,
                      .shards = shards});
   eng.setProfiling(profile);
   AlternatingLoad load{&eng, kDomains, ticks,
-                       std::vector<std::uint64_t>(kDomains, 0)};
+                       std::vector<std::uint64_t>(kDomains, 0), ballast};
   eng.domainEngine(0).postAt(0, [&load] { load.tick(0); });
   eng.run();
   EXPECT_EQ(eng.pendingEvents(), 0u);
   return {eng.shards(),          load.digest,
           eng.executedEvents(),  eng.windowsExecuted(),
           eng.crossShardEvents(), eng.maxNow(),
-          eng.shardProfiles(),   eng.loadImbalance()};
+          eng.shardProfiles(),   eng.loadImbalance(),
+          eng.fannedOutWindows()};
 }
 
 TEST(ShardedEngineDispatch, AlternatingActiveSetsMatchOneShard) {
+  // Every tick window is fat, so every window after one with two or
+  // more active shards fans out: two of every three.
   const std::uint32_t kTicks = 60;
-  const AlternatingRun base = runAlternating(1, kTicks);
+  const std::uint64_t kBallast = ShardedEngine::kFanOutEvents;
+  const AlternatingRun base = runAlternating(1, kTicks, true, kBallast);
   EXPECT_GT(base.events, 3u * kTicks);
+  EXPECT_EQ(base.fannedOut, 0u);
   for (unsigned shards : {2u, 3u, 4u, 7u}) {
-    const AlternatingRun got = runAlternating(shards, kTicks);
+    const AlternatingRun got = runAlternating(shards, kTicks, true, kBallast);
+    EXPECT_EQ(got.fannedOut, 2u * kTicks / 3) << "shards=" << shards;
     EXPECT_EQ(got.digest, base.digest) << "shards=" << shards;
     EXPECT_EQ(got.events, base.events) << "shards=" << shards;
     EXPECT_EQ(got.windows, base.windows) << "shards=" << shards;
@@ -581,14 +594,21 @@ TEST(ShardedEngineDispatch, ShardErrorIsReportedForItsShardOnAnyThread) {
   }
 
   // Two failures in one window: the lower shard's wins even when a
-  // higher shard's thread ran it. Shard 3 holds the first window open
-  // until shard 0 is done, so shard 3's thread most likely completes it
-  // and then runs shard 1 of the next window itself while shard 2's own
-  // thread runs shard 2.
+  // higher shard's thread ran it. kFanOutEvents no-op events in domain 0
+  // at t=0 and t=10 make the first two windows fat, so the second and
+  // third fan out. Shard 3 holds the second window open until shard 0 is
+  // done, so shard 3's thread most likely completes it and then runs
+  // shard 1 of the third window itself while shard 2's own thread runs
+  // shard 2.
   ShardedEngine eng({.domains = 4, .lookahead = 10, .shards = 4});
+  for (SimTime t : {0, 10}) {
+    for (std::uint64_t i = 0; i < ShardedEngine::kFanOutEvents; ++i) {
+      eng.domainEngine(0).postAt(t, [] {});
+    }
+  }
   std::atomic<bool> zeroDone{false};
-  eng.domainEngine(0).postAt(0, [&zeroDone] { zeroDone.store(true); });
-  eng.domainEngine(3).postAt(0, [&zeroDone] {
+  eng.domainEngine(0).postAt(10, [&zeroDone] { zeroDone.store(true); });
+  eng.domainEngine(3).postAt(10, [&zeroDone] {
     const auto giveUp =
         std::chrono::steady_clock::now() + std::chrono::seconds(1);
     while (!zeroDone.load() && std::chrono::steady_clock::now() < giveUp) {
@@ -596,14 +616,15 @@ TEST(ShardedEngineDispatch, ShardErrorIsReportedForItsShardOnAnyThread) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   });
-  eng.domainEngine(1).postAt(10, [] { throw SimError("boom in domain 1"); });
-  eng.domainEngine(2).postAt(10, [] { throw SimError("boom in domain 2"); });
+  eng.domainEngine(1).postAt(20, [] { throw SimError("boom in domain 1"); });
+  eng.domainEngine(2).postAt(20, [] { throw SimError("boom in domain 2"); });
   try {
     eng.run();
     FAIL() << "expected SimError";
   } catch (const SimError& e) {
     EXPECT_EQ(std::string(e.what()), "boom in domain 1");
   }
+  EXPECT_EQ(eng.fannedOutWindows(), 2u);
   eng.run();
   EXPECT_EQ(eng.pendingEvents(), 0u);
 }
@@ -645,15 +666,18 @@ TEST(ShardedEngineDispatch, BackToBackRunUntilLeavesNoWorkerBehind) {
   }
   const std::uint32_t kTicks = 30;
   const std::uint32_t kDomains = 8;
-  const AlternatingRun whole = runAlternating(1, kTicks);
+  const std::uint64_t kBallast = ShardedEngine::kFanOutEvents;
+  const AlternatingRun whole = runAlternating(1, kTicks, true, kBallast);
   ShardedEngine eng({.domains = kDomains,
                      .lookahead = AlternatingLoad::kLa,
                      .shards = 4});
   AlternatingLoad load{&eng, kDomains, kTicks,
-                       std::vector<std::uint64_t>(kDomains, 0)};
+                       std::vector<std::uint64_t>(kDomains, 0), kBallast};
   eng.domainEngine(0).postAt(0, [&load] { load.tick(0); });
   // Horizons that cut windows short, land between them and pass idle
-  // stretches: every call starts and retires its own threads.
+  // stretches: every call that fans a window out starts and retires its
+  // own threads, and the ballast makes every window with two active
+  // shards fan out.
   bool drained = false;
   for (SimTime until = 37; !drained; until += 37) {
     drained = eng.runUntil(until);
@@ -663,6 +687,176 @@ TEST(ShardedEngineDispatch, BackToBackRunUntilLeavesNoWorkerBehind) {
   EXPECT_EQ(load.digest, whole.digest);
   EXPECT_EQ(eng.executedEvents(), whole.events);
   EXPECT_EQ(eng.pendingEvents(), 0u);
+  EXPECT_GT(eng.fannedOutWindows(), 0u);
+}
+
+/// Windows of one timestamp each: at step k (time k * kLa) domains k % 4
+/// and (k + 1) % 4 each run one event that hands step k + 1 to the next
+/// domain, plus burst(k) more events. Every window therefore has two
+/// active domains, on two shards at any shard count above 1.
+struct StepLoad {
+  static constexpr Duration kLa = 100;
+  static constexpr std::uint32_t kDomains = 4;
+  ShardedEngine* eng = nullptr;
+  std::uint32_t steps = 0;
+  std::function<std::uint64_t(std::uint32_t)> burst;
+  std::array<std::uint64_t, kDomains> digest{};
+  std::array<std::vector<SimTime>, kDomains> times;  // of every event
+  unsigned lastThreads = 0;  // read by the final step's first event
+
+  Engine& at(std::uint32_t d) { return eng->domainEngine(d); }
+  void record(std::uint32_t d, std::uint64_t tag) {
+    times[d].push_back(at(d).now());
+    digest[d] = Tracer::combineDigest(
+        digest[d], mix64(tag ^ static_cast<std::uint64_t>(at(d).now()) << 24));
+  }
+  void start() {
+    for (std::uint32_t d : {0u, 1u}) {
+      at(d).postAt(0, [this, d] { step(d, 0); });
+    }
+  }
+  void step(std::uint32_t d, std::uint32_t k) {
+    record(d, k);
+    for (std::uint64_t i = 0; i < burst(k); ++i) {
+      at(d).post(0, [this, d, k, i] { record(d, 1000 * (k + 1) + i); });
+    }
+    if (k + 1 == steps) {
+      if (d == k % kDomains) lastThreads = processThreads();
+      return;
+    }
+    const std::uint32_t to = (d + 1) % kDomains;
+    eng->sendAt(d, to, at(d).now() + kLa, [this, to, k] { step(to, k + 1); });
+  }
+};
+
+struct StepRun {
+  std::array<std::uint64_t, StepLoad::kDomains> digest{};
+  std::array<std::vector<SimTime>, StepLoad::kDomains> times;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t fannedOut = 0;
+  std::uint64_t inlineWindows = 0;
+  std::vector<sim::ShardProfile> profiles;
+  unsigned lastThreads = 0;
+};
+
+/// Runs `steps` steps on `shards` shards, stopping at each of `horizons`
+/// (runUntil) before running to the drain.
+StepRun runSteps(unsigned shards, std::uint32_t steps,
+                 std::function<std::uint64_t(std::uint32_t)> burst,
+                 const std::vector<SimTime>& horizons = {}) {
+  ShardedEngine eng({.domains = StepLoad::kDomains,
+                     .lookahead = StepLoad::kLa,
+                     .shards = shards});
+  eng.setProfiling(true);
+  StepLoad load;
+  load.eng = &eng;
+  load.steps = steps;
+  load.burst = std::move(burst);
+  load.start();
+  for (SimTime h : horizons) EXPECT_FALSE(eng.runUntil(h)) << "until " << h;
+  eng.run();
+  EXPECT_EQ(eng.pendingEvents(), 0u);
+  return {load.digest,           load.times,
+          eng.executedEvents(),  eng.windowsExecuted(),
+          eng.fannedOutWindows(), eng.inlineWindows(),
+          eng.shardProfiles(),   load.lastThreads};
+}
+
+TEST(ShardedEngineDispatch, ThinWindowsStartNoThread) {
+  // Two events in two shards per window: too thin to pay for a hand-off,
+  // so at 4 shards the thread that calls run() runs every window itself
+  // and starts no other thread. The fewest threads seen over 20 ms: an
+  // earlier test's workers may still be listed at first.
+  unsigned before = processThreads();
+  if (before == 0) GTEST_SKIP() << "/proc/self/status has no thread count";
+  for (int i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    before = std::min(before, processThreads());
+  }
+  const std::uint32_t kSteps = 40;
+  auto none = [](std::uint32_t) -> std::uint64_t { return 0; };
+  const StepRun four = runSteps(4, kSteps, none);
+  EXPECT_EQ(four.lastThreads, before);
+  EXPECT_EQ(four.fannedOut, 0u);
+  EXPECT_EQ(four.inlineWindows, four.windows);
+
+  const StepRun one = runSteps(1, kSteps, none);
+  EXPECT_EQ(four.digest, one.digest);
+  EXPECT_EQ(four.events, one.events);
+  EXPECT_EQ(four.events, 2u * kSteps);
+  EXPECT_EQ(four.windows, one.windows);
+  EXPECT_EQ(four.windows, kSteps);
+  // A window holds one timestamp, so shard s (= domain s) is active in as
+  // many windows as domain s has distinct event times at one shard.
+  ASSERT_EQ(four.profiles.size(), 4u);
+  for (std::uint32_t d = 0; d < StepLoad::kDomains; ++d) {
+    std::vector<SimTime> t = one.times[d];
+    t.erase(std::unique(t.begin(), t.end()), t.end());
+    EXPECT_EQ(four.profiles[d].windowsActive, t.size()) << "shard " << d;
+    EXPECT_EQ(four.profiles[d].barrierWaitNs, 0u) << "shard " << d;
+  }
+}
+
+TEST(ShardedEngineDispatch, ThinFatThinMatchesOneShard) {
+  // Steps 0-9 and 20-29 are thin; steps 10-19 add kFanOutEvents events
+  // per active domain. A window fans out when the one before it was fat,
+  // so windows 11-20 do, and the runUntil horizons (one inside each
+  // phase) carry that across calls.
+  const std::uint32_t kSteps = 30;
+  auto burst = [](std::uint32_t k) -> std::uint64_t {
+    return k >= 10 && k < 20 ? ShardedEngine::kFanOutEvents : 0;
+  };
+  const std::vector<SimTime> horizons = {5 * StepLoad::kLa + 50,
+                                         15 * StepLoad::kLa + 50,
+                                         25 * StepLoad::kLa + 50};
+  const StepRun one = runSteps(1, kSteps, burst, horizons);
+  EXPECT_EQ(one.windows, kSteps);
+  EXPECT_EQ(one.fannedOut, 0u);
+  for (unsigned shards : {2u, 4u}) {
+    const StepRun got = runSteps(shards, kSteps, burst, horizons);
+    EXPECT_EQ(got.digest, one.digest) << "shards=" << shards;
+    EXPECT_EQ(got.times, one.times) << "shards=" << shards;
+    EXPECT_EQ(got.events, one.events) << "shards=" << shards;
+    EXPECT_EQ(got.windows, one.windows) << "shards=" << shards;
+    EXPECT_EQ(got.fannedOut, 10u) << "shards=" << shards;
+    EXPECT_EQ(got.fannedOut + got.inlineWindows, got.windows)
+        << "shards=" << shards;
+  }
+}
+
+TEST(ShardedEngineDispatch, InlineWindowFailureIsReportedForItsShard) {
+  // A thin window with shards 0, 1 and 3 active runs inline on one
+  // thread. Shard 3's failure is still its own: the window's other events
+  // run, its mail is merged, and the engine runs again.
+  ShardedEngine eng({.domains = 4, .lookahead = 10, .shards = 4});
+  bool ran0 = false;
+  bool ran1 = false;
+  bool later = false;
+  SimTime arrived = -1;
+  eng.domainEngine(0).postAt(5, [&ran0] { ran0 = true; });
+  eng.domainEngine(1).postAt(5, [&] {
+    ran1 = true;
+    eng.sendAt(1, 2, 15, [&] { arrived = eng.domainEngine(2).now(); });
+  });
+  eng.domainEngine(3).postAt(5, [] { throw SimError("boom in domain 3"); });
+  eng.domainEngine(3).postAt(30, [&later] { later = true; });
+  try {
+    eng.run();
+    FAIL() << "expected SimError from domain 3";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()), "boom in domain 3");
+  }
+  EXPECT_TRUE(ran0);
+  EXPECT_TRUE(ran1);
+  EXPECT_EQ(eng.windowsExecuted(), 1u);
+  EXPECT_EQ(eng.inlineWindows(), 1u);
+  EXPECT_EQ(eng.fannedOutWindows(), 0u);
+  eng.run();
+  EXPECT_EQ(arrived, 15);
+  EXPECT_TRUE(later);
+  EXPECT_EQ(eng.pendingEvents(), 0u);
+  EXPECT_EQ(eng.fannedOutWindows(), 0u);
 }
 
 // --- Face 5: the boundary hook --------------------------------------------

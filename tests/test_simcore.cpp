@@ -722,10 +722,11 @@ TEST(HostedPdesTest, ProcessKeepsItsExceptionAcrossThreads) {
   // A process parked inside a catch block resumes on whichever thread
   // runs its shard's next window, and must still see and rethrow its own
   // exception there. Domain 1's process is sure to move: the first window
-  // has work only in domains 1-3, so the thread that calls run() takes
-  // shard 1 itself; in the second, domain 0 ticks too, and the thread
-  // completing a window never takes a shard it does not own ahead of a
-  // lower active one, so shard 1's own thread runs it.
+  // of a fresh engine runs inline, so the thread that calls run() takes
+  // every active shard itself, shard 1 included. kFanOutEvents no-op
+  // events in domain 0 make that window fat enough for the second, where
+  // domain 0 ticks too, to fan out: the caller completed the first window,
+  // keeps its own active shard 0 and wakes shard 1's thread to run it.
   constexpr std::uint32_t kDomains = 4;
   constexpr int kHops = 16;
   constexpr Duration kLa = 100;
@@ -751,6 +752,9 @@ TEST(HostedPdesTest, ProcessKeepsItsExceptionAcrossThreads) {
     if (k < kHops) pdes.domainEngine(0).post(2 * kLa, [&, k] { tick(k + 1); });
   };
   pdes.domainEngine(0).postAt(kLa, [&] { tick(0); });
+  for (std::uint64_t i = 0; i < ShardedEngine::kFanOutEvents; ++i) {
+    pdes.domainEngine(0).postAt(0, [] {});
+  }
   std::vector<std::unique_ptr<Process>> procs;
   for (std::uint32_t d = 1; d < kDomains; ++d) {
     Engine* eng = &pdes.domainEngine(d);
