@@ -45,6 +45,37 @@ void BM_SimulatedPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedPingPong)->Arg(50)->Unit(benchmark::kMillisecond);
 
+/// The price of each tracing level on the same 50 round trips: 0 runs
+/// detached, 1 attaches a tracer with every category disabled, 2 attaches
+/// one with enableAll(). Trace text is built only for enabled categories,
+/// so levels 0 and 1 should read the same.
+void BM_SimulatedPingPongTraced(benchmark::State& state) {
+  const auto level = state.range(0);
+  constexpr int kIters = 50;
+  for (auto _ : state) {
+    sim::Tracer tracer;
+    if (level == 2) tracer.enableAll();
+    suite::ClusterConfig cc = clanCluster();
+    if (level > 0) cc.tracer = &tracer;
+    suite::TransferConfig cfg;
+    cfg.msgBytes = 64;
+    cfg.iterations = kIters;
+    cfg.warmup = 4;
+    const auto r = suite::runPingPong(cc, cfg);
+    benchmark::DoNotOptimize(r.latencyUsec);
+    benchmark::DoNotOptimize(tracer.digest());
+  }
+  state.SetItemsProcessed(state.iterations() * kIters);
+  state.SetLabel(level == 0   ? "detached"
+                 : level == 1 ? "attached, categories disabled"
+                              : "attached, enableAll");
+}
+BENCHMARK(BM_SimulatedPingPongTraced)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SimulatedBandwidthBurst(benchmark::State& state) {
   for (auto _ : state) {
     suite::TransferConfig cfg;

@@ -27,9 +27,12 @@ void FaultInjector::arm(suite::Cluster& cluster) {
     }
     apply(cluster, a);
     sim::trace(cluster.tracer(), a.start, sim::TraceCategory::User, a.node,
-               "fault " + std::string(toString(a.kind)) + " side=" +
-                   toString(a.side) + " dur=" + std::to_string(a.duration) +
-                   (a.target == FaultTarget::Trunk ? " target=trunk" : ""));
+               [&] {
+                 return "fault " + std::string(toString(a.kind)) + " side=" +
+                        toString(a.side) + " dur=" +
+                        std::to_string(a.duration) +
+                        (a.target == FaultTarget::Trunk ? " target=trunk" : "");
+               });
   }
 }
 

@@ -14,6 +14,28 @@ std::uint32_t fragCountFor(std::uint64_t bytes, std::uint32_t mtu) {
   return static_cast<std::uint32_t>((bytes + mtu - 1) / mtu);
 }
 
+/// Copies message bytes [offset, offset + out.size()) out of the
+/// descriptor's segments.
+void gatherRead(const mem::HostMemory& memory,
+                const std::vector<SegmentView>& segments, std::uint64_t offset,
+                std::span<std::byte> out) {
+  std::uint64_t segStart = 0;
+  std::uint64_t outPos = 0;
+  for (const auto& seg : segments) {
+    if (outPos >= out.size()) break;
+    const std::uint64_t segEnd = segStart + seg.length;
+    if (offset < segEnd) {
+      const std::uint64_t inSeg = offset - segStart;
+      const std::uint64_t chunk =
+          std::min<std::uint64_t>(seg.length - inSeg, out.size() - outPos);
+      memory.read(seg.addr + inSeg, out.subspan(outPos, chunk));
+      outPos += chunk;
+      offset += chunk;
+    }
+    segStart = segEnd;
+  }
+}
+
 /// Scatters `data` (which starts at message offset `offset`) into the
 /// descriptor's segments.
 void scatterWrite(mem::HostMemory& memory,
@@ -103,9 +125,10 @@ void NicDevice::chargeCaller(sim::Duration d) {
 }
 
 void NicDevice::postCompletion(ViEndpointId id, Completion c, sim::SimTime at) {
-  sim::trace(tracer_, at, sim::TraceCategory::Completion, node_,
-             std::string(c.isSend ? "send" : "recv") + " completion vi=" +
-                 std::to_string(id) + " status=" + toString(c.status));
+  sim::trace(tracer_, at, sim::TraceCategory::Completion, node_, [&] {
+    return std::string(c.isSend ? "send" : "recv") + " completion vi=" +
+           std::to_string(id) + " status=" + toString(c.status);
+  });
   engine_.postAt(at, [this, id, c = std::move(c)]() mutable {
     if (handlers_.completion) handlers_.completion(id, std::move(c));
   });
@@ -140,7 +163,7 @@ ViEndpointId NicDevice::createEndpoint(mem::PtagId ptag) {
 void NicDevice::destroyEndpoint(ViEndpointId id) {
   Endpoint& e = ep(id);
   sim::trace(tracer_, engine_.now(), sim::TraceCategory::Connection, node_,
-             "destroy vi=" + std::to_string(id));
+             [&] { return "destroy vi=" + std::to_string(id); });
   flushEndpoint(id, e, WorkStatus::Aborted);
   e.active = false;
   e.connected = false;
@@ -166,9 +189,12 @@ void NicDevice::configureConnection(ViEndpointId id, NodeId remoteNode,
   e.rtoBackoff = 1;
   e.rtoStrikes = 0;
   sim::trace(tracer_, engine_.now(), sim::TraceCategory::Connection, node_,
-             "configure vi=" + std::to_string(id) + " remote=" +
-                 std::to_string(remoteNode) + "/" + std::to_string(remoteVi) +
-                 " rel=" + toString(rel) + " epoch=" + std::to_string(epoch));
+             [&] {
+               return "configure vi=" + std::to_string(id) + " remote=" +
+                      std::to_string(remoteNode) + "/" +
+                      std::to_string(remoteVi) + " rel=" + toString(rel) +
+                      " epoch=" + std::to_string(epoch);
+             });
 }
 
 void NicDevice::teardownConnection(ViEndpointId id) {
@@ -176,7 +202,7 @@ void NicDevice::teardownConnection(ViEndpointId id) {
   // Trace before the flush so the Aborted completions it generates appear
   // after the teardown mark in the stream (invariant checkers rely on it).
   sim::trace(tracer_, engine_.now(), sim::TraceCategory::Connection, node_,
-             "teardown vi=" + std::to_string(id));
+             [&] { return "teardown vi=" + std::to_string(id); });
   flushEndpoint(id, e, WorkStatus::Aborted);
   e.connected = false;
 }
@@ -210,7 +236,10 @@ void NicDevice::breakConnection(ViEndpointId id, Endpoint& e, WorkStatus why) {
   e.broken = true;
   ++stats_.protocolErrors;
   sim::trace(tracer_, engine_.now(), sim::TraceCategory::Connection, node_,
-             "break vi=" + std::to_string(id) + " why=" + toString(why));
+             [&] {
+               return "break vi=" + std::to_string(id) + " why=" +
+                      toString(why);
+             });
   flushEndpoint(id, e, why);
   if (handlers_.connectionError) {
     engine_.post(0, [this, id, why] { handlers_.connectionError(id, why); });
@@ -220,16 +249,6 @@ void NicDevice::breakConnection(ViEndpointId id, Endpoint& e, WorkStatus why) {
 // ---------------------------------------------------------------------------
 // Send path
 // ---------------------------------------------------------------------------
-
-std::vector<std::byte> NicDevice::gather(const WorkRequest& wr) {
-  std::vector<std::byte> msg(wr.totalBytes());
-  std::uint64_t pos = 0;
-  for (const auto& seg : wr.segments) {
-    memory_.read(seg.addr, std::span<std::byte>(msg.data() + pos, seg.length));
-    pos += seg.length;
-  }
-  return msg;
-}
 
 sim::Duration NicDevice::translationCost(const std::vector<SegmentView>& segs) {
   sim::Duration total = 0;
@@ -259,7 +278,9 @@ sim::Duration NicDevice::translationCostRange(mem::VirtAddr va,
           dma_.acquire(engine_.now(), profile_.tlbMissCost);
           tlb_.insert(first + i);
           sim::trace(tracer_, engine_.now(), sim::TraceCategory::Translation,
-                     node_, "tlb miss page=" + std::to_string(first + i));
+                     node_, [&] {
+                       return "tlb miss page=" + std::to_string(first + i);
+                     });
         }
       }
       return total;
@@ -280,8 +301,10 @@ void NicDevice::postSend(ViEndpointId id, WorkRequest&& wr) {
   }
   ++stats_.sendsPosted;
   sim::trace(tracer_, engine_.now(), sim::TraceCategory::Doorbell, node_,
-             "post send vi=" + std::to_string(id) + " bytes=" +
-                 std::to_string(wr.totalBytes()));
+             [&] {
+               return "post send vi=" + std::to_string(id) + " bytes=" +
+                      std::to_string(wr.totalBytes());
+             });
   e.sendQ.push_back(std::move(wr));
   tryProcessSendQueue(id);
 }
@@ -367,8 +390,7 @@ void NicDevice::processSendWr(ViEndpointId id, Endpoint& e, WorkRequest wr) {
       discovery + profile_.nicPerMsgCost +
       profile_.nicPerSegCost * static_cast<sim::Duration>(wr.segments.size()) +
       translationCost(wr.segments);
-  launchFragments(id, e, wr, gather(wr), engine_.now(), firstExtra,
-                  /*viaNicPipeline=*/true, discovery);
+  launchFragments(id, e, wr, engine_.now(), firstExtra, discovery);
 }
 
 void NicDevice::processSendWrHostInline(ViEndpointId id, Endpoint& e,
@@ -377,7 +399,10 @@ void NicDevice::processSendWrHostInline(ViEndpointId id, Endpoint& e,
   // fragment, copy into pre-pinned kernel buffers, hand frames to a dumb
   // Ethernet NIC. The caller is blocked (and its CPU busy) throughout.
   e.txBusy = true;
-  const std::vector<std::byte> msg = gather(wr);
+  // The kernel copies the whole message at the trap: fragments sent after
+  // the caller's CPU time was charged still carry the bytes it posted.
+  std::vector<std::byte> msg(wr.totalBytes());
+  gatherRead(memory_, wr.segments, 0, msg);
   const std::uint64_t bytes = msg.size();
   const std::uint32_t frags = fragCountFor(bytes, e.mtu);
   const bool reliable = e.rel != Reliability::Unreliable;
@@ -449,13 +474,10 @@ void NicDevice::processSendWrHostInline(ViEndpointId id, Endpoint& e,
 }
 
 void NicDevice::launchFragments(ViEndpointId id, Endpoint& e,
-                                const WorkRequest& wr,
-                                std::vector<std::byte> message,
-                                sim::SimTime nicReady,
+                                const WorkRequest& wr, sim::SimTime nicReady,
                                 sim::Duration firstFragExtra,
-                                bool /*viaNicPipeline*/,
                                 sim::Duration doorbell) {
-  const std::uint64_t bytes = message.size();
+  const std::uint64_t bytes = wr.totalBytes();
   const std::uint32_t frags = fragCountFor(bytes, e.mtu);
   const bool reliable = e.rel != Reliability::Unreliable;
   const std::uint64_t msgSeq = e.txMsgSeq++;
@@ -499,19 +521,21 @@ void NicDevice::launchFragments(ViEndpointId id, Endpoint& e,
     p.fragSeq = ++e.txFragSeq;
     p.postedAt = wr.postedAt;
     lastFragSeq = p.fragSeq;
+    // Each fragment reads its bytes from host memory as the NIC builds
+    // it; nothing runs between fragments, so this equals a snapshot of
+    // the whole message at pickup.
     if (fragBytes > 0) {
-      p.payload.assign(
-          message.begin() + static_cast<std::ptrdiff_t>(off),
-          message.begin() + static_cast<std::ptrdiff_t>(off + fragBytes));
+      p.payload.resize(fragBytes);
+      gatherRead(memory_, wr.segments, off, p.payload);
     }
     if (reliable) {
       e.unacked.push_back(p);
-      e.lastFrag = p;
+      if (i + 1 == frags) e.lastFrag = p;
     }
-    sim::trace(tracer_, tDma, sim::TraceCategory::Wire, node_,
-               "frag " + std::to_string(i + 1) + "/" + std::to_string(frags) +
-                   " seq=" + std::to_string(p.fragSeq) + " vi=" +
-                   std::to_string(id));
+    sim::trace(tracer_, tDma, sim::TraceCategory::Wire, node_, [&] {
+      return "frag " + std::to_string(i + 1) + "/" + std::to_string(frags) +
+             " seq=" + std::to_string(p.fragSeq) + " vi=" + std::to_string(id);
+    });
     engine_.postAt(tDma,
                    [this, p = std::move(p)]() mutable { net_.send(std::move(p)); });
     ++stats_.fragsTx;
@@ -544,9 +568,10 @@ void NicDevice::handleRx(Packet&& p) {
     // exactly like a wire loss except that the receiving NIC observed it.
     // The reliability layer recovers through the normal RTO path.
     ++stats_.rxCorrupted;
-    sim::trace(tracer_, engine_.now(), sim::TraceCategory::Rx, node_,
-               "corrupt frame dropped seq=" + std::to_string(p.fragSeq) +
-                   " vi=" + std::to_string(p.dstVi));
+    sim::trace(tracer_, engine_.now(), sim::TraceCategory::Rx, node_, [&] {
+      return "corrupt frame dropped seq=" + std::to_string(p.fragSeq) +
+             " vi=" + std::to_string(p.dstVi);
+    });
     return;
   }
   switch (p.kind) {
@@ -578,9 +603,10 @@ void NicDevice::handleData(Packet&& p) {
   const ViEndpointId id = p.dstVi;
   ++stats_.fragsRx;
   stats_.bytesRx += p.payload.size();
-  sim::trace(tracer_, engine_.now(), sim::TraceCategory::Rx, node_,
-             "frag seq=" + std::to_string(p.fragSeq) + " msg=" +
-                 std::to_string(p.msgSeq) + " vi=" + std::to_string(id));
+  sim::trace(tracer_, engine_.now(), sim::TraceCategory::Rx, node_, [&] {
+    return "frag seq=" + std::to_string(p.fragSeq) + " msg=" +
+           std::to_string(p.msgSeq) + " vi=" + std::to_string(id);
+  });
 
   if (e.rel != Reliability::Unreliable) {
     if (p.fragSeq < e.rxNextFragSeq) {
@@ -813,9 +839,10 @@ void NicDevice::finishMessage(ViEndpointId id,
   if (eptr != nullptr && !r.discard) {
     // Delivery mark: on a reliable connection msgSeq is consecutive per VI
     // (the invariant checker verifies exactly-once in-order delivery).
-    sim::trace(tracer_, at, sim::TraceCategory::Rx, node_,
-               "deliver vi=" + std::to_string(id) + " msg=" +
-                   std::to_string(r.msgSeq) + " rel=" + toString(eptr->rel));
+    sim::trace(tracer_, at, sim::TraceCategory::Rx, node_, [&] {
+      return "deliver vi=" + std::to_string(id) + " msg=" +
+             std::to_string(r.msgSeq) + " rel=" + toString(eptr->rel);
+    });
   }
 
   if ((consumeRecv && r.haveDescriptor) || isReadResp) {
@@ -896,9 +923,11 @@ void NicDevice::handleAck(const Packet& p) {
     e.rtoBackoff = 1;
     e.rtoStrikes = 0;
     sim::trace(tracer_, engine_.now(), sim::TraceCategory::Reliability, node_,
-               "ack progress vi=" + std::to_string(p.dstVi) + " acked=" +
-                   std::to_string(e.ackedFragSeq) + " placed=" +
-                   std::to_string(e.placedFragSeq));
+               [&] {
+                 return "ack progress vi=" + std::to_string(p.dstVi) +
+                        " acked=" + std::to_string(e.ackedFragSeq) +
+                        " placed=" + std::to_string(e.placedFragSeq);
+               });
     drainAcked(p.dstVi, e);
   }
 }
@@ -948,14 +977,9 @@ void NicDevice::handleRdmaRead(Packet&& p) {
     breakConnection(p.dstVi, e, WorkStatus::ProtectionError);
     return;
   }
-  // Stream the response through the send pipeline. cookie==0 marks it as
-  // internal: launchFragments generates no local completion.
-  std::vector<std::byte> data(p.msgBytes);
-  memory_.read(p.remoteAddr, data);
-  WorkRequest resp;
-  resp.cookie = 0;
-
-  const std::uint64_t bytes = data.size();
+  // Stream the response through the send pipeline; it completes nothing
+  // locally. Each fragment reads its bytes from host memory as it is built.
+  const std::uint64_t bytes = p.msgBytes;
   const std::uint32_t frags = fragCountFor(bytes, e.mtu);
   const bool reliable = e.rel != Reliability::Unreliable;
   const std::uint64_t msgSeq = e.txMsgSeq++;
@@ -983,13 +1007,12 @@ void NicDevice::handleRdmaRead(Packet&& p) {
     out.conn.token = p.conn.token;
     out.fragSeq = ++e.txFragSeq;
     if (fragBytes > 0) {
-      out.payload.assign(
-          data.begin() + static_cast<std::ptrdiff_t>(off),
-          data.begin() + static_cast<std::ptrdiff_t>(off + fragBytes));
+      out.payload.resize(fragBytes);
+      memory_.read(p.remoteAddr + off, out.payload);
     }
     if (reliable) {
       e.unacked.push_back(out);
-      e.lastFrag = out;
+      if (i + 1 == frags) e.lastFrag = out;
     }
     engine_.postAt(tDma, [this, p = std::move(out)]() mutable {
       net_.send(std::move(p));
@@ -1031,8 +1054,10 @@ void NicDevice::onRto(ViEndpointId id) {
     // provider's error callback fires, so callers never hang on a
     // partition that outlasts the budget.
     sim::trace(tracer_, engine_.now(), sim::TraceCategory::Reliability, node_,
-               "retry budget exhausted vi=" + std::to_string(id) +
-                   " strikes=" + std::to_string(e.rtoStrikes - 1));
+               [&] {
+                 return "retry budget exhausted vi=" + std::to_string(id) +
+                        " strikes=" + std::to_string(e.rtoStrikes - 1);
+               });
     breakConnection(id, e, WorkStatus::ConnectionLost);
     return;
   }
@@ -1042,7 +1067,9 @@ void NicDevice::onRto(ViEndpointId id) {
       // probe by resending the last fragment; the duplicate triggers a
       // dup-ack carrying the receiver's current placement sequence.
       sim::trace(tracer_, engine_.now(), sim::TraceCategory::Reliability,
-                 node_, "RTO vi=" + std::to_string(id) + " probe retransmit");
+                 node_, [&] {
+                   return "RTO vi=" + std::to_string(id) + " probe retransmit";
+                 });
       const sim::SimTime tDma = dma_.acquire(
           engine_.now(), profile_.dmaTime(e.lastFrag->payload.size()));
       engine_.postAt(tDma, [this, p = Packet(*e.lastFrag)]() mutable {
@@ -1055,8 +1082,10 @@ void NicDevice::onRto(ViEndpointId id) {
   }
   // Go-back-N: replay the whole unacked window through the tx pipeline.
   sim::trace(tracer_, engine_.now(), sim::TraceCategory::Reliability, node_,
-             "RTO vi=" + std::to_string(id) + " retransmit " +
-                 std::to_string(e.unacked.size()) + " frags");
+             [&] {
+               return "RTO vi=" + std::to_string(id) + " retransmit " +
+                      std::to_string(e.unacked.size()) + " frags";
+             });
   sim::SimTime ready = engine_.now();
   for (const Packet& stored : e.unacked) {
     const sim::SimTime tProc = nicProc_.acquire(ready, profile_.nicPerFragCost);

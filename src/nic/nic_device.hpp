@@ -202,11 +202,9 @@ class NicDevice {
   void processSendWrHostInline(ViEndpointId id, Endpoint& e, WorkRequest wr);
   sim::Duration translationCost(const std::vector<SegmentView>& segs);
   sim::Duration translationCostRange(mem::VirtAddr va, std::uint64_t len);
-  std::vector<std::byte> gather(const WorkRequest& wr);
   void launchFragments(ViEndpointId id, Endpoint& e, const WorkRequest& wr,
-                       std::vector<std::byte> message, sim::SimTime nicReady,
-                       sim::Duration firstFragExtra, bool viaNicPipeline,
-                       sim::Duration doorbell = 0);
+                       sim::SimTime nicReady, sim::Duration firstFragExtra,
+                       sim::Duration doorbell);
 
   // Receive machinery.
   void handleRx(Packet&& p);

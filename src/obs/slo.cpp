@@ -94,10 +94,11 @@ void SloMonitor::sample(sim::SimTime t) {
     if (nowOver != over_) {
       ++crossings_;
       over_ = nowOver;
-      sim::trace(tracer_, t, sim::TraceCategory::User, component_,
-                 "slo " + name_ + (nowOver ? " breach" : " recover") +
-                     " p99_ns=" + std::to_string(w.p99) +
-                     " threshold_ns=" + std::to_string(thresholdNs_));
+      sim::trace(tracer_, t, sim::TraceCategory::User, component_, [&] {
+        return "slo " + name_ + (nowOver ? " breach" : " recover") +
+               " p99_ns=" + std::to_string(w.p99) +
+               " threshold_ns=" + std::to_string(thresholdNs_);
+      });
     }
   }
 

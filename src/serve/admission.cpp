@@ -33,16 +33,17 @@ void AdmissionQueue::bump(std::uint64_t AdmissionStats::* field,
 void AdmissionQueue::onShed(const char* reason, sim::SimTime now) {
   if (shedding_) return;
   shedding_ = true;
-  sim::trace(tracer_, now, sim::TraceCategory::User, component_,
-             std::string("serve shed ") + reason +
-                 " depth=" + std::to_string(q_.size()));
+  sim::trace(tracer_, now, sim::TraceCategory::User, component_, [&] {
+    return std::string("serve shed ") + reason +
+           " depth=" + std::to_string(q_.size());
+  });
 }
 
 void AdmissionQueue::maybeRecover(sim::SimTime now) {
   if (!shedding_ || !q_.empty()) return;
   shedding_ = false;
   sim::trace(tracer_, now, sim::TraceCategory::User, component_,
-             "serve recover");
+             [] { return std::string("serve recover"); });
 }
 
 void AdmissionQueue::refill(sim::SimTime now) {

@@ -122,9 +122,11 @@ sim::Process& Session::self() const {
   return *p;
 }
 
-void Session::traceRec(std::string msg) const {
+template <typename... Args>
+void Session::traceRec(const char* format, Args... args) const {
   sim::trace(nic_.device().tracer(), engine_.now(),
-             sim::TraceCategory::Session, nic_.nodeId(), std::move(msg));
+             sim::TraceCategory::Session, nic_.nodeId(),
+             [&] { return fmt(format, args...); });
 }
 
 obs::Counter* Session::counter(const char* name) const {
@@ -181,7 +183,7 @@ bool Session::reopen() {
   }
   ++stats_.reopens;
   if (obs::Counter* c = counter("session.reopened")) c->add();
-  traceRec(fmt("reopen sid=%u", cfg_.sid));
+  traceRec("reopen sid=%u", cfg_.sid);
   // downAt_ still marks the original break, so a successful revival's
   // MTTR covers the whole outage including the Down dwell.
   state_ = SessionState::Recovering;
@@ -192,7 +194,7 @@ void Session::markBroken() {
   if (state_ != SessionState::Established) return;
   downAt_ = engine_.now();
   state_ = SessionState::Recovering;
-  traceRec(fmt("down sid=%u epoch=%u", cfg_.sid, vi_->epoch()));
+  traceRec("down sid=%u epoch=%u", cfg_.sid, vi_->epoch());
 }
 
 bool Session::connectLoop() {
@@ -209,7 +211,7 @@ bool Session::connectLoop() {
     }
   }
   state_ = SessionState::Down;
-  traceRec(fmt("halt sid=%u attempts=%u", cfg_.sid, attempt));
+  traceRec("halt sid=%u attempts=%u", cfg_.sid, attempt);
   if (obs::Counter* c = counter("session.halted")) c->add();
   recvSignal_.notifyAll();
   return false;
@@ -333,8 +335,8 @@ bool Session::helloExchange() {
   if (replayed > 0) {
     stats_.replayed += replayed;
     if (obs::Counter* c = counter("session.replayed")) c->add(replayed);
-    traceRec(fmt("replay sid=%u epoch=%u n=%llu", cfg_.sid, vi_->epoch(),
-                 static_cast<unsigned long long>(replayed)));
+    traceRec("replay sid=%u epoch=%u n=%llu", cfg_.sid, vi_->epoch(),
+             static_cast<unsigned long long>(replayed));
   }
   return true;
 }
@@ -357,15 +359,15 @@ void Session::onEstablished(std::uint32_t attempts) {
                        static_cast<std::uint32_t>(vi_->endpointId()), downAt_,
                        engine_.now());
     }
-    traceRec(fmt("up sid=%u epoch=%u mttr_us=%llu attempts=%u", cfg_.sid,
-                 vi_->epoch(),
-                 static_cast<unsigned long long>(
-                     mttr / sim::kMicrosecond),
-                 attempts));
+    traceRec("up sid=%u epoch=%u mttr_us=%llu attempts=%u", cfg_.sid,
+             vi_->epoch(),
+             static_cast<unsigned long long>(
+                 mttr / sim::kMicrosecond),
+             attempts);
   } else {
     wasEstablished_ = true;
-    traceRec(fmt("open sid=%u epoch=%u attempts=%u", cfg_.sid, vi_->epoch(),
-                 attempts));
+    traceRec("open sid=%u epoch=%u attempts=%u", cfg_.sid, vi_->epoch(),
+             attempts);
   }
   pump();
 }
@@ -401,8 +403,8 @@ bool Session::send(std::span<const std::byte> msg) {
   replay_.push_back(std::move(o));
   ++stats_.sent;
   if (obs::Counter* c = counter("session.sent")) c->add();
-  traceRec(fmt("send sid=%u dst=%u seq=%llu", cfg_.sid, cfg_.remoteNode,
-               static_cast<unsigned long long>(nextSeq_ - 1)));
+  traceRec("send sid=%u dst=%u seq=%llu", cfg_.sid, cfg_.remoteNode,
+           static_cast<unsigned long long>(nextSeq_ - 1));
   if (state_ == SessionState::Established) {
     drainSendCompletions();
     pump();
@@ -508,30 +510,30 @@ void Session::onRecvInterrupt(vipl::VipDescriptor* d, std::uint64_t gen) {
       if (h.epoch != vi_->remoteEpoch()) {
         ++stats_.staleDropped;
         if (obs::Counter* c = counter("session.stale")) c->add();
-        traceRec(fmt("stale sid=%u src=%u epoch=%u seq=%llu", cfg_.sid,
-                     cfg_.remoteNode, h.epoch,
-                     static_cast<unsigned long long>(h.seq)));
+        traceRec("stale sid=%u src=%u epoch=%u seq=%llu", cfg_.sid,
+                 cfg_.remoteNode, h.epoch,
+                 static_cast<unsigned long long>(h.seq));
       } else if (h.seq <= rxDelivered_) {
         ++stats_.deduped;
         if (obs::Counter* c = counter("session.deduped")) c->add();
-        traceRec(fmt("dedup sid=%u src=%u seq=%llu", cfg_.sid,
-                     cfg_.remoteNode,
-                     static_cast<unsigned long long>(h.seq)));
+        traceRec("dedup sid=%u src=%u seq=%llu", cfg_.sid,
+                 cfg_.remoteNode,
+                 static_cast<unsigned long long>(h.seq));
       } else if (h.seq == rxDelivered_ + 1) {
         rxDelivered_ = h.seq;
         ++stats_.delivered;
         if (obs::Counter* c = counter("session.delivered")) c->add();
         inbox_.emplace_back(frame.begin() + kHeaderBytes, frame.end());
-        traceRec(fmt("deliver sid=%u src=%u seq=%llu", cfg_.sid,
-                     cfg_.remoteNode,
-                     static_cast<unsigned long long>(h.seq)));
+        traceRec("deliver sid=%u src=%u seq=%llu", cfg_.sid,
+                 cfg_.remoteNode,
+                 static_cast<unsigned long long>(h.seq));
       } else {
         // Impossible under in-order reliable reception; surfaced so the
         // invariant checker fails the run instead of silently losing data.
-        traceRec(fmt("gap sid=%u src=%u seq=%llu expected=%llu", cfg_.sid,
-                     cfg_.remoteNode,
-                     static_cast<unsigned long long>(h.seq),
-                     static_cast<unsigned long long>(rxDelivered_ + 1)));
+        traceRec("gap sid=%u src=%u seq=%llu expected=%llu", cfg_.sid,
+                 cfg_.remoteNode,
+                 static_cast<unsigned long long>(h.seq),
+                 static_cast<unsigned long long>(rxDelivered_ + 1));
       }
     }
   }

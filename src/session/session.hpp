@@ -199,7 +199,10 @@ class Session {
 
   // -- plumbing --
   sim::Process& self() const;
-  void traceRec(std::string msg) const;
+  /// Records a Session trace line; the printf-style text is formatted
+  /// only for an attached tracer with the Session category enabled.
+  template <typename... Args>
+  void traceRec(const char* format, Args... args) const;
   mem::VirtAddr sendSlotVa(std::size_t i) const;
   mem::VirtAddr helloVa() const;
   mem::VirtAddr ringVa(std::size_t i) const;

@@ -61,6 +61,7 @@ void Tracer::record(SimTime time, TraceCategory c, std::uint32_t component,
   digest_ = fnv1aValue(digest_, static_cast<std::uint32_t>(message.size()));
   TraceRecord rec{time, c, component, std::move(message)};
   if (sink_) sink_(rec);
+  if (capacity_ == 0) return;
   if (ring_.size() < capacity_) {
     ring_.push_back(std::move(rec));
   } else {

@@ -1,11 +1,12 @@
 // Lightweight event tracing for the simulator.
 //
 // A Tracer records (time, category, component, message) tuples into a
-// bounded ring buffer; recording is O(1) and allocation-free on the hot
-// path once the ring is warm. Categories can be enabled per-run to debug
-// a single subsystem (e.g. only reliability retransmissions) without
-// drowning in doorbell noise. The NIC models and the provider emit trace
-// points when a Tracer is attached; by default nothing is recorded.
+// bounded ring buffer; recording is O(1) once the ring is warm. Categories
+// can be enabled per-run to debug a single subsystem (e.g. only
+// reliability retransmissions) without drowning in doorbell noise. The NIC
+// models and the provider emit trace points through sim::trace, which
+// builds a point's message text only when a Tracer is attached and the
+// point's category is enabled; by default nothing is built or recorded.
 #pragma once
 
 #include <array>
@@ -13,6 +14,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "simcore/time.hpp"
@@ -50,7 +52,9 @@ class Tracer {
   /// in record order, including records later overwritten by the ring.
   using Sink = std::function<void(const TraceRecord&)>;
 
-  /// `capacity`: ring size; the newest records win.
+  /// `capacity`: ring size; the newest records win. Capacity 0 keeps no
+  /// records: the digest, totalRecorded() and the sink still see every
+  /// record, while snapshot() and dump() return empty.
   explicit Tracer(std::size_t capacity = 4096);
 
   /// Enables one category (all start disabled).
@@ -109,12 +113,17 @@ class Tracer {
   Sink sink_;
 };
 
-/// Convenience: record into an optional tracer (no-op when null).
-inline void trace(Tracer* t, SimTime time, TraceCategory c,
-                  std::uint32_t component, std::string message) {
-  if (t != nullptr && t->enabled(c)) {
-    t->record(time, c, component, std::move(message));
-  }
+/// Records into an optional tracer. `build` returns the message text and
+/// runs only when `t` is non-null and `c` is enabled, so a detached or
+/// filtered trace point formats and allocates nothing:
+///
+///   sim::trace(tracer_, now, TraceCategory::Rx, node_,
+///              [&] { return "frag seq=" + std::to_string(seq); });
+template <typename Build>
+  requires std::is_invocable_r_v<std::string, Build&>
+void trace(Tracer* t, SimTime time, TraceCategory c, std::uint32_t component,
+           Build&& build) {
+  if (t != nullptr && t->enabled(c)) t->record(time, c, component, build());
 }
 
 }  // namespace vibe::sim

@@ -252,11 +252,12 @@ void Cluster::setTracer(sim::Tracer* tracer) {
   }
   // Per-node shadows record everything (the user tracer's enablement is
   // applied at replay, so late enable() calls still work) into per-node
-  // logs that stay single-writer inside the node's domain.
+  // logs that stay single-writer inside the node's domain. Only the sink
+  // is read, so the shadows keep no ring.
   shadowTraceLogs_.assign(config_.nodes, {});
   shadowTracers_.reserve(config_.nodes);
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
-    auto shadow = std::make_unique<sim::Tracer>(/*capacity=*/1);
+    auto shadow = std::make_unique<sim::Tracer>(/*capacity=*/0);
     shadow->enableAll();
     auto* log = &shadowTraceLogs_[n];
     shadow->setSink([log](const sim::TraceRecord& r) { log->push_back(r); });
