@@ -99,13 +99,13 @@ void sloTimeline() {
 
   obs::Histogram latency;
   obs::TimeSeriesSampler sampler;
+  sampler.setPeriod(period);
   obs::SloMonitor slo("rpc_call", latency);
   slo.setThresholdNs(thresholdNs);
 
   suite::ClusterConfig cc = clusterFor(nic::clanProfile(), clients + 1);
   cc.fatTreeK = 16;
   cc.sampler = &sampler;
-  cc.samplePeriod = period;
   suite::Cluster cluster(cc);
   slo.bindTo(sampler);
 
@@ -146,7 +146,7 @@ void sloTimeline() {
       "slo rpc_call: threshold p99 <= %llu us, target %.2f, crossings %llu, "
       "breached at exit: %s\n",
       static_cast<unsigned long long>(thresholdNs / 1000), slo.target(),
-      static_cast<unsigned long long>(slo.crossings()),
+      static_cast<unsigned long long>(slo.crossingCount()),
       slo.breached() ? "yes" : "no");
   std::printf(
       "Each window diffs the cumulative call-latency histogram at a fixed\n"

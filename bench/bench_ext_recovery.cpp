@@ -72,8 +72,6 @@ fault::FaultPlan partitionPlan(int count, sim::SimTime start,
 Episode runEpisode(const nic::NicProfile& profile,
                    const harness::PointEnv& penv,
                    obs::TraceJsonExporter* exporter = nullptr) {
-  Cluster cluster(clusterFor(profile, 2, penv));
-
   obs::SpanProfiler spans;
   spans.setKeepEvents(true);
 
@@ -88,7 +86,9 @@ Episode runEpisode(const nic::NicProfile& profile,
       downAt = rec.time;
     }
   });
-  cluster.setTracer(&tracer);
+  suite::ClusterConfig cc = clusterFor(profile, 2, penv);
+  cc.tracer = &tracer;
+  Cluster cluster(cc);
 
   fault::FaultInjector injector(partitionPlan(1, kPartStart, kPartDur, 0));
   injector.arm(cluster);

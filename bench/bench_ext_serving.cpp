@@ -144,12 +144,9 @@ RunResult runServing(const RunConfig& rc, const harness::PointEnv* penv,
                                 : clusterFor(rc.profile, nodes);
   cc.fatTreeK = rc.fatTreeK;
   cc.simShards = rc.simShards;
-  if (sampler != nullptr) {
-    cc.sampler = sampler;
-    cc.samplePeriod = sim::msec(5);
-  }
+  cc.tracer = tracer;
+  cc.sampler = sampler;
   Cluster cluster(cc);
-  if (tracer != nullptr) cluster.setTracer(tracer);
   std::optional<fault::FaultInjector> injector;
   if (rc.churn != nullptr) {
     injector.emplace(*rc.churn);
@@ -476,6 +473,7 @@ int run(int argc, char** argv) {
   {
     obs::Histogram lat;
     obs::TimeSeriesSampler sampler;
+    sampler.setPeriod(sim::msec(5));
     obs::SloMonitor slo("serve_latency", lat);
     slo.setThresholdNs(static_cast<std::uint64_t>(sim::msec(2)));
     sim::Tracer tracer(4096);

@@ -201,8 +201,8 @@ bench::MetricGroup runAttributedPingPong() {
     // Counter tracks ride along with the span stream: NIC/fabric queue
     // depths sampled every 50 us of virtual time render as ph:"C" tracks
     // above the spans in the Perfetto UI.
+    sampler.setPeriod(sim::usec(50));
     cc.sampler = &sampler;
-    cc.samplePeriod = sim::usec(50);
   }
   suite::TransferConfig cfg;
   cfg.msgBytes = 64;

@@ -470,11 +470,6 @@ Link& Topology::fabricLink(std::size_t i) {
   return *fabricLinks_[i];
 }
 
-void Topology::setSpanProfiler(obs::SpanProfiler* spans) {
-  for (auto& [l, d] : linkDomains_) l->setSpanProfiler(spans);
-  for (auto& s : switches_) s->setSpanProfiler(spans);
-}
-
 void Topology::setDomainSpanProfilers(
     const std::vector<obs::SpanProfiler*>& byDomain) {
   if (byDomain.size() != domainCount_) {

@@ -240,16 +240,13 @@ class Topology {
   /// be a valid host other than the source (no loopback on the wire).
   void send(Packet&& p);
 
-  /// Attaches one span profiler to every link and switch hop, so Wire
-  /// spans tile the whole wire interval (host link, each switch hop, each
-  /// inter-switch link). nullptr detaches. With more than one shard use
-  /// setDomainSpanProfilers: an emit must stay inside its domain.
-  void setSpanProfiler(obs::SpanProfiler* spans);
-
-  /// One profiler per domain (indexed by domain id; size must equal
-  /// domainCount()). Each link and switch attaches its owning domain's
-  /// profiler, so every emit is domain-local and the per-domain profilers
-  /// can be merged deterministically after the run.
+  /// Attaches span profilers to every link and switch hop, so Wire spans
+  /// tile the whole wire interval (host link, each switch hop, each
+  /// inter-switch link). One profiler per domain (indexed by domain id;
+  /// size must equal domainCount(), so a one-domain topology takes one):
+  /// each link and switch attaches its owning domain's profiler, so every
+  /// emit is domain-local and the per-domain profilers can be merged
+  /// deterministically after the run. nullptr entries detach.
   void setDomainSpanProfilers(const std::vector<obs::SpanProfiler*>& byDomain);
 
   // Link accessors, exposed for fault injection and utilization stats.

@@ -9,7 +9,6 @@ namespace vibe::fault {
 void FaultInjector::arm(suite::Cluster& cluster) {
   if (armed_) throw sim::SimError("FaultInjector::arm called twice");
   armed_ = true;
-  cluster.attachFaultInjector(this);
   for (const FaultAction& a : plan_.actions) {
     if (a.target == FaultTarget::Trunk) {
       const std::uint32_t trunks = cluster.topology().trunkCount();

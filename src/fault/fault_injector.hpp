@@ -24,10 +24,10 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
   bool armed() const { return armed_; }
 
-  /// Schedules every action of the plan onto `cluster`'s links and
-  /// registers this injector with the cluster. Call once, before
-  /// Cluster::run. If a tracer is attached, each action is recorded as a
-  /// User mark (stamped with its window-open time) for log context.
+  /// Schedules every action of the plan onto `cluster`'s links. Call
+  /// once, before Cluster::run. If the cluster's config carries a tracer,
+  /// each action is recorded into it as a User mark (stamped with its
+  /// window-open time) for log context.
   void arm(suite::Cluster& cluster);
 
  private:

@@ -351,7 +351,7 @@ void NicDevice::tryProcessSendQueue(ViEndpointId id) {
       if (reliable) armRto(id, *e);
       continue;
     }
-    if (profile_.hostInlineSendProcessing) {
+    if (profile_.pickup == DescriptorPickup::HostInline) {
       processSendWrHostInline(id, *e, std::move(wr));
       // advance() may have run events that mutated the endpoint table.
       e = epIfActive(id);

@@ -47,7 +47,7 @@ struct NicProfile {
   sim::Duration blockingWakeupCost = sim::usec(4);  // schedule-in after wait
 
   // --- host kernel data path (M-VIA style; 0/false elsewhere) ---
-  bool hostInlineSendProcessing = false;  // send processed in doorbell trap
+  // (pickup == HostInline runs the send path in the doorbell trap.)
   double hostCopyMBps = 0.0;              // user<->kernel copy bandwidth
   sim::Duration hostPerFragCost = 0;      // kernel per-fragment overhead (tx)
   bool hostRxProcessing = false;          // RX needs kernel ISR + copy

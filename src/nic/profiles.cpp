@@ -22,7 +22,6 @@ NicProfile mviaProfile() {
   p.blockingWakeupCost = usec(6);
 
   // Kernel-emulated data path: copy + per-frame protocol work on the host.
-  p.hostInlineSendProcessing = true;
   p.hostCopyMBps = 230.0;  // PII-300 SDRAM memcpy
   p.hostPerFragCost = usec(5.5);
   p.hostRxProcessing = true;
@@ -88,7 +87,6 @@ NicProfile bviaProfile() {
   p.pollCost = usec(0.08);
   p.blockingWakeupCost = usec(8);
 
-  p.hostInlineSendProcessing = false;
   p.hostCopyMBps = 0;
   p.hostRxProcessing = false;
 
@@ -158,7 +156,6 @@ NicProfile clanProfile() {
   p.pollCost = usec(0.08);
   p.blockingWakeupCost = usec(6);
 
-  p.hostInlineSendProcessing = false;
   p.hostCopyMBps = 0;
   p.hostRxProcessing = false;
 
@@ -221,7 +218,6 @@ NicProfile firmviaProfile() {
   p.pollCost = usec(0.08);
   p.blockingWakeupCost = usec(7);
 
-  p.hostInlineSendProcessing = false;
   p.hostCopyMBps = 0;
   p.hostRxProcessing = false;
 

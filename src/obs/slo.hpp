@@ -65,10 +65,11 @@ class SloMonitor {
     component_ = component;
   }
 
-  /// Registers sample() as a window hook plus p50/p99/p99.9/p99.99/burn
-  /// series
-  /// on the sampler, so the monitor runs in lockstep with the sampler
-  /// cadence and its stats land in the same CSV / counter tracks.
+  /// Registers five probes on the sampler: <name>/p50_ns (which calls
+  /// sample() for the boundary), then p99_ns, p999_ns, p9999_ns and
+  /// burn_rate reading that window, so the monitor runs in lockstep with
+  /// the sampler cadence and its stats land in the same CSV / counter
+  /// tracks.
   void bindTo(TimeSeriesSampler& sampler);
 
   /// Computes one window from the histogram delta since the last call.
@@ -77,7 +78,6 @@ class SloMonitor {
   const std::deque<Window>& windows() const { return windows_; }
   const Window& lastWindow() const { return windows_.back(); }
   /// Total threshold crossings (each direction counts one).
-  std::uint64_t crossings() const { return crossings_; }
   std::uint64_t crossingCount() const { return crossings_; }
   /// True while the most recent window's p99 exceeds the threshold.
   bool breached() const { return over_; }

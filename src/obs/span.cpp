@@ -40,27 +40,6 @@ void SpanProfiler::emit(Stage stage, std::uint32_t node, std::uint32_t vi,
   }
 }
 
-void SpanProfiler::beginSpan(Stage stage, std::uint32_t node,
-                             std::uint32_t vi, sim::SimTime now) {
-  open_[{static_cast<std::uint8_t>(stage), node, vi}].push_back(now);
-  ++openSpans_;
-}
-
-bool SpanProfiler::endSpan(Stage stage, std::uint32_t node, std::uint32_t vi,
-                           sim::SimTime now, std::uint64_t bytes) {
-  const auto it = open_.find({static_cast<std::uint8_t>(stage), node, vi});
-  if (it == open_.end() || it->second.empty()) {
-    ++mismatches_;
-    return false;
-  }
-  const sim::SimTime begin = it->second.back();
-  it->second.pop_back();
-  if (it->second.empty()) open_.erase(it);
-  --openSpans_;
-  emit(stage, node, vi, begin, now, bytes);
-  return true;
-}
-
 std::size_t SpanProfiler::messageCount() const {
   // The EndToEnd span is emitted once per delivered message; when it is
   // absent (e.g. only the send side was instrumented), fall back to the
@@ -121,10 +100,7 @@ std::string SpanProfiler::renderAttribution() const {
        << e2e.quantile(0.99) / 1e3 << " us over " << e2e.count()
        << " messages\n";
   }
-  if (mismatches_ > 0 || openSpans_ > 0) {
-    os << "  (" << mismatches_ << " mismatched, " << openSpans_
-       << " still open)\n";
-  }
+  if (mismatches_ > 0) os << "  (" << mismatches_ << " mismatched)\n";
   return os.str();
 }
 
@@ -145,14 +121,12 @@ void SpanProfiler::mergeFrom(const SpanProfiler& other) {
     }
   }
   totalSpans_ += other.totalSpans_;
-  mismatches_ += other.mismatches_ + other.openSpans_;
+  mismatches_ += other.mismatches_;
   eventsDropped_ += other.eventsDropped_;
 }
 
 void SpanProfiler::clear() {
   for (auto& h : byStage_) h.clear();
-  open_.clear();
-  openSpans_ = 0;
   events_.clear();
   totalSpans_ = 0;
   mismatches_ = 0;

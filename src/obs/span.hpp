@@ -12,9 +12,7 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -73,20 +71,8 @@ class SpanProfiler {
   void emit(Stage stage, std::uint32_t node, std::uint32_t vi,
             sim::SimTime begin, sim::SimTime end, std::uint64_t bytes = 0);
 
-  // Scoped begin/end API for call sites that bracket work instead of
-  // computing both times up front. Spans nest per (stage, node, vi):
-  // begin/begin/end/end attributes the inner and outer spans separately.
-  void beginSpan(Stage stage, std::uint32_t node, std::uint32_t vi,
-                 sim::SimTime now);
-  /// Closes the innermost open span for the key. Returns false (and counts
-  /// a mismatch) if none is open.
-  bool endSpan(Stage stage, std::uint32_t node, std::uint32_t vi,
-               sim::SimTime now, std::uint64_t bytes = 0);
-
-  /// endSpan calls with no matching beginSpan + malformed emit calls.
+  /// Malformed emit calls.
   std::uint64_t mismatchCount() const { return mismatches_; }
-  /// Spans begun but never ended (leaks at inspection time).
-  std::size_t openSpanCount() const { return openSpans_; }
 
   const Histogram& stage(Stage s) const {
     return byStage_.at(static_cast<std::size_t>(s));
@@ -115,17 +101,11 @@ class SpanProfiler {
   /// Merges another profiler into this one: per-stage histograms merge,
   /// retained events concatenate in the other's recorded order (call in
   /// shard order so the combined buffer is schedule-independent), and the
-  /// span/mismatch/drop counters add. Open spans do not transfer — a
-  /// shard must close its spans before being merged, and any still-open
-  /// ones count as mismatches in the destination.
+  /// span/mismatch/drop counters add.
   void mergeFrom(const SpanProfiler& other);
 
  private:
-  using Key = std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>;
-
   std::array<Histogram, static_cast<std::size_t>(Stage::kCount)> byStage_;
-  std::map<Key, std::vector<sim::SimTime>> open_;
-  std::size_t openSpans_ = 0;
   std::vector<SpanEvent> events_;
   std::size_t maxEvents_;
   bool keepEvents_ = false;

@@ -26,58 +26,6 @@ std::size_t TimeSeriesSampler::addProbe(std::string name, Probe probe) {
   return names_.size() - 1;
 }
 
-std::size_t TimeSeriesSampler::addCounter(std::string name, const Counter& c) {
-  return addProbe(std::move(name), [&c](sim::SimTime) {
-    return static_cast<double>(c.value());
-  });
-}
-
-std::size_t TimeSeriesSampler::addGauge(std::string name, const Gauge& g) {
-  return addProbe(std::move(name), [&g](sim::SimTime) { return g.value(); });
-}
-
-std::size_t TimeSeriesSampler::addHistogramQuantile(std::string name,
-                                                    const Histogram& h,
-                                                    double q) {
-  return addProbe(std::move(name),
-                  [&h, q](sim::SimTime) { return h.quantile(q); });
-}
-
-void TimeSeriesSampler::addWindowHook(std::function<void(sim::SimTime)> hook) {
-  if (!hook) throw sim::SimError("TimeSeriesSampler: null window hook");
-  hooks_.push_back(std::move(hook));
-}
-
-void TimeSeriesSampler::attach(sim::Engine& engine) {
-  if (period_ <= 0) {
-    throw sim::SimError(
-        "TimeSeriesSampler::attach: setPeriod() must be called first");
-  }
-  if (engine_ != nullptr) {
-    throw sim::SimError("TimeSeriesSampler::attach: already attached");
-  }
-  engine_ = &engine;
-  // First boundary: the next multiple of the period strictly after now,
-  // so boundaries are absolute-time aligned and re-attaching after a
-  // pause resumes the same grid.
-  const sim::SimTime now = engine.now();
-  nextDue_ = (now / period_ + 1) * period_;
-  engine.setTimeObserver(this);
-}
-
-void TimeSeriesSampler::detach() {
-  if (engine_ == nullptr) return;
-  if (engine_->timeObserver() == this) engine_->setTimeObserver(nullptr);
-  engine_ = nullptr;
-}
-
-void TimeSeriesSampler::onTimeAdvance(sim::SimTime now) {
-  while (now >= nextDue_) {
-    capture(nextDue_);
-    nextDue_ += period_;
-  }
-}
-
 void TimeSeriesSampler::flushUntil(sim::SimTime now) {
   if (period_ <= 0) return;
   if (nextDue_ == 0) nextDue_ = period_;
@@ -98,7 +46,6 @@ void TimeSeriesSampler::capture(sim::SimTime at) {
   }
   times_.push_back(at);
   rows_.push_back(std::move(row));
-  for (auto& hook : hooks_) hook(at);
 }
 
 std::string TimeSeriesSampler::renderCsv() const {

@@ -1,7 +1,6 @@
 #include "simcore/engine.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "simcore/process.hpp"
@@ -107,10 +106,7 @@ std::uint64_t Engine::dispatchThrough(SimTime last) {
       --staleInHeap_;
       continue;
     }
-    if (h.time != now_) {
-      now_ = h.time;
-      if (observer_ != nullptr) observer_->onTimeAdvance(now_);
-    }
+    now_ = h.time;
     ++executed_;
     --live_;
     EventFn fn = std::move(s.fn);
@@ -133,16 +129,7 @@ SimTime Engine::nextEventTime() {
 }
 
 void Engine::advanceTo(SimTime t) {
-  if (t <= now_) return;
-  now_ = t;
-  if (observer_ != nullptr) observer_->onTimeAdvance(now_);
-}
-
-bool Engine::hasBlockedProcesses() const {
-  for (const Process* p : processes_) {
-    if (p->blocked()) return true;
-  }
-  return false;
+  if (t > now_) now_ = t;
 }
 
 std::string Engine::blockedProcessNames() const {
@@ -156,18 +143,11 @@ std::string Engine::blockedProcessNames() const {
 }
 
 void Engine::checkDeadlock() const {
-  std::ostringstream stuck;
-  bool any = false;
-  for (const Process* p : processes_) {
-    if (p->blocked()) {
-      stuck << (any ? ", " : "") << p->name();
-      any = true;
-    }
-  }
-  if (any) {
+  const std::string stuck = blockedProcessNames();
+  if (!stuck.empty()) {
     throw DeadlockError(
         "simulation deadlock: event queue empty but processes blocked: " +
-        stuck.str());
+        stuck);
   }
 }
 

@@ -49,19 +49,6 @@ class DeadlockError : public SimError {
   using SimError::SimError;
 };
 
-/// Observer of virtual-time advancement. The run loop invokes
-/// onTimeAdvance(now) whenever now() moves to a new timestamp, BEFORE the
-/// first event at that timestamp executes — so the observer sees the
-/// simulation state with every event strictly before `now` applied,
-/// which is what makes sampling at window boundaries deterministic.
-/// Observers must not post events or otherwise mutate simulation state;
-/// they read (counters, queue depths) and record.
-class TimeObserver {
- public:
-  virtual ~TimeObserver() = default;
-  virtual void onTimeAdvance(SimTime now) = 0;
-};
-
 class Engine {
  public:
   Engine() = default;
@@ -120,15 +107,13 @@ class Engine {
   /// stale (cancelled) handles off the top of the heap as it looks.
   SimTime nextEventTime();
 
-  /// Advances now() to `t`, firing the time observer; no-op when t <=
-  /// now(). ShardedEngine::runUntil uses this to land the clock on the
-  /// horizon.
+  /// Advances now() to `t`; no-op when t <= now(). ShardedEngine::runUntil
+  /// uses this to land the clock on the horizon.
   void advanceTo(SimTime t);
 
   /// Windowed-mode guard (see block comment above). Toggling it changes
   /// nothing until postAt/cancel are called outside an open window.
   void setWindowedMode(bool on) { windowed_ = on; }
-  bool windowedMode() const { return windowed_; }
 
   /// postAt bypassing the windowed guard: the ShardedEngine outbox merge
   /// runs between windows (single-threaded, in the completion step) and
@@ -137,11 +122,9 @@ class Engine {
     return postAtImpl(t, std::move(fn));
   }
 
-  /// True when any registered process is blocked on a signal. A
-  /// ShardedEngine run uses these for the global drain-time deadlock
-  /// check; `Names` joins the blocked names with ", " for the error
-  /// message.
-  bool hasBlockedProcesses() const;
+  /// The names of the processes blocked on a signal, joined with ", "
+  /// (empty when none is). run() and a ShardedEngine run build their
+  /// drain-time deadlock message from it.
   std::string blockedProcessNames() const;
 
   /// The process currently executing, or nullptr when the engine itself
@@ -151,12 +134,6 @@ class Engine {
 
   /// Total events executed so far (diagnostics / gbench).
   std::uint64_t executedEvents() const { return executed_; }
-
-  /// Attaches a time observer (nullptr detaches). Null by default and the
-  /// only cost when detached is one pointer test per executed event, so
-  /// the data path stays byte-identical with observability off.
-  void setTimeObserver(TimeObserver* observer) { observer_ = observer; }
-  TimeObserver* timeObserver() const { return observer_; }
 
   /// --- Introspection for tests and diagnostics ---
 
@@ -252,7 +229,6 @@ class Engine {
   SimTime now_ = 0;
   std::uint64_t nextSeq_ = 1;
   std::uint64_t executed_ = 0;
-  TimeObserver* observer_ = nullptr;
 
   std::vector<Handle> heap_;
   std::vector<std::unique_ptr<Slot[]>> slabs_;

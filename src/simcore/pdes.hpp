@@ -153,11 +153,13 @@ class ShardedEngine {
   /// Sampling support: clamps every window end to the next multiple of
   /// `period` and invokes `flush(T)` at each window start T from the
   /// single-threaded completion step — every event strictly before T has
-  /// executed, none at or after T has, so `flush` may read any domain's
-  /// state and sees exactly what a serial TimeObserver would at
-  /// boundaries <= T. The hook cannot post into or cancel on a parked
-  /// domain engine (that throws); its sendAt() is held to the window
-  /// starting at T. Pass (0, nullptr) to clear.
+  /// executed, none at or after T has, and none fell between the last
+  /// window's events and T, so `flush` may read any domain's state as the
+  /// state at every boundary <= T it has not seen yet. This is the clock
+  /// that fills a TimeSeriesSampler (suite::Cluster sets it). The hook
+  /// cannot post into or cancel on a parked domain engine (that throws);
+  /// its sendAt() is held to the window starting at T. Pass (0, nullptr)
+  /// to clear.
   void setBoundaryHook(Duration period, std::function<void(SimTime)> flush);
 
   /// Max over domain clocks — the equivalent of Engine::now() after a run

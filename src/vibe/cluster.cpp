@@ -65,14 +65,10 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
         "node" + std::to_string(n)));
   }
 
-  // Config-carried observability attachments (used by runners that build
-  // the Cluster internally). All default to null = disabled.
-  if (config_.tracer != nullptr) setTracer(config_.tracer);
-  if (config_.spans != nullptr) setSpanProfiler(config_.spans);
-  if (config_.metrics != nullptr) setMetricsRegistry(config_.metrics);
-  if (config_.sampler != nullptr) {
-    setSampler(config_.sampler, config_.samplePeriod);
-  }
+  // Observability attachments; all default to null = disabled.
+  if (config_.tracer != nullptr) attachTracer();
+  if (config_.spans != nullptr) attachSpans();
+  if (config_.sampler != nullptr) attachSampler();
 }
 
 Cluster::~Cluster() = default;
@@ -81,47 +77,37 @@ sim::Engine& Cluster::nodeEngine(std::uint32_t i) {
   return topo_->engineForDomain(topo_->hostDomain(i));
 }
 
-void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
-                         sim::Duration period) {
-  if (sampler == nullptr) {
-    sampler_ = nullptr;
-    pdes_->setBoundaryHook(0, nullptr);
-    return;
+void Cluster::attachSampler() {
+  obs::TimeSeriesSampler& sampler = *config_.sampler;
+  if (sampler.period() <= 0) {
+    throw sim::SimError(
+        "Cluster: the config's sampler has no period (call setPeriod)");
   }
-  if (period <= 0) {
-    throw sim::SimError("Cluster::setSampler: samplePeriod must be > 0");
-  }
-  if (sampler_ != nullptr) {
-    throw sim::SimError("Cluster::setSampler: a sampler is already set "
-                        "(probes register once)");
-  }
-  sampler_ = sampler;
-  sampler_->setPeriod(period);
   // Every window end is clamped to the sample grid and the sampler
   // flushes from the single-threaded completion step, where probes may
-  // safely read any domain's state (exactly what a serial TimeObserver
-  // sees).
-  pdes_->setBoundaryHook(period, [this](sim::SimTime t) {
-    sampler_->flushUntil(t);
+  // safely read any domain's state: at a boundary T every event strictly
+  // before T has executed and none at or after T has.
+  pdes_->setBoundaryHook(sampler.period(), [&sampler](sim::SimTime t) {
+    sampler.flushUntil(t);
   });
   // Aggregate probes: sums over nodes, so the series count stays O(1)
   // whether the cluster has 2 nodes or 1024. Probes only read.
-  sampler_->addProbe("nic/tx_backlog", [this](sim::SimTime) {
+  sampler.addProbe("nic/tx_backlog", [this](sim::SimTime) {
     std::size_t n = 0;
     for (auto& p : providers_) n += p->device().txBacklog();
     return static_cast<double>(n);
   });
-  sampler_->addProbe("nic/rx_backlog", [this](sim::SimTime) {
+  sampler.addProbe("nic/rx_backlog", [this](sim::SimTime) {
     std::size_t n = 0;
     for (auto& p : providers_) n += p->device().rxBacklog();
     return static_cast<double>(n);
   });
-  sampler_->addProbe("nic/cq_depth", [this](sim::SimTime) {
+  sampler.addProbe("nic/cq_depth", [this](sim::SimTime) {
     std::size_t n = 0;
     for (auto& p : providers_) n += p->cqDepthTotal();
     return static_cast<double>(n);
   });
-  sampler_->addProbe("fabric/host_link_frames", [this](sim::SimTime at) {
+  sampler.addProbe("fabric/host_link_frames", [this](sim::SimTime at) {
     std::uint64_t n = 0;
     for (std::uint32_t i = 0; i < config_.nodes; ++i) {
       n += topo_->hostUplink(i).queuedFrames(at);
@@ -129,7 +115,7 @@ void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
     }
     return static_cast<double>(n);
   });
-  sampler_->addProbe("fabric/switch_queue_frames", [this](sim::SimTime at) {
+  sampler.addProbe("fabric/switch_queue_frames", [this](sim::SimTime at) {
     std::uint64_t n = 0;
     for (const auto& sw : topo_->switches()) {
       for (std::uint32_t i = 0; i < sw->portCount(); ++i) {
@@ -139,31 +125,28 @@ void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
     }
     return static_cast<double>(n);
   });
-  sampler_->addProbe("fabric/switch_buffer_drops", [this](sim::SimTime) {
+  sampler.addProbe("fabric/switch_buffer_drops", [this](sim::SimTime) {
     return static_cast<double>(topo_->switchBufferDrops());
   });
 }
 
-void Cluster::setSpanProfiler(obs::SpanProfiler* spans) {
-  spans_ = spans;
-  shadowSpans_.clear();
-  if (spans == nullptr || topo_->domainCount() == 1) {
-    for (auto& p : providers_) p->setSpanProfiler(spans);
-    topo_->setSpanProfiler(spans);
-    return;
-  }
-  // Per-domain shadows: each provider and switch emits into its own
-  // domain's profiler (single-writer during a window); run() folds them
-  // into the user profiler in domain order, which makes the merged
-  // histograms and event buffer shard-count independent.
+void Cluster::attachSpans() {
+  // One domain: every provider, link and switch emits straight into the
+  // user profiler. More: per-domain shadows, so each provider and switch
+  // emits into its own domain's profiler (single-writer during a
+  // window); run() folds them into the user profiler in domain order,
+  // which makes the merged histograms and event buffer shard-count
+  // independent.
   const std::uint32_t doms = topo_->domainCount();
-  shadowSpans_.reserve(doms);
-  std::vector<obs::SpanProfiler*> byDomain(doms);
-  for (std::uint32_t d = 0; d < doms; ++d) {
-    auto sp = std::make_unique<obs::SpanProfiler>();
-    sp->setKeepEvents(true);  // mergeFrom copies events if the user keeps
-    byDomain[d] = sp.get();
-    shadowSpans_.push_back(std::move(sp));
+  std::vector<obs::SpanProfiler*> byDomain(doms, config_.spans);
+  if (doms > 1) {
+    shadowSpans_.reserve(doms);
+    for (std::uint32_t d = 0; d < doms; ++d) {
+      auto sp = std::make_unique<obs::SpanProfiler>();
+      sp->setKeepEvents(true);  // mergeFrom copies events if the user keeps
+      byDomain[d] = sp.get();
+      shadowSpans_.push_back(std::move(sp));
+    }
   }
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
     providers_[n]->setSpanProfiler(byDomain[topo_->hostDomain(n)]);
@@ -172,16 +155,15 @@ void Cluster::setSpanProfiler(obs::SpanProfiler* spans) {
 }
 
 void Cluster::mergeShadowSpans() {
-  if (spans_ == nullptr || shadowSpans_.empty()) return;
   for (auto& sp : shadowSpans_) {
-    spans_->mergeFrom(*sp);
+    config_.spans->mergeFrom(*sp);
     sp->clear();  // repeated run() calls merge only the new spans
   }
 }
 
 void Cluster::publishStats() {
-  if (metrics_ == nullptr) return;
-  obs::MetricsRegistry& m = *metrics_;
+  if (config_.metrics == nullptr) return;
+  obs::MetricsRegistry& m = *config_.metrics;
   lastPublished_.resize(providers_.size());
   for (std::uint32_t n = 0; n < providers_.size(); ++n) {
     const nic::NicStats& s = providers_[n]->device().stats();
@@ -240,14 +222,11 @@ void Cluster::publishStats() {
   }
 }
 
-void Cluster::setTracer(sim::Tracer* tracer) {
-  tracer_ = tracer;
-  shadowTracers_.clear();
-  shadowTraceLogs_.clear();
-  if (tracer == nullptr || topo_->domainCount() == 1) {
+void Cluster::attachTracer() {
+  if (topo_->domainCount() == 1) {
     // One domain records in execution order. A replay would reorder
     // records that share a timestamp by node: a different trace.
-    for (auto& p : providers_) p->device().setTracer(tracer);
+    for (auto& p : providers_) p->device().setTracer(config_.tracer);
     return;
   }
   // Per-node shadows record everything (the user tracer's enablement is
@@ -267,7 +246,7 @@ void Cluster::setTracer(sim::Tracer* tracer) {
 }
 
 void Cluster::replayShadowTraces() {
-  if (tracer_ == nullptr || shadowTraceLogs_.empty()) return;
+  if (shadowTraceLogs_.empty()) return;
   // Node-major concatenation + stable sort by time = (time, node, record
   // index) order: each node's log is already time-ordered, so the merged
   // interleaving depends only on the simulation, never the shard count.
@@ -282,9 +261,10 @@ void Cluster::replayShadowTraces() {
                    [](const sim::TraceRecord* a, const sim::TraceRecord* b) {
                      return a->time < b->time;
                    });
+  sim::Tracer& tracer = *config_.tracer;
   for (const sim::TraceRecord* r : merged) {
-    if (tracer_->enabled(r->category)) {
-      tracer_->record(r->time, r->category, r->component, r->message);
+    if (tracer.enabled(r->category)) {
+      tracer.record(r->time, r->category, r->component, r->message);
     }
   }
   for (auto& log : shadowTraceLogs_) log.clear();
@@ -318,11 +298,11 @@ void Cluster::run(std::vector<std::function<void(NodeEnv&)>> programs) {
     replayShadowTraces();
     throw;
   }
-  if (sampler_ != nullptr) {
+  if (config_.sampler != nullptr) {
     // Capture remaining whole boundaries up to the drain time, so the
     // timeline's tail does not depend on whether a final event happened
     // to land past the last boundary.
-    sampler_->flushUntil(pdes_->maxNow());
+    config_.sampler->flushUntil(pdes_->maxNow());
   }
   replayShadowTraces();
   mergeShadowSpans();

@@ -20,10 +20,6 @@
 #include "simcore/trace.hpp"
 #include "vipl/provider.hpp"
 
-namespace vibe::fault {
-class FaultInjector;
-}
-
 namespace vibe::obs {
 class MetricsRegistry;
 class SpanProfiler;
@@ -62,18 +58,30 @@ struct ClusterConfig {
   std::uint32_t simShards = 0;
 
   // Observability attachments (all optional; null = zero-cost disabled).
-  // Set before handing the config to a runner that builds its own Cluster
-  // (e.g. runPingPong); the Cluster constructor wires them through the
-  // stack the same way setTracer/setSpanProfiler do.
+  // The only way to attach them: the Cluster constructor wires each one
+  // through the stack, and runners that build their own Cluster (e.g.
+  // runPingPong) take them the same way. Each must outlive the Cluster.
+  //
+  // tracer: every node's NIC device records into it. With one domain
+  // the devices record straight into it, in execution order; with more,
+  // per-node shadows are replayed into it after run() in (time, node,
+  // record) order, the same at any shard count.
   sim::Tracer* tracer = nullptr;
+  // spans: Post spans from every provider, Doorbell/NicTx/Rx/Reassembly/
+  // Completion/EndToEnd from every NIC device, Wire from the fabric. With
+  // more than one domain the emits go to per-domain shadows, merged in
+  // domain order after run().
   obs::SpanProfiler* spans = nullptr;
+  // metrics: run() publishes per-node NIC and fabric counters into it
+  // (delta-based, so repeated run() calls and several clusters sharing
+  // one registry accumulate correctly).
   obs::MetricsRegistry* metrics = nullptr;
-  // Time-series sampler: when set, the Cluster registers aggregate queue-
-  // depth probes (NIC tx/rx backlog, CQ depth, link + switch occupancy)
-  // and drives the sampler at `samplePeriod` during run(). Null = no
-  // probes registered, no observer attached, zero cost.
+  // sampler: the Cluster registers aggregate queue-depth probes (NIC
+  // tx/rx backlog, CQ depth, link + switch occupancy) and the engine's
+  // boundary hook fills the sampler at its period() during run(). The
+  // sampler's period must be set (> 0; the constructor throws SimError
+  // otherwise). Null = no probes registered, no hook set, zero cost.
   obs::TimeSeriesSampler* sampler = nullptr;
-  sim::Duration samplePeriod = 0;  // required > 0 when sampler is set
 };
 
 /// Per-node view handed to a node program.
@@ -108,53 +116,24 @@ class Cluster {
   std::uint32_t nodeCount() const { return config_.nodes; }
   const ClusterConfig& config() const { return config_; }
 
-  /// Attaches one tracer to every node's NIC device (and detaches with
-  /// nullptr). Chaos/invariant harnesses consume the merged stream. With
-  /// one domain the devices record straight into it, in execution order;
-  /// with more, per-node shadows are replayed into it after run() in
-  /// (time, node, record) order, the same at any shard count.
-  void setTracer(sim::Tracer* tracer);
-  sim::Tracer* tracer() const { return tracer_; }
-
-  /// Attaches one span profiler to every provider (Post spans), NIC device
-  /// (Doorbell/NicTx/Rx/Reassembly/Completion/EndToEnd), and the fabric
-  /// (Wire). nullptr detaches everywhere. With more than one domain the
-  /// emits go to per-domain shadows, merged in domain order after run().
-  void setSpanProfiler(obs::SpanProfiler* spans);
-  obs::SpanProfiler* spanProfiler() const { return spans_; }
-
-  /// Registers a metrics registry; run() publishes per-node NIC and
-  /// fabric counters into it (delta-based, so repeated run() calls and
-  /// multiple clusters sharing one registry accumulate correctly).
-  void setMetricsRegistry(obs::MetricsRegistry* metrics) {
-    metrics_ = metrics;
-  }
-  obs::MetricsRegistry* metricsRegistry() const { return metrics_; }
+  /// The config's tracer (null when none): fault::FaultInjector::arm
+  /// records its fault marks into it.
+  sim::Tracer* tracer() const { return config_.tracer; }
 
   /// Publishes NIC/fabric counter deltas since the last publish into the
-  /// registry (no-op when none is attached). Called at the end of run();
-  /// exposed for programs that inspect metrics mid-simulation.
+  /// config's registry (no-op when none is attached). Called at the end
+  /// of run(); exposed for programs that inspect metrics mid-simulation.
   void publishStats();
-
-  /// Registers a time-series sampler: aggregate queue-depth probes are
-  /// added once (NIC tx/rx backlog summed over nodes, total CQ depth,
-  /// host-link occupancy, switch buffer depth/drops), and the engine's
-  /// boundary hook flushes the sampler at `period` cadence during run().
-  /// Call once per sampler; the sampler must outlive the cluster's use.
-  void setSampler(obs::TimeSeriesSampler* sampler, sim::Duration period);
-  obs::TimeSeriesSampler* sampler() const { return sampler_; }
-
-  /// Records the fault injector driving this cluster (called by
-  /// fault::FaultInjector::arm). Purely an attachment registry — the
-  /// injector acts on the fabric links directly.
-  void attachFaultInjector(fault::FaultInjector* inj) { injector_ = inj; }
-  fault::FaultInjector* faultInjector() const { return injector_; }
 
   /// Runs one program per entry (program i on node i) to completion.
   /// Throws if the simulation deadlocks or a program throws.
   void run(std::vector<std::function<void(NodeEnv&)>> programs);
 
  private:
+  /// Wire the config's attachments through the stack (constructor only).
+  void attachTracer();
+  void attachSpans();
+  void attachSampler();
   /// Replays the per-node shadow trace streams into the user tracer in
   /// (time, node, record) order — an interleaving that is a function of
   /// the simulation alone, so it is identical at any shard count.
@@ -175,11 +154,6 @@ class Cluster {
   std::vector<std::unique_ptr<sim::Tracer>> shadowTracers_;
   std::vector<std::vector<sim::TraceRecord>> shadowTraceLogs_;
   std::vector<std::unique_ptr<obs::SpanProfiler>> shadowSpans_;
-  sim::Tracer* tracer_ = nullptr;
-  obs::SpanProfiler* spans_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::TimeSeriesSampler* sampler_ = nullptr;
-  fault::FaultInjector* injector_ = nullptr;
   // Counter snapshots from the last publishStats() (delta publishing).
   std::vector<nic::NicStats> lastPublished_;
   std::uint64_t lastFramesDropped_ = 0;

@@ -397,12 +397,11 @@ RunResult runOnce(std::uint64_t seed, WorkloadFn workload,
     cfg.nodesPerSwitch = 1;  // leaf per node: 3 PDES domains
     cfg.simShards = simShards;
   }
-  Cluster cluster(cfg);
-
   sim::Tracer tracer(512);  // digest and sink are ring-capacity independent
   InvariantChecker checker(cfg.profile.rtoRetryBudget);
   checker.attach(tracer);
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   FaultPlanParams pp;
   pp.nodes = 2;
@@ -556,12 +555,11 @@ TEST(ChaosFaults, PartitionOutlastingRetryBudgetTearsDownCleanly) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
   cfg.seed = 7;
-  Cluster cluster(cfg);
-
   sim::Tracer tracer;
   InvariantChecker checker(cfg.profile.rtoRetryBudget);
   checker.attach(tracer);
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   // Node 1 falls off the fabric at t=1ms for 400ms — far beyond the
   // ~111ms the retry budget tolerates (rtoBase * (1+2+4+8 + 12 *
@@ -650,12 +648,11 @@ TEST(ChaosFaults, CorruptionIsDetectedCountedAndRecovered) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
   cfg.seed = 11;
-  Cluster cluster(cfg);
-
   sim::Tracer tracer;
   InvariantChecker checker(cfg.profile.rtoRetryBudget);
   checker.attach(tracer);
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   FaultPlan plan;
   plan.seed = 11;
@@ -691,12 +688,11 @@ TEST(ChaosFaults, TrunkFlapHitsCrossLeafTrafficAndRecovers) {
   cfg.profile = nic::profileByName("clan");
   cfg.seed = 21;
   cfg.nodesPerSwitch = 1;  // two leaves, all traffic via the root
-  Cluster cluster(cfg);
-
   sim::Tracer tracer;
   InvariantChecker checker(cfg.profile.rtoRetryBudget);
   checker.attach(tracer);
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   FaultPlan plan;
   plan.seed = 21;
@@ -747,10 +743,10 @@ TEST(ChaosFaults, EmptyPlanIsByteIdenticalToNoInjector) {
     cfg.profile = nic::profileByName("bvia");
     cfg.seed = 99;
     cfg.lossRate = 0.05;  // exercise the base Bernoulli path too
-    Cluster cluster(cfg);
     sim::Tracer tracer;
     tracer.enableAll();
-    cluster.setTracer(&tracer);
+    cfg.tracer = &tracer;
+    Cluster cluster(cfg);
     FaultInjector injector{FaultPlan{}};
     if (withInjector) injector.arm(cluster);
     pingPong(cluster, 5);

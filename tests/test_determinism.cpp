@@ -71,11 +71,10 @@ RunOutcome lossyPingPong(const std::string& profile, std::uint64_t seed,
     cfg.nodesPerSwitch = 1;  // leaf per node: 3 PDES domains
     cfg.simShards = simShards;
   }
-  Cluster cluster(cfg);
-
   sim::Tracer tracer;
   tracer.enableAll();
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   constexpr int kRounds = 40;
   constexpr std::size_t kBytes = 2048;

@@ -378,7 +378,7 @@ TEST(TreeTopologyTest, WireSpansTileThePathWithPerHopByteCounts) {
   Topology& net = f.net;
   obs::SpanProfiler spans;
   spans.setKeepEvents(true);
-  net.setSpanProfiler(&spans);
+  net.setDomainSpanProfilers({&spans});
   sim::SimTime arrival = -1;
   for (NodeId n = 0; n < 4; ++n) {
     net.setReceiver(n, [&, n](Packet&&) {

@@ -4,13 +4,17 @@
 // ping-pong run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "fault/invariants.hpp"
+#include "harness/sweep.hpp"
 #include "nic/profiles.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
@@ -209,32 +213,6 @@ TEST(SpanProfilerTest, MalformedSpanCountsAsMismatch) {
   EXPECT_EQ(p.totalSpans(), 1u);
 }
 
-TEST(SpanProfilerTest, BeginEndNestsPerKey) {
-  SpanProfiler p;
-  p.beginSpan(Stage::NicTx, 0, 1, 10);  // outer
-  p.beginSpan(Stage::NicTx, 0, 1, 20);  // inner
-  EXPECT_EQ(p.openSpanCount(), 2u);
-  EXPECT_TRUE(p.endSpan(Stage::NicTx, 0, 1, 30));  // closes inner: 10 ns
-  EXPECT_TRUE(p.endSpan(Stage::NicTx, 0, 1, 50));  // closes outer: 40 ns
-  EXPECT_EQ(p.openSpanCount(), 0u);
-  const Histogram& h = p.stage(Stage::NicTx);
-  ASSERT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.min(), 10u);
-  EXPECT_EQ(h.max(), 40u);
-  // Distinct keys do not close each other's spans.
-  p.beginSpan(Stage::Rx, 2, 0, 100);
-  EXPECT_FALSE(p.endSpan(Stage::Rx, 3, 0, 110));
-  EXPECT_EQ(p.mismatchCount(), 1u);
-  EXPECT_EQ(p.openSpanCount(), 1u);
-}
-
-TEST(SpanProfilerTest, EndWithoutBeginIsAMismatch) {
-  SpanProfiler p;
-  EXPECT_FALSE(p.endSpan(Stage::Post, 0, 0, 5));
-  EXPECT_EQ(p.mismatchCount(), 1u);
-  EXPECT_EQ(p.totalSpans(), 0u);
-}
-
 TEST(SpanProfilerTest, EventRetentionIsBoundedAndOptional) {
   SpanProfiler off;
   off.emit(Stage::Wire, 0, 0, 0, 10, 1);
@@ -257,12 +235,10 @@ TEST(SpanProfilerTest, ClearResetsEverything) {
   SpanProfiler p;
   p.setKeepEvents(true);
   p.emit(Stage::Post, 0, 0, 0, 10, 1);
-  p.beginSpan(Stage::Rx, 0, 0, 5);
-  p.endSpan(Stage::Wire, 0, 0, 7);  // mismatch
+  p.emit(Stage::Wire, 0, 0, 7, 5);  // mismatch
   p.clear();
   EXPECT_EQ(p.totalSpans(), 0u);
   EXPECT_EQ(p.mismatchCount(), 0u);
-  EXPECT_EQ(p.openSpanCount(), 0u);
   EXPECT_TRUE(p.events().empty());
   EXPECT_EQ(p.stage(Stage::Post).count(), 0u);
   EXPECT_DOUBLE_EQ(p.stageMeanSumUsec(), 0.0);
@@ -382,7 +358,6 @@ TEST(ObsIntegration, StageSumMatchesEndToEndOnPingPong) {
   EXPECT_EQ(spans.messageCount(),
             static_cast<std::size_t>(cfg.iterations + cfg.warmup) * 2);
   EXPECT_EQ(spans.mismatchCount(), 0u);
-  EXPECT_EQ(spans.openSpanCount(), 0u);
 
   // The per-message stage sum must account for the full post-to-completion
   // envelope: the stages tile the journey, so the sum matches the measured
@@ -475,21 +450,29 @@ TEST(HistogramTest, ShardMergedQuantilesMatchSeriallyBuilt) {
 
 // --- TimeSeriesSampler ---------------------------------------------------
 
+namespace {
+/// Drives `sampler` the way a Cluster does: from the engine's boundary
+/// hook (the caller flushes once more at the drain time, as run() does).
+void hookSampler(sim::ShardedEngine& eng, obs::TimeSeriesSampler& sampler) {
+  eng.setBoundaryHook(sampler.period(),
+                      [&sampler](sim::SimTime t) { sampler.flushUntil(t); });
+}
+}  // namespace
+
 TEST(TimeSeriesSamplerTest, CapturesEveryBoundaryExactlyOnce) {
-  sim::Engine eng;
+  sim::ShardedEngine eng(sim::EngineConfig{});
   int applied = 0;
   obs::TimeSeriesSampler sampler;
   sampler.setPeriod(100);
   sampler.addProbe("applied", [&](sim::SimTime) {
     return static_cast<double>(applied);
   });
-  sampler.attach(eng);
+  hookSampler(eng, sampler);
   for (const sim::SimTime t : {5, 105, 110, 399, 400, 401, 1000}) {
-    eng.postAt(t, [&] { ++applied; });
+    eng.domainEngine(0).postAt(t, [&] { ++applied; });
   }
   eng.run();
-  sampler.flushUntil(eng.now());
-  sampler.detach();
+  sampler.flushUntil(eng.maxNow());
 
   ASSERT_EQ(sampler.windowCount(), 10u);
   for (std::size_t w = 0; w < sampler.windowCount(); ++w) {
@@ -519,16 +502,12 @@ TEST(TimeSeriesSamplerTest, RingDropsOldestWindows) {
   EXPECT_DOUBLE_EQ(sampler.value(3, 0), 100.0);
 }
 
-TEST(TimeSeriesSamplerTest, RegistrationAndAttachmentAreValidated) {
+TEST(TimeSeriesSamplerTest, RegistrationIsValidated) {
   obs::TimeSeriesSampler sampler;
   EXPECT_THROW(sampler.setPeriod(0), sim::SimError);
-  sim::Engine eng;
-  EXPECT_THROW(sampler.attach(eng), sim::SimError) << "period unset";
+  EXPECT_THROW(sampler.addProbe("null", nullptr), sim::SimError);
   sampler.setPeriod(50);
   sampler.addProbe("a", [](sim::SimTime) { return 0.0; });
-  sampler.attach(eng);
-  EXPECT_THROW(sampler.attach(eng), sim::SimError) << "already attached";
-  sampler.detach();
   sampler.flushUntil(50);
   // Rows are rectangular: no new series once a window exists.
   EXPECT_THROW(sampler.addProbe("b", [](sim::SimTime) { return 0.0; }),
@@ -537,29 +516,53 @@ TEST(TimeSeriesSamplerTest, RegistrationAndAttachmentAreValidated) {
   EXPECT_EQ(csv.substr(0, csv.find('\n')), "t_ns,a");
 }
 
+TEST(TimeSeriesSamplerTest, ClusterRejectsSamplerWithoutPeriod) {
+  obs::TimeSeriesSampler sampler;
+  suite::ClusterConfig cc{nic::clanProfile()};
+  cc.sampler = &sampler;
+  try {
+    suite::Cluster cluster(cc);
+    ADD_FAILURE() << "a config sampler without a period was accepted";
+  } catch (const sim::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("sampler has no period"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sampler.seriesCount(), 0u) << "no probe registered";
+}
+
 TEST(TimeSeriesSamplerTest, TimelineByteIdenticalAcrossJobsAndShards) {
   // The sampler stamps rows at virtual-time boundaries, so the CSV is a
-  // determinism witness: identical across host-parallelism settings.
+  // determinism witness: identical across host-parallelism settings. A
+  // two-leaf tree (two leaves and a root: 3 domains) runs in one domain
+  // (simShards 0) and in per-switch domains on 1 and 3 shards; each
+  // setting is a point of a sweep run on 1 and on 4 jobs.
+  const std::uint32_t shardCounts[] = {0, 1, 3};
   std::vector<std::string> csvs;
   for (const char* jobs : {"1", "4"}) {
-    for (const char* shardsEnv : {"1", "4"}) {
-      testing::ScopedEnv j("VIBE_JOBS", jobs);
-      testing::ScopedEnv s("VIBE_SIM_SHARDS", shardsEnv);
-      obs::TimeSeriesSampler sampler;
-      suite::ClusterConfig cc{nic::clanProfile()};
-      cc.sampler = &sampler;
-      cc.samplePeriod = sim::usec(20);
-      suite::TransferConfig cfg;
-      cfg.msgBytes = 256;
-      cfg.iterations = 40;
-      cfg.warmup = 2;
-      (void)suite::runPingPong(cc, cfg);
-      ASSERT_GT(sampler.windowCount(), 0u);
-      csvs.push_back(sampler.renderCsv());
-    }
+    testing::ScopedEnv j("VIBE_JOBS", jobs);
+    const std::vector<std::string> got = harness::runSweep(
+        std::size(shardCounts), [&](harness::PointEnv& env) {
+          obs::TimeSeriesSampler sampler;
+          sampler.setPeriod(sim::usec(20));
+          suite::ClusterConfig cc{nic::clanProfile()};
+          cc.nodesPerSwitch = 1;
+          cc.simShards = shardCounts[env.index];
+          cc.sampler = &sampler;
+          suite::TransferConfig cfg;
+          cfg.msgBytes = 256;
+          cfg.iterations = 40;
+          cfg.warmup = 2;
+          (void)suite::runPingPong(cc, cfg);
+          return sampler.renderCsv();
+        });
+    csvs.insert(csvs.end(), got.begin(), got.end());
   }
+  ASSERT_GT(std::count(csvs[0].begin(), csvs[0].end(), '\n'), 1)
+      << "no sampled rows";
   for (std::size_t i = 1; i < csvs.size(); ++i) {
-    EXPECT_EQ(csvs[i], csvs[0]) << "combo " << i << " diverged";
+    EXPECT_EQ(csvs[i], csvs[0]) << "jobs " << (i < 3 ? 1 : 4)
+                                << ", simShards " << shardCounts[i % 3];
   }
 }
 
@@ -654,7 +657,7 @@ TEST(SloMonitorTest, ThresholdCrossingsEmitUserTraceRecords) {
   for (int i = 0; i < 100; ++i) h.add(100);
   slo.sample(300);
   EXPECT_FALSE(slo.breached());
-  EXPECT_EQ(slo.crossings(), 2u);
+  EXPECT_EQ(slo.crossingCount(), 2u);
 
   const auto records = tracer.snapshot();
   ASSERT_EQ(records.size(), 2u);
@@ -732,19 +735,18 @@ TEST(SloMonitorTest, BurstStraddlingWindowBoundariesKeepsHysteresis) {
 }
 
 TEST(SloMonitorTest, BindToSamplerAlignsWindowsWithRows) {
-  sim::Engine eng;
+  sim::ShardedEngine eng(sim::EngineConfig{});
   Histogram h;
   obs::TimeSeriesSampler sampler;
   sampler.setPeriod(100);
   obs::SloMonitor slo("x", h);
   slo.bindTo(sampler);
-  sampler.attach(eng);
+  hookSampler(eng, sampler);
   for (int i = 1; i <= 10; ++i) {
-    eng.postAt(i * 37, [&, i] { h.add(i * 10); });
+    eng.domainEngine(0).postAt(i * 37, [&, i] { h.add(i * 10); });
   }
   eng.run();
-  sampler.flushUntil(eng.now());
-  sampler.detach();
+  sampler.flushUntil(eng.maxNow());
   ASSERT_EQ(sampler.windowCount(), 3u);
   ASSERT_EQ(slo.windows().size(), 3u);
   for (std::size_t w = 0; w < 3; ++w) {
@@ -764,9 +766,9 @@ TEST(SpanProfilerTest, RetentionCapHoldsUnderSamplerLoad) {
   spans.setKeepEvents(true);
   obs::TimeSeriesSampler sampler;
   suite::ClusterConfig cc{nic::clanProfile()};
+  sampler.setPeriod(sim::usec(10));
   cc.spans = &spans;
   cc.sampler = &sampler;
-  cc.samplePeriod = sim::usec(10);
   suite::TransferConfig cfg;
   cfg.msgBytes = 64;
   cfg.iterations = 100;

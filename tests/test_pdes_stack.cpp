@@ -456,10 +456,13 @@ std::string renderNicStats(Cluster& cluster) {
 /// One full run of `wc` on a 16-host k=4 fat-tree. `simShards` 0 = one
 /// domain (the serial schedule); >= 1 = one domain per switch with that
 /// many worker threads (1 runs the identical window loop inline). A positive
-/// `samplePeriod` attaches a TimeSeriesSampler at that period.
+/// `samplerPeriod` attaches a TimeSeriesSampler at that period.
 StackOutcome runStack(const WorkloadCase& wc, std::uint32_t simShards,
                       std::uint64_t seed,
-                      sim::Duration samplePeriod = sim::msec(1)) {
+                      sim::Duration samplerPeriod = sim::msec(1)) {
+  obs::MetricsRegistry metrics;
+  obs::SpanProfiler spans;
+  obs::TimeSeriesSampler sampler;
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
   cfg.nodes = kNodes;
@@ -467,6 +470,12 @@ StackOutcome runStack(const WorkloadCase& wc, std::uint32_t simShards,
   cfg.lossRate = wc.loss;
   cfg.fatTreeK = kFatTreeK;
   cfg.simShards = simShards;
+  cfg.metrics = &metrics;
+  cfg.spans = &spans;
+  if (samplerPeriod > 0) {
+    sampler.setPeriod(samplerPeriod);
+    cfg.sampler = &sampler;
+  }
   Cluster cluster(cfg);
 
   // Per-node tracers attached straight to each NIC device: each stream
@@ -479,13 +488,6 @@ StackOutcome runStack(const WorkloadCase& wc, std::uint32_t simShards,
     cluster.node(n).device().setTracer(t.get());
     tracers.push_back(std::move(t));
   }
-
-  obs::MetricsRegistry metrics;
-  cluster.setMetricsRegistry(&metrics);
-  obs::SpanProfiler spans;
-  cluster.setSpanProfiler(&spans);
-  obs::TimeSeriesSampler sampler;
-  if (samplePeriod > 0) cluster.setSampler(&sampler, samplePeriod);
 
   std::unique_ptr<FaultInjector> injector;
   if (wc.flap) {
@@ -575,7 +577,7 @@ TEST_P(PdesStackSamplerNeutrality, SamplerNeverChangesTheRun) {
   const WorkloadCase wc = GetParam();
   const std::uint64_t seed = 1234;
   for (std::uint32_t shards : {0u, 1u, 4u}) {
-    const StackOutcome plain = runStack(wc, shards, seed, /*samplePeriod=*/0);
+    const StackOutcome plain = runStack(wc, shards, seed, /*samplerPeriod=*/0);
     for (sim::Duration period : {sim::Duration{700}, sim::usec(20),
                                  sim::msec(1)}) {
       const StackOutcome got = runStack(wc, shards, seed, period);
@@ -617,10 +619,10 @@ TEST(PdesStackShadowTracer, GlobalReplayDigestInvariantAcrossShardCounts) {
     cfg.lossRate = wc.loss;
     cfg.fatTreeK = kFatTreeK;
     cfg.simShards = shards;
-    Cluster cluster(cfg);
     sim::Tracer tracer(4096);
     tracer.enableAll();
-    cluster.setTracer(&tracer);
+    cfg.tracer = &tracer;
+    Cluster cluster(cfg);
     wc.fn(cluster, seed);
     if (first) {
       expected = tracer.digest();

@@ -167,12 +167,11 @@ TEST(SessionRecovery, ReconnectsAndReplaysExactlyOnce) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
   cfg.seed = 17;
-  Cluster cluster(cfg);
-
   sim::Tracer tracer(512);
   InvariantChecker checker(cfg.profile.rtoRetryBudget);
   checker.attach(tracer);
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   // Break the connection ~60ms in; the sender keeps producing through the
   // outage, so unconfirmed messages must replay after the reconnect.
@@ -223,13 +222,12 @@ TEST(SessionRecovery, CircuitBreakerDegradesToDown) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
   cfg.seed = 23;
-  Cluster cluster(cfg);
-
   sim::Tracer tracer(512);
   InvariantChecker checker(cfg.profile.rtoRetryBudget);
   checker.attach(tracer);
   checker.setAllowDownAtExit(true);  // tripping the breaker is the point
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   // Permanent partition: recovery can never succeed.
   FaultInjector injector(breakPlan(23, sim::msec(10), sim::kSecond * 30));
@@ -275,6 +273,9 @@ TEST(SessionRecovery, ReopenRevivesATrippedSession) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
   cfg.seed = 29;
+  sim::Tracer dbgTracer(8192);
+  dbgTracer.enable(sim::TraceCategory::Session);
+  cfg.tracer = &dbgTracer;
   Cluster cluster(cfg);
 
   // 300 ms partition: long enough that the initiator's RTO budget burns
@@ -282,9 +283,6 @@ TEST(SessionRecovery, ReopenRevivesATrippedSession) {
   // still dead — but the link comes back, so reopen() can revive it.
   FaultInjector injector(breakPlan(29, sim::msec(10), sim::msec(300)));
   injector.arm(cluster);
-  sim::Tracer dbgTracer(8192);
-  dbgTracer.enable(sim::TraceCategory::Session);
-  cluster.setTracer(&dbgTracer);
 
   constexpr int kTotal = 30;
   constexpr int kBeforeBreak = 20;
@@ -561,13 +559,12 @@ RunResult runOnce(std::uint64_t seed, WorkloadFn workload) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName(kProfiles[seed % 3]);
   cfg.seed = seed;
-  Cluster cluster(cfg);
-
   sim::Tracer tracer(512);
   InvariantChecker checker(cfg.profile.rtoRetryBudget);
   checker.attach(tracer);
   checker.setMttrBoundUsec(2'000'000);  // no recovery may take > 2 s
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   FaultInjector injector(flapPlan(seed));
   injector.arm(cluster);

@@ -336,11 +336,10 @@ void runLossBurstRecovery(nic::Reliability rel) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");
   cfg.seed = 321;
-  Cluster cluster(cfg);
-
   sim::Tracer tracer;
   tracer.enable(sim::TraceCategory::Reliability);
-  cluster.setTracer(&tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
 
   // Connection setup takes ~2.7ms of virtual time (the CM dialog is
   // loss-exempt), so a [0, 6ms) window blacks out the first ~3ms of data.
