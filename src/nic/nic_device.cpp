@@ -212,11 +212,8 @@ void NicDevice::flushEndpoint(ViEndpointId id, Endpoint& e,
   cancelRto(e);
   const sim::SimTime now = engine_.now();
   auto flushOne = [&](std::uint64_t cookie, bool isSend) {
-    Completion c;
-    c.cookie = cookie;
-    c.isSend = isSend;
-    c.status = status;
-    postCompletion(id, std::move(c), now);
+    postCompletion(id, {.cookie = cookie, .isSend = isSend, .status = status},
+                   now);
   };
   for (const auto& wr : e.sendQ) flushOne(wr.cookie, true);
   e.sendQ.clear();
@@ -291,12 +288,8 @@ sim::Duration NicDevice::translationCostRange(mem::VirtAddr va,
 
 void NicDevice::postSend(ViEndpointId id, WorkRequest&& wr) {
   Endpoint& e = ep(id);
-  if (!e.connected || e.broken) {
-    Completion c;
-    c.cookie = wr.cookie;
-    c.isSend = true;
-    c.status = e.broken ? WorkStatus::ConnectionLost : WorkStatus::Aborted;
-    postCompletion(id, std::move(c), engine_.now());
+  if (!e.open()) {
+    failSend(id, e, wr.cookie);
     return;
   }
   ++stats_.sendsPosted;
@@ -318,7 +311,7 @@ void NicDevice::postRecv(ViEndpointId id, WorkRequest&& wr) {
 void NicDevice::tryProcessSendQueue(ViEndpointId id) {
   Endpoint* e = epIfActive(id);
   if (e == nullptr || e->txBusy) return;
-  while (!e->sendQ.empty() && !e->broken && e->connected) {
+  while (!e->sendQ.empty() && e->open()) {
     const bool reliable = e->rel != Reliability::Unreliable;
     if (reliable && e->unacked.size() >= profile_.sendWindowFrags) {
       break;  // window closed; acks reopen the queue via drainAcked()
@@ -326,28 +319,18 @@ void NicDevice::tryProcessSendQueue(ViEndpointId id) {
     WorkRequest wr = std::move(e->sendQ.front());
     e->sendQ.pop_front();
     if (wr.op == WorkOp::RdmaRead) {
-      const std::uint32_t token = e->nextReadToken++;
-      Packet req;
-      req.kind = fabric::PacketKind::RdmaReadReq;
-      req.src = node_;
-      req.dst = e->remoteNode;
-      req.srcVi = id;
-      req.dstVi = e->remoteVi;
+      Packet req = packetTo(fabric::PacketKind::RdmaReadReq, id, *e);
       req.remoteAddr = wr.remoteAddr;
       req.remoteHandle = wr.remoteHandle;
       req.msgBytes = wr.totalBytes();
-      req.conn.token = token;
+      req.conn.token = e->nextReadToken++;
       req.fragSeq = ++e->txFragSeq;
-      req.fragCount = 1;
       req.postedAt = wr.postedAt;
-      e->pendingReads.emplace(token, std::move(wr));
-      const sim::SimTime tProc = nicProc_.acquire(
-          engine_.now(), profile_.nicPerMsgCost + profile_.nicPerFragCost);
-      if (reliable) e->unacked.push_back(req);
-      engine_.postAt(tProc, [this, p = std::move(req)]() mutable {
-        net_.send(std::move(p));
-      });
-      ++stats_.fragsTx;
+      e->pendingReads.emplace(req.conn.token, std::move(wr));
+      launch(*e, std::move(req),
+             nicProc_.acquire(engine_.now(), profile_.nicPerMsgCost +
+                                                 profile_.nicPerFragCost),
+             /*probe=*/false);
       if (reliable) armRto(id, *e);
       continue;
     }
@@ -382,7 +365,7 @@ void NicDevice::processSendWr(ViEndpointId id, Endpoint& e, WorkRequest wr) {
   if (spans_ != nullptr && discovery > 0) {
     // Doorbell discovery occupies the head of the first fragment's NIC
     // service; it is attributed here and excluded from that fragment's
-    // NicTx span (the `doorbell` shift below), so the stages tile.
+    // NicTx span, so the stages tile.
     spans_->emit(obs::Stage::Doorbell, node_, id, engine_.now(),
                  engine_.now() + discovery, wr.totalBytes());
   }
@@ -390,7 +373,35 @@ void NicDevice::processSendWr(ViEndpointId id, Endpoint& e, WorkRequest wr) {
       discovery + profile_.nicPerMsgCost +
       profile_.nicPerSegCost * static_cast<sim::Duration>(wr.segments.size()) +
       translationCost(wr.segments);
-  launchFragments(id, e, wr, engine_.now(), firstExtra, discovery);
+  const Packet head = messageHeader(id, e, wr);
+  sim::SimTime lastDma = engine_.now();
+  for (std::uint32_t i = 0; i < head.fragCount; ++i) {
+    Packet p = fragment(head, i, e);
+    const sim::Duration service =
+        profile_.nicPerFragCost + (i == 0 ? firstExtra : 0);
+    const sim::SimTime tProc = nicProc_.acquire(engine_.now(), service);
+    lastDma = dma_.acquire(tProc, profile_.dmaTime(p.payload.size()));
+    if (spans_ != nullptr) {
+      // The NIC service interval starts at tProc - service; the first
+      // fragment's head is doorbell discovery, already attributed to the
+      // Doorbell stage, so the NicTx span starts after it.
+      const sim::SimTime segStart = tProc - service + (i == 0 ? discovery : 0);
+      spans_->emit(obs::Stage::NicTx, node_, id, segStart, lastDma,
+                   p.payload.size());
+    }
+    // Each fragment reads its bytes from host memory as the NIC builds
+    // it; nothing runs between fragments, so this equals a snapshot of
+    // the whole message at pickup.
+    gatherRead(memory_, wr.segments, p.offset, p.payload);
+    sim::trace(tracer_, lastDma, sim::TraceCategory::Wire, node_, [&] {
+      return "frag " + std::to_string(i + 1) + "/" +
+             std::to_string(head.fragCount) + " seq=" +
+             std::to_string(p.fragSeq) + " vi=" + std::to_string(id);
+    });
+    launch(e, std::move(p), lastDma, /*probe=*/i + 1 == head.fragCount);
+  }
+  // Unreliable: complete when the last fragment leaves host memory.
+  finishSend(id, e, wr.cookie, lastDma + profile_.completionWriteCost);
 }
 
 void NicDevice::processSendWrHostInline(ViEndpointId id, Endpoint& e,
@@ -403,159 +414,118 @@ void NicDevice::processSendWrHostInline(ViEndpointId id, Endpoint& e,
   // the caller's CPU time was charged still carry the bytes it posted.
   std::vector<std::byte> msg(wr.totalBytes());
   gatherRead(memory_, wr.segments, 0, msg);
-  const std::uint64_t bytes = msg.size();
-  const std::uint32_t frags = fragCountFor(bytes, e.mtu);
-  const bool reliable = e.rel != Reliability::Unreliable;
-  const std::uint64_t msgSeq = e.txMsgSeq++;
-  std::uint64_t lastFragSeq = 0;
-
-  for (std::uint32_t i = 0; i < frags; ++i) {
-    const std::uint64_t off = std::uint64_t{i} * e.mtu;
-    const std::uint64_t fragBytes = std::min<std::uint64_t>(e.mtu, bytes - off);
+  const Packet head = messageHeader(id, e, wr);
+  for (std::uint32_t i = 0; i < head.fragCount; ++i) {
     const sim::SimTime tKernelStart = engine_.now();
-    chargeCaller(profile_.hostPerFragCost + profile_.hostCopyTime(fragBytes));
-
-    Packet p;
-    p.kind = wr.op == WorkOp::RdmaWrite ? fabric::PacketKind::RdmaWrite
-                                        : fabric::PacketKind::Data;
-    p.src = node_;
-    p.dst = e.remoteNode;
-    p.srcVi = id;
-    p.dstVi = e.remoteVi;
-    p.msgSeq = msgSeq;
-    p.fragIndex = i;
-    p.fragCount = frags;
-    p.msgBytes = bytes;
-    p.offset = off;
-    p.hasImmediate = wr.hasImmediate;
-    p.immediate = wr.immediate;
-    p.remoteAddr = wr.remoteAddr;
-    p.remoteHandle = wr.remoteHandle;
-    p.fragSeq = ++e.txFragSeq;
-    p.postedAt = wr.postedAt;
-    lastFragSeq = p.fragSeq;
-    if (fragBytes > 0) {
-      p.payload.assign(
-          msg.begin() + static_cast<std::ptrdiff_t>(off),
-          msg.begin() + static_cast<std::ptrdiff_t>(off + fragBytes));
+    const std::uint64_t off = std::uint64_t{i} * e.mtu;
+    chargeCaller(profile_.hostPerFragCost +
+                 profile_.hostCopyTime(
+                     std::min<std::uint64_t>(e.mtu, msg.size() - off)));
+    if (!e.open()) {
+      // The charge ran a teardown or break: stop sending into it.
+      e.txBusy = false;
+      failSend(id, e, wr.cookie);
+      return;
     }
+    Packet p = fragment(head, i, e);
+    std::copy_n(msg.begin() + static_cast<std::ptrdiff_t>(off),
+                p.payload.size(), p.payload.begin());
     const sim::SimTime tNic = nicProc_.acquire(
         engine_.now(),
         profile_.nicPerFragCost + (i == 0 ? profile_.nicPerMsgCost : 0));
-    const sim::SimTime tDma = dma_.acquire(tNic, profile_.dmaTime(fragBytes));
+    const sim::SimTime tDma =
+        dma_.acquire(tNic, profile_.dmaTime(p.payload.size()));
     if (spans_ != nullptr) {
       // Host-inline tx: kernel copy + NIC handoff + DMA, one span per frag.
-      spans_->emit(obs::Stage::NicTx, node_, id, tKernelStart, tDma, fragBytes);
+      spans_->emit(obs::Stage::NicTx, node_, id, tKernelStart, tDma,
+                   p.payload.size());
     }
-    if (reliable) {
-      e.unacked.push_back(p);
-      e.lastFrag = p;
-    }
-    engine_.postAt(tDma,
-                   [this, p = std::move(p)]() mutable { net_.send(std::move(p)); });
-    ++stats_.fragsTx;
-    stats_.bytesTx += fragBytes;
+    // Events run between these fragments: each is the probe until the next.
+    launch(e, std::move(p), tDma, /*probe=*/true);
   }
   e.txBusy = false;
-
-  if (reliable) {
-    e.awaitingAck.push_back(
-        {lastFragSeq, wr.cookie, e.rel == Reliability::ReliableReception});
-    armRto(id, e);
-  } else {
-    // Unreliable: the send is complete once the kernel owns the data.
-    Completion c;
-    c.cookie = wr.cookie;
-    c.isSend = true;
-    c.status = WorkStatus::Ok;
-    postCompletion(id, std::move(c),
-                   engine_.now() + profile_.completionWriteCost);
-  }
+  // Unreliable: the send is complete once the kernel owns the data.
+  finishSend(id, e, wr.cookie, engine_.now() + profile_.completionWriteCost);
 }
 
-void NicDevice::launchFragments(ViEndpointId id, Endpoint& e,
-                                const WorkRequest& wr, sim::SimTime nicReady,
-                                sim::Duration firstFragExtra,
-                                sim::Duration doorbell) {
-  const std::uint64_t bytes = wr.totalBytes();
-  const std::uint32_t frags = fragCountFor(bytes, e.mtu);
-  const bool reliable = e.rel != Reliability::Unreliable;
-  const std::uint64_t msgSeq = e.txMsgSeq++;
-  sim::SimTime ready = nicReady;
-  sim::SimTime lastDma = nicReady;
-  std::uint64_t lastFragSeq = 0;
+// ---------------------------------------------------------------------------
+// The fragment builder
+// ---------------------------------------------------------------------------
 
-  for (std::uint32_t i = 0; i < frags; ++i) {
-    const std::uint64_t off = std::uint64_t{i} * e.mtu;
-    const std::uint64_t fragBytes = std::min<std::uint64_t>(e.mtu, bytes - off);
-    const sim::Duration service =
-        profile_.nicPerFragCost + (i == 0 ? firstFragExtra : 0);
-    const sim::SimTime tProc = nicProc_.acquire(ready, service);
-    ready = tProc;
-    const sim::SimTime tDma = dma_.acquire(tProc, profile_.dmaTime(fragBytes));
-    lastDma = tDma;
-    if (spans_ != nullptr) {
-      // The NIC service interval starts at tProc - service; the first
-      // fragment's head is doorbell discovery, already attributed to the
-      // Doorbell stage, so the NicTx span starts after it.
-      const sim::SimTime segStart = tProc - service + (i == 0 ? doorbell : 0);
-      spans_->emit(obs::Stage::NicTx, node_, id, segStart, tDma, fragBytes);
-    }
+Packet NicDevice::packetTo(fabric::PacketKind kind, ViEndpointId id,
+                           const Endpoint& e) const {
+  Packet p;
+  p.kind = kind;
+  p.src = node_;
+  p.dst = e.remoteNode;
+  p.srcVi = id;
+  p.dstVi = e.remoteVi;
+  return p;
+}
 
-    Packet p;
-    p.kind = wr.op == WorkOp::RdmaWrite ? fabric::PacketKind::RdmaWrite
-                                        : fabric::PacketKind::Data;
-    p.src = node_;
-    p.dst = e.remoteNode;
-    p.srcVi = id;
-    p.dstVi = e.remoteVi;
-    p.msgSeq = msgSeq;
-    p.fragIndex = i;
-    p.fragCount = frags;
-    p.msgBytes = bytes;
-    p.offset = off;
-    p.hasImmediate = wr.hasImmediate;
-    p.immediate = wr.immediate;
-    p.remoteAddr = wr.remoteAddr;
-    p.remoteHandle = wr.remoteHandle;
-    p.fragSeq = ++e.txFragSeq;
-    p.postedAt = wr.postedAt;
-    lastFragSeq = p.fragSeq;
-    // Each fragment reads its bytes from host memory as the NIC builds
-    // it; nothing runs between fragments, so this equals a snapshot of
-    // the whole message at pickup.
-    if (fragBytes > 0) {
-      p.payload.resize(fragBytes);
-      gatherRead(memory_, wr.segments, off, p.payload);
-    }
-    if (reliable) {
-      e.unacked.push_back(p);
-      if (i + 1 == frags) e.lastFrag = p;
-    }
-    sim::trace(tracer_, tDma, sim::TraceCategory::Wire, node_, [&] {
-      return "frag " + std::to_string(i + 1) + "/" + std::to_string(frags) +
-             " seq=" + std::to_string(p.fragSeq) + " vi=" + std::to_string(id);
-    });
-    engine_.postAt(tDma,
-                   [this, p = std::move(p)]() mutable { net_.send(std::move(p)); });
-    ++stats_.fragsTx;
-    stats_.bytesTx += fragBytes;
+Packet NicDevice::messageHeader(fabric::PacketKind kind, ViEndpointId id,
+                                Endpoint& e, std::uint64_t bytes) {
+  Packet head = packetTo(kind, id, e);
+  head.msgSeq = e.txMsgSeq++;
+  head.fragCount = fragCountFor(bytes, e.mtu);
+  head.msgBytes = bytes;
+  return head;
+}
+
+Packet NicDevice::messageHeader(ViEndpointId id, Endpoint& e,
+                                const WorkRequest& wr) {
+  Packet head = messageHeader(wr.op == WorkOp::RdmaWrite
+                                  ? fabric::PacketKind::RdmaWrite
+                                  : fabric::PacketKind::Data,
+                              id, e, wr.totalBytes());
+  head.hasImmediate = wr.hasImmediate;
+  head.immediate = wr.immediate;
+  head.remoteAddr = wr.remoteAddr;
+  head.remoteHandle = wr.remoteHandle;
+  head.postedAt = wr.postedAt;
+  return head;
+}
+
+Packet NicDevice::fragment(const Packet& head, std::uint32_t i, Endpoint& e) {
+  Packet p = head;
+  p.fragIndex = i;
+  p.offset = std::uint64_t{i} * e.mtu;
+  p.fragSeq = ++e.txFragSeq;
+  p.payload.resize(std::min<std::uint64_t>(e.mtu, head.msgBytes - p.offset));
+  return p;
+}
+
+void NicDevice::launch(Endpoint& e, Packet&& p, sim::SimTime at, bool probe) {
+  if (e.rel != Reliability::Unreliable) {
+    e.unacked.push_back(p);
+    if (probe) e.lastFrag = p;
   }
+  ++stats_.fragsTx;
+  stats_.bytesTx += p.payload.size();
+  transmit(std::move(p), at);
+}
 
-  if (wr.cookie == 0) return;  // internal message (no local completion)
+void NicDevice::transmit(Packet&& p, sim::SimTime at) {
+  engine_.postAt(
+      at, [this, p = std::move(p)]() mutable { net_.send(std::move(p)); });
+}
 
-  if (reliable) {
-    e.awaitingAck.push_back(
-        {lastFragSeq, wr.cookie, e.rel == Reliability::ReliableReception});
-    armRto(id, e);
-  } else {
-    // Unreliable: complete when the last fragment leaves host memory.
-    Completion c;
-    c.cookie = wr.cookie;
-    c.isSend = true;
-    c.status = WorkStatus::Ok;
-    postCompletion(id, std::move(c), lastDma + profile_.completionWriteCost);
+void NicDevice::failSend(ViEndpointId id, const Endpoint& e,
+                         std::uint64_t cookie) {
+  const WorkStatus why =
+      e.broken ? WorkStatus::ConnectionLost : WorkStatus::Aborted;
+  postCompletion(id, {.cookie = cookie, .status = why}, engine_.now());
+}
+
+void NicDevice::finishSend(ViEndpointId id, Endpoint& e, std::uint64_t cookie,
+                           sim::SimTime done) {
+  if (e.rel == Reliability::Unreliable) {
+    postCompletion(id, {.cookie = cookie}, done);
+    return;
   }
+  e.awaitingAck.push_back(
+      {e.txFragSeq, cookie, e.rel == Reliability::ReliableReception});
+  armRto(id, e);
 }
 
 // ---------------------------------------------------------------------------
@@ -595,7 +565,7 @@ void NicDevice::handleRx(Packet&& p) {
 
 void NicDevice::handleData(Packet&& p) {
   Endpoint* eptr = epIfActive(p.dstVi);
-  if (eptr == nullptr || !eptr->connected || eptr->broken) {
+  if (eptr == nullptr || !eptr->open()) {
     ++stats_.rxDroppedBadEndpoint;
     return;
   }
@@ -635,11 +605,11 @@ void NicDevice::acceptFragment(ViEndpointId id, Endpoint& e, Packet&& p) {
     Reassembly& old = *e.reasm;
     if (old.haveDescriptor && !old.discard &&
         old.kind == fabric::PacketKind::Data) {
-      Completion c;
-      c.cookie = old.desc.cookie;
-      c.isSend = false;
-      c.status = WorkStatus::PartialMessage;
-      postCompletion(id, std::move(c), engine_.now());
+      postCompletion(id,
+                     {.cookie = old.desc.cookie,
+                      .isSend = false,
+                      .status = WorkStatus::PartialMessage},
+                     engine_.now());
     }
     old.discard = true;  // pending placement events become no-ops
     e.reasm.reset();
@@ -809,7 +779,7 @@ void NicDevice::finishMessage(ViEndpointId id,
   Endpoint* eptr = epIfActive(id);
   Reassembly& r = *rp;
   const bool isReadResp = r.kind == fabric::PacketKind::RdmaReadResp;
-  if (eptr != nullptr && (!eptr->connected || eptr->broken) && !r.discard) {
+  if (eptr != nullptr && !eptr->open() && !r.discard) {
     // The connection went away while this message's tail was still in the
     // placement pipeline (its Reassembly had already left the endpoint, so
     // the flush could not poison it). Completing Ok through a dead
@@ -867,7 +837,7 @@ void NicDevice::finishMessage(ViEndpointId id,
     postCompletion(id, std::move(c), at + profile_.completionWriteCost);
   }
 
-  if (eptr == nullptr || !eptr->connected || eptr->broken ||
+  if (eptr == nullptr || !eptr->open() ||
       eptr->rel == Reliability::Unreliable) {
     return;  // no reliability dialog on a dead or unreliable connection
   }
@@ -887,19 +857,12 @@ void NicDevice::finishMessage(ViEndpointId id,
 }
 
 void NicDevice::sendAck(ViEndpointId id, Endpoint& e, WorkStatus error) {
-  Packet ack;
-  ack.kind = fabric::PacketKind::Ack;
-  ack.src = node_;
-  ack.dst = e.remoteNode;
-  ack.srcVi = id;
-  ack.dstVi = e.remoteVi;
+  Packet ack = packetTo(fabric::PacketKind::Ack, id, e);
   ack.ackSeq = e.rxNextFragSeq - 1;
   ack.ackPlacedSeq = e.rxPlacedFragSeq;
   ack.rxError = static_cast<std::uint8_t>(error);
-  const sim::SimTime t =
-      nicProc_.acquire(engine_.now(), profile_.ackProcessingCost);
-  engine_.postAt(
-      t, [this, p = std::move(ack)]() mutable { net_.send(std::move(p)); });
+  transmit(std::move(ack),
+           nicProc_.acquire(engine_.now(), profile_.ackProcessingCost));
   ++stats_.acksTx;
 }
 
@@ -941,11 +904,7 @@ void NicDevice::drainAcked(ViEndpointId id, Endpoint& e) {
     const std::uint64_t reached =
         pc.needsPlacedAck ? e.placedFragSeq : e.ackedFragSeq;
     if (reached < pc.lastFragSeq) break;
-    Completion c;
-    c.cookie = pc.cookie;
-    c.isSend = true;
-    c.status = WorkStatus::Ok;
-    postCompletion(id, std::move(c),
+    postCompletion(id, {.cookie = pc.cookie},
                    engine_.now() + profile_.ackProcessingCost +
                        profile_.completionWriteCost);
     e.awaitingAck.pop_front();
@@ -978,49 +937,23 @@ void NicDevice::handleRdmaRead(Packet&& p) {
     return;
   }
   // Stream the response through the send pipeline; it completes nothing
-  // locally. Each fragment reads its bytes from host memory as it is built.
-  const std::uint64_t bytes = p.msgBytes;
-  const std::uint32_t frags = fragCountFor(bytes, e.mtu);
-  const bool reliable = e.rel != Reliability::Unreliable;
-  const std::uint64_t msgSeq = e.txMsgSeq++;
+  // locally. Each fragment reads its bytes from the registered region as
+  // the NIC builds it.
+  Packet head = messageHeader(fabric::PacketKind::RdmaReadResp, p.dstVi, e,
+                              p.msgBytes);
+  head.conn.token = p.conn.token;
   const sim::Duration firstExtra =
-      profile_.nicPerMsgCost + translationCostRange(p.remoteAddr, bytes);
-  sim::SimTime ready = engine_.now();
-  for (std::uint32_t i = 0; i < frags; ++i) {
-    const std::uint64_t off = std::uint64_t{i} * e.mtu;
-    const std::uint64_t fragBytes = std::min<std::uint64_t>(e.mtu, bytes - off);
+      profile_.nicPerMsgCost + translationCostRange(p.remoteAddr, p.msgBytes);
+  for (std::uint32_t i = 0; i < head.fragCount; ++i) {
+    Packet out = fragment(head, i, e);
     const sim::SimTime tProc = nicProc_.acquire(
-        ready, profile_.nicPerFragCost + (i == 0 ? firstExtra : 0));
-    ready = tProc;
-    const sim::SimTime tDma = dma_.acquire(tProc, profile_.dmaTime(fragBytes));
-    Packet out;
-    out.kind = fabric::PacketKind::RdmaReadResp;
-    out.src = node_;
-    out.dst = e.remoteNode;
-    out.srcVi = p.dstVi;
-    out.dstVi = e.remoteVi;
-    out.msgSeq = msgSeq;
-    out.fragIndex = i;
-    out.fragCount = frags;
-    out.msgBytes = bytes;
-    out.offset = off;
-    out.conn.token = p.conn.token;
-    out.fragSeq = ++e.txFragSeq;
-    if (fragBytes > 0) {
-      out.payload.resize(fragBytes);
-      memory_.read(p.remoteAddr + off, out.payload);
-    }
-    if (reliable) {
-      e.unacked.push_back(out);
-      if (i + 1 == frags) e.lastFrag = out;
-    }
-    engine_.postAt(tDma, [this, p = std::move(out)]() mutable {
-      net_.send(std::move(p));
-    });
-    ++stats_.fragsTx;
-    stats_.bytesTx += fragBytes;
+        engine_.now(), profile_.nicPerFragCost + (i == 0 ? firstExtra : 0));
+    const sim::SimTime tDma =
+        dma_.acquire(tProc, profile_.dmaTime(out.payload.size()));
+    memory_.read(p.remoteAddr + out.offset, out.payload);
+    launch(e, std::move(out), tDma, /*probe=*/i + 1 == head.fragCount);
   }
-  if (reliable) armRto(p.dstVi, e);
+  if (e.rel != Reliability::Unreliable) armRto(p.dstVi, e);
 }
 
 // ---------------------------------------------------------------------------
@@ -1070,11 +1003,9 @@ void NicDevice::onRto(ViEndpointId id) {
                  node_, [&] {
                    return "RTO vi=" + std::to_string(id) + " probe retransmit";
                  });
-      const sim::SimTime tDma = dma_.acquire(
-          engine_.now(), profile_.dmaTime(e.lastFrag->payload.size()));
-      engine_.postAt(tDma, [this, p = Packet(*e.lastFrag)]() mutable {
-        net_.send(std::move(p));
-      });
+      transmit(Packet(*e.lastFrag),
+               dma_.acquire(engine_.now(),
+                            profile_.dmaTime(e.lastFrag->payload.size())));
       ++stats_.retransmits;
       armRto(id, e);
     }
@@ -1086,15 +1017,11 @@ void NicDevice::onRto(ViEndpointId id) {
                return "RTO vi=" + std::to_string(id) + " retransmit " +
                       std::to_string(e.unacked.size()) + " frags";
              });
-  sim::SimTime ready = engine_.now();
   for (const Packet& stored : e.unacked) {
-    const sim::SimTime tProc = nicProc_.acquire(ready, profile_.nicPerFragCost);
-    ready = tProc;
-    const sim::SimTime tDma =
-        dma_.acquire(tProc, profile_.dmaTime(stored.payload.size()));
-    engine_.postAt(tDma, [this, p = Packet(stored)]() mutable {
-      net_.send(std::move(p));
-    });
+    const sim::SimTime tProc =
+        nicProc_.acquire(engine_.now(), profile_.nicPerFragCost);
+    transmit(Packet(stored),
+             dma_.acquire(tProc, profile_.dmaTime(stored.payload.size())));
     ++stats_.retransmits;
   }
   e.rtoBackoff = std::min<std::uint32_t>(e.rtoBackoff * 2, profile_.rtoBackoffCap);

@@ -12,6 +12,25 @@
 //                DMA -> completion write (-> interrupt if a waiter sleeps)
 // Reliability  : per-VI go-back-N at fragment granularity with cumulative
 //                ACKs; ReliableReception acks only after memory placement.
+//
+// One fragment builder makes every packet the NIC originates: packetTo()
+// fills the fields all of them share, messageHeader() and fragment() a
+// message's header and each fragment's framing and sized payload buffer,
+// launch() keeps the retransmit and probe copies and counts the fragment,
+// transmit() is the one hand-off to the fabric (acks and RTO resends use
+// it too), and finishSend() completes a send or files it to wait for its
+// ack. The three send paths vary only what the implementations vary:
+//   - NIC pickup (cLAN, BVIA; sends and RDMA writes): timing starts at
+//     doorbell discovery on the NIC, bytes are gathered from the
+//     descriptor's segments per fragment; Wire record and NicTx span.
+//   - Host inline (M-VIA): the caller's kernel builds each fragment and is
+//     charged for it, bytes come from a snapshot taken at the doorbell
+//     trap; NicTx span, no Wire record. Events run during each charge: a
+//     teardown or break seen after one stops the send, which completes
+//     Aborted (ConnectionLost when broken), as postSend completes a send
+//     posted on a dead connection.
+//   - RDMA read response: timing starts at the request's arrival, bytes
+//     come from the registered region; neither record.
 #pragma once
 
 #include <cstdint>
@@ -154,6 +173,8 @@ class NicDevice {
     bool active = false;
     bool connected = false;
     bool broken = false;
+    /// Work may still run on this endpoint's connection.
+    bool open() const { return active && connected && !broken; }
     bool txBusy = false;  // host-inline send in progress (guards reentry)
     NodeId remoteNode = 0;
     ViEndpointId remoteVi = 0;
@@ -202,9 +223,21 @@ class NicDevice {
   void processSendWrHostInline(ViEndpointId id, Endpoint& e, WorkRequest wr);
   sim::Duration translationCost(const std::vector<SegmentView>& segs);
   sim::Duration translationCostRange(mem::VirtAddr va, std::uint64_t len);
-  void launchFragments(ViEndpointId id, Endpoint& e, const WorkRequest& wr,
-                       sim::SimTime nicReady, sim::Duration firstFragExtra,
-                       sim::Duration doorbell);
+
+  // The fragment builder (see the file comment).
+  Packet packetTo(fabric::PacketKind kind, ViEndpointId id,
+                  const Endpoint& e) const;
+  Packet messageHeader(fabric::PacketKind kind, ViEndpointId id, Endpoint& e,
+                       std::uint64_t bytes);
+  Packet messageHeader(ViEndpointId id, Endpoint& e, const WorkRequest& wr);
+  Packet fragment(const Packet& head, std::uint32_t i, Endpoint& e);
+  void launch(Endpoint& e, Packet&& p, sim::SimTime at, bool probe);
+  void transmit(Packet&& p, sim::SimTime at);
+  void finishSend(ViEndpointId id, Endpoint& e, std::uint64_t cookie,
+                  sim::SimTime done);
+  /// Completes a send that cannot run on `e`'s dead connection: Aborted,
+  /// or ConnectionLost when the connection broke.
+  void failSend(ViEndpointId id, const Endpoint& e, std::uint64_t cookie);
 
   // Receive machinery.
   void handleRx(Packet&& p);

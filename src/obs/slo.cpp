@@ -44,22 +44,23 @@ void SloMonitor::bindTo(TimeSeriesSampler& sampler) {
   // Probes run in registration order, so the first series computes the
   // window for this boundary and the rest read it — row and window stay
   // aligned at the same timestamp.
+  if (!probeOwner_) probeOwner_ = std::make_shared<char>();
   sampler.addProbe(name_ + "/p50_ns", [this](sim::SimTime t) {
     sample(t);
     return windows_.back().p50;
-  });
+  }, probeOwner_);
   sampler.addProbe(name_ + "/p99_ns", [this](sim::SimTime) {
     return windows_.empty() ? 0.0 : windows_.back().p99;
-  });
+  }, probeOwner_);
   sampler.addProbe(name_ + "/p999_ns", [this](sim::SimTime) {
     return windows_.empty() ? 0.0 : windows_.back().p999;
-  });
+  }, probeOwner_);
   sampler.addProbe(name_ + "/p9999_ns", [this](sim::SimTime) {
     return windows_.empty() ? 0.0 : windows_.back().p9999;
-  });
+  }, probeOwner_);
   sampler.addProbe(name_ + "/burn_rate", [this](sim::SimTime) {
     return windows_.empty() ? 0.0 : windows_.back().burnRate;
-  });
+  }, probeOwner_);
 }
 
 void SloMonitor::sample(sim::SimTime t) {

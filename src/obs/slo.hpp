@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,9 @@ class SloMonitor {
       : name_(std::move(name)),
         source_(&source),
         maxWindows_(maxWindows == 0 ? 1 : maxWindows) {}
+  // Bound probes capture `this`: a copy would not own them.
+  SloMonitor(const SloMonitor&) = delete;
+  SloMonitor& operator=(const SloMonitor&) = delete;
 
   const std::string& name() const { return name_; }
 
@@ -69,7 +73,9 @@ class SloMonitor {
   /// sample() for the boundary), then p99_ns, p999_ns, p9999_ns and
   /// burn_rate reading that window, so the monitor runs in lockstep with
   /// the sampler cadence and its stats land in the same CSV / counter
-  /// tracks.
+  /// tracks. The probes run only while this monitor lives (later flushes
+  /// read NaN for them). Throws SimError when a monitor of the same name,
+  /// this one included, is bound to the sampler already.
   void bindTo(TimeSeriesSampler& sampler);
 
   /// Computes one window from the histogram delta since the last call.
@@ -100,6 +106,7 @@ class SloMonitor {
   std::deque<Window> windows_;
   std::uint64_t crossings_ = 0;
   bool over_ = false;
+  std::shared_ptr<const void> probeOwner_;  // alive as long as this monitor
 };
 
 }  // namespace vibe::obs

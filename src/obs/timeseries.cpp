@@ -1,13 +1,16 @@
 #include "obs/timeseries.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "obs/trace_export.hpp"
 
 namespace vibe::obs {
 
-void TimeSeriesSampler::setPeriod(sim::Duration periodNs) {
+// Set-up, once per sampler: cold.
+[[gnu::cold]] void TimeSeriesSampler::setPeriod(sim::Duration periodNs) {
   if (periodNs <= 0) {
     throw sim::SimError("TimeSeriesSampler: period must be > 0 ns");
   }
@@ -24,6 +27,20 @@ std::size_t TimeSeriesSampler::addProbe(std::string name, Probe probe) {
   names_.push_back(std::move(name));
   probes_.push_back(std::move(probe));
   return names_.size() - 1;
+}
+
+std::size_t TimeSeriesSampler::addProbe(std::string name, Probe probe,
+                                        std::weak_ptr<const void> owner) {
+  if (!probe) throw sim::SimError("TimeSeriesSampler: null probe");
+  if (std::find(names_.begin(), names_.end(), name) != names_.end()) {
+    throw sim::SimError("TimeSeriesSampler: series '" + name +
+                        "' exists already");
+  }
+  return addProbe(std::move(name), [owner = std::move(owner),
+                                    probe = std::move(probe)](sim::SimTime at) {
+    return owner.expired() ? std::numeric_limits<double>::quiet_NaN()
+                           : probe(at);
+  });
 }
 
 void TimeSeriesSampler::flushUntil(sim::SimTime now) {
@@ -74,7 +91,8 @@ void TimeSeriesSampler::exportCounterTracks(TraceJsonExporter& exporter,
   }
 }
 
-void TimeSeriesSampler::clear() {
+// Between runs at most: cold.
+[[gnu::cold]] void TimeSeriesSampler::clear() {
   times_.clear();
   rows_.clear();
   dropped_ = 0;

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,14 @@ class TimeSeriesSampler {
   /// Registers a probe; returns its series index. Register all probes
   /// before the first window is captured — rows are rectangular.
   std::size_t addProbe(std::string name, Probe probe);
+
+  /// Registers a probe that reads an object which may die before the
+  /// sampler (a Cluster, an SloMonitor): `owner` is a token the object
+  /// holds. Once the token is gone no flush calls the probe, and its
+  /// series reads NaN. Throws SimError if a series of this name exists
+  /// already, as it does when another such object bound the sampler.
+  std::size_t addProbe(std::string name, Probe probe,
+                       std::weak_ptr<const void> owner);
 
   /// Captures every boundary <= `now` not yet captured, starting at the
   /// first period. Idempotent per boundary.

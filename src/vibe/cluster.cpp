@@ -91,22 +91,25 @@ void Cluster::attachSampler() {
     sampler.flushUntil(t);
   });
   // Aggregate probes: sums over nodes, so the series count stays O(1)
-  // whether the cluster has 2 nodes or 1024. Probes only read.
+  // whether the cluster has 2 nodes or 1024. Probes only read, and only
+  // while this Cluster lives; a sampler that carries them for another
+  // Cluster already is refused.
+  probeOwner_ = std::make_shared<char>();
   sampler.addProbe("nic/tx_backlog", [this](sim::SimTime) {
     std::size_t n = 0;
     for (auto& p : providers_) n += p->device().txBacklog();
     return static_cast<double>(n);
-  });
+  }, probeOwner_);
   sampler.addProbe("nic/rx_backlog", [this](sim::SimTime) {
     std::size_t n = 0;
     for (auto& p : providers_) n += p->device().rxBacklog();
     return static_cast<double>(n);
-  });
+  }, probeOwner_);
   sampler.addProbe("nic/cq_depth", [this](sim::SimTime) {
     std::size_t n = 0;
     for (auto& p : providers_) n += p->cqDepthTotal();
     return static_cast<double>(n);
-  });
+  }, probeOwner_);
   sampler.addProbe("fabric/host_link_frames", [this](sim::SimTime at) {
     std::uint64_t n = 0;
     for (std::uint32_t i = 0; i < config_.nodes; ++i) {
@@ -114,7 +117,7 @@ void Cluster::attachSampler() {
       n += topo_->hostDownlink(i).queuedFrames(at);
     }
     return static_cast<double>(n);
-  });
+  }, probeOwner_);
   sampler.addProbe("fabric/switch_queue_frames", [this](sim::SimTime at) {
     std::uint64_t n = 0;
     for (const auto& sw : topo_->switches()) {
@@ -124,10 +127,10 @@ void Cluster::attachSampler() {
       }
     }
     return static_cast<double>(n);
-  });
+  }, probeOwner_);
   sampler.addProbe("fabric/switch_buffer_drops", [this](sim::SimTime) {
     return static_cast<double>(topo_->switchBufferDrops());
-  });
+  }, probeOwner_);
 }
 
 void Cluster::attachSpans() {

@@ -79,8 +79,10 @@ struct ClusterConfig {
   // sampler: the Cluster registers aggregate queue-depth probes (NIC
   // tx/rx backlog, CQ depth, link + switch occupancy) and the engine's
   // boundary hook fills the sampler at its period() during run(). The
-  // sampler's period must be set (> 0; the constructor throws SimError
-  // otherwise). Null = no probes registered, no hook set, zero cost.
+  // sampler's period must be set (> 0), and the sampler must not carry
+  // another Cluster's probes; the constructor throws SimError otherwise.
+  // Once the Cluster is gone its series read NaN in later flushes. Null =
+  // no probes registered, no hook set, zero cost.
   obs::TimeSeriesSampler* sampler = nullptr;
 };
 
@@ -154,6 +156,9 @@ class Cluster {
   std::vector<std::unique_ptr<sim::Tracer>> shadowTracers_;
   std::vector<std::vector<sim::TraceRecord>> shadowTraceLogs_;
   std::vector<std::unique_ptr<obs::SpanProfiler>> shadowSpans_;
+  // Alive exactly as long as this Cluster: the config's sampler calls the
+  // Cluster's probes only while it lives (TimeSeriesSampler::addProbe).
+  std::shared_ptr<const void> probeOwner_;
   // Counter snapshots from the last publishStats() (delta publishing).
   std::vector<nic::NicStats> lastPublished_;
   std::uint64_t lastFramesDropped_ = 0;

@@ -261,8 +261,8 @@ VipResult Provider::queryVi(Vi* vi, ViState& state, VipViAttributes& attrs,
   if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
   state = vi->state_;
   attrs = vi->attrs_;
-  sendQueueEmpty = vi->sendDone_.empty();
-  recvQueueEmpty = vi->recvDone_.empty();
+  sendQueueEmpty = vi->send_.done.empty();
+  recvQueueEmpty = vi->recv_.done.empty();
   return VipResult::VIP_SUCCESS;
 }
 
@@ -298,7 +298,7 @@ VipResult Provider::destroyCq(Cq* cq) {
   charge(profile_.viplCallOverhead + profile_.destroyCqCost);
   if (cq == nullptr) return VipResult::VIP_INVALID_PARAMETER;
   for (const auto& vi : vis_) {
-    if (vi->sendCq_ == cq || vi->recvCq_ == cq) {
+    if (vi->send_.cq == cq || vi->recv_.cq == cq) {
       return VipResult::VIP_ERROR_RESOURCE;
     }
   }
@@ -485,8 +485,8 @@ VipResult Provider::resetVi(Vi* vi) {
   // teardown flush generates find no pending entry and become no-ops.
   flushViPending(vi);
   device_.teardownConnection(vi->ep_);
-  vi->sendDone_.clear();
-  vi->recvDone_.clear();
+  vi->send_.done.clear();
+  vi->recv_.done.clear();
   vi->recvNotify_.clear();
   vi->negotiatedMts_ = 0;
   vi->remoteNode_ = 0;
@@ -603,69 +603,71 @@ VipResult Provider::postRecv(Vi* vi, VipDescriptor* desc) {
 }
 
 VipResult Provider::sendDone(Vi* vi, VipDescriptor*& out) {
-  out = nullptr;
-  charge(profile_.pollCost);
-  if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
-  if (vi->sendDone_.empty()) return VipResult::VIP_NOT_DONE;
-  out = vi->sendDone_.front();
-  vi->sendDone_.pop_front();
-  return out->cs.status.ok() ? VipResult::VIP_SUCCESS
-                             : VipResult::VIP_DESCRIPTOR_ERROR;
+  return reapDone(vi, /*isSend=*/true, out);
 }
 
 VipResult Provider::recvDone(Vi* vi, VipDescriptor*& out) {
-  out = nullptr;
-  charge(profile_.pollCost);
-  if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
-  if (vi->recvDone_.empty()) return VipResult::VIP_NOT_DONE;
-  out = vi->recvDone_.front();
-  vi->recvDone_.pop_front();
-  return out->cs.status.ok() ? VipResult::VIP_SUCCESS
-                             : VipResult::VIP_DESCRIPTOR_ERROR;
+  return reapDone(vi, /*isSend=*/false, out);
 }
 
 VipResult Provider::sendWait(Vi* vi, sim::Duration timeout,
                              VipDescriptor*& out) {
-  out = nullptr;
-  charge(profile_.viplCallOverhead);
-  if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
-  sim::Process* proc = engine_.currentProcess();
-  bool blocked = false;
-  while (vi->sendDone_.empty()) {
-    if (proc == nullptr) return VipResult::VIP_NOT_DONE;
-    if (!proc->awaitFor(vi->sendSignal_, timeout)) return VipResult::VIP_TIMEOUT;
-    blocked = true;
-  }
-  out = vi->sendDone_.front();
-  vi->sendDone_.pop_front();
-  if (blocked) {
-    blockingWakeup();
-    chargeKernelCpu(out->kernelCpuTime);
-  }
-  return out->cs.status.ok() ? VipResult::VIP_SUCCESS
-                             : VipResult::VIP_DESCRIPTOR_ERROR;
+  return reapWait(vi, /*isSend=*/true, timeout, out);
 }
 
 VipResult Provider::recvWait(Vi* vi, sim::Duration timeout,
                              VipDescriptor*& out) {
+  return reapWait(vi, /*isSend=*/false, timeout, out);
+}
+
+VipResult Provider::takeDone(Vi::WorkQueue& q, VipDescriptor*& out) {
+  if (q.done.empty()) return VipResult::VIP_NOT_DONE;
+  out = q.done.front();
+  q.done.pop_front();
+  return out->cs.status.ok() ? VipResult::VIP_SUCCESS
+                             : VipResult::VIP_DESCRIPTOR_ERROR;
+}
+
+VipResult Provider::reapDone(Vi* vi, bool isSend, VipDescriptor*& out) {
+  out = nullptr;
+  charge(profile_.pollCost);
+  if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
+  return takeDone(vi->queue(isSend), out);
+}
+
+VipResult Provider::reapWait(Vi* vi, bool isSend, sim::Duration timeout,
+                             VipDescriptor*& out) {
   out = nullptr;
   charge(profile_.viplCallOverhead);
   if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
+  Vi::WorkQueue& q = vi->queue(isSend);
   sim::Process* proc = engine_.currentProcess();
   bool blocked = false;
-  while (vi->recvDone_.empty()) {
+  while (q.done.empty()) {
     if (proc == nullptr) return VipResult::VIP_NOT_DONE;
-    if (!proc->awaitFor(vi->recvSignal_, timeout)) return VipResult::VIP_TIMEOUT;
+    if (!proc->awaitFor(q.signal, timeout)) return VipResult::VIP_TIMEOUT;
     blocked = true;
   }
-  out = vi->recvDone_.front();
-  vi->recvDone_.pop_front();
+  const VipResult r = takeDone(q, out);
   if (blocked) {
     blockingWakeup();
     chargeKernelCpu(out->kernelCpuTime);
   }
-  return out->cs.status.ok() ? VipResult::VIP_SUCCESS
-                             : VipResult::VIP_DESCRIPTOR_ERROR;
+  return r;
+}
+
+VipResult Provider::reapPoll(Vi* vi, bool isSend, VipDescriptor*& out) {
+  out = nullptr;
+  charge(profile_.pollCost);
+  if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
+  Vi::WorkQueue& q = vi->queue(isSend);
+  sim::Process* proc = engine_.currentProcess();
+  while (q.done.empty()) {
+    if (proc == nullptr) return VipResult::VIP_NOT_DONE;
+    proc->awaitBusy(q.signal);
+    charge(profile_.pollCost);
+  }
+  return takeDone(q, out);
 }
 
 VipResult Provider::recvNotify(Vi* vi,
@@ -708,35 +710,11 @@ VipResult Provider::cqWait(Cq* cq, sim::Duration timeout, Vi*& vi,
 }
 
 VipResult Provider::pollSend(Vi* vi, VipDescriptor*& out) {
-  out = nullptr;
-  charge(profile_.pollCost);
-  if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
-  sim::Process* proc = engine_.currentProcess();
-  while (vi->sendDone_.empty()) {
-    if (proc == nullptr) return VipResult::VIP_NOT_DONE;
-    proc->awaitBusy(vi->sendSignal_);
-    charge(profile_.pollCost);
-  }
-  out = vi->sendDone_.front();
-  vi->sendDone_.pop_front();
-  return out->cs.status.ok() ? VipResult::VIP_SUCCESS
-                             : VipResult::VIP_DESCRIPTOR_ERROR;
+  return reapPoll(vi, /*isSend=*/true, out);
 }
 
 VipResult Provider::pollRecv(Vi* vi, VipDescriptor*& out) {
-  out = nullptr;
-  charge(profile_.pollCost);
-  if (vi == nullptr) return VipResult::VIP_INVALID_PARAMETER;
-  sim::Process* proc = engine_.currentProcess();
-  while (vi->recvDone_.empty()) {
-    if (proc == nullptr) return VipResult::VIP_NOT_DONE;
-    proc->awaitBusy(vi->recvSignal_);
-    charge(profile_.pollCost);
-  }
-  out = vi->recvDone_.front();
-  vi->recvDone_.pop_front();
-  return out->cs.status.ok() ? VipResult::VIP_SUCCESS
-                             : VipResult::VIP_DESCRIPTOR_ERROR;
+  return reapPoll(vi, /*isSend=*/false, out);
 }
 
 VipResult Provider::pollCq(Cq* cq, Vi*& vi, bool& isRecv) {
@@ -789,8 +767,8 @@ void Provider::onCompletion(nic::ViEndpointId ep, nic::Completion&& c) {
   }
 
   Vi* vi = pw.vi;
-  Cq* cq = pw.isSend ? vi->sendCq_ : vi->recvCq_;
-  const sim::Duration delay = cq != nullptr ? profile_.cqPostCost : 0;
+  const sim::Duration delay =
+      vi->queue(pw.isSend).cq != nullptr ? profile_.cqPostCost : 0;
   if (delay > 0) {
     const bool isSend = pw.isSend;
     engine_.post(delay,
@@ -809,13 +787,9 @@ void Provider::deliverCompletion(Vi* vi, VipDescriptor* desc, bool isSend) {
                  [handler = std::move(handler), desc] { handler(desc); });
     return;
   }
-  if (isSend) {
-    vi->sendDone_.push_back(desc);
-  } else {
-    vi->recvDone_.push_back(desc);
-  }
-  Cq* cq = isSend ? vi->sendCq_ : vi->recvCq_;
-  if (cq != nullptr) {
+  Vi::WorkQueue& q = vi->queue(isSend);
+  q.done.push_back(desc);
+  if (Cq* cq = q.cq) {
     if (cq->entries_.size() >= cq->capacity_) {
       cq->overflowed_ = true;
     } else {
@@ -823,7 +797,7 @@ void Provider::deliverCompletion(Vi* vi, VipDescriptor* desc, bool isSend) {
     }
     cq->signal_.notifyAll();
   }
-  (isSend ? vi->sendSignal_ : vi->recvSignal_).notifyAll();
+  q.signal.notifyAll();
 }
 
 void Provider::onControl(fabric::Packet&& p) {

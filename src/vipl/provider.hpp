@@ -87,37 +87,42 @@ class Vi {
   /// Peer's epoch learned from the most recent connect handshake.
   std::uint32_t remoteEpoch() const { return remoteEpoch_; }
 
-  std::size_t sendCompletionsQueued() const { return sendDone_.size(); }
-  std::size_t recvCompletionsQueued() const { return recvDone_.size(); }
+  std::size_t sendCompletionsQueued() const { return send_.done.size(); }
+  std::size_t recvCompletionsQueued() const { return recv_.done.size(); }
 
  private:
   friend class Provider;
+  /// One work queue's completion side: descriptors done and not yet
+  /// reaped, the signal a reaper waits on, and the CQ it feeds (if any).
+  struct WorkQueue {
+    WorkQueue(sim::Engine& engine, Cq* attached)
+        : cq(attached), signal(engine) {}
+    Cq* cq;
+    std::deque<VipDescriptor*> done;
+    sim::Signal signal;
+  };
+
   Vi(Provider& prov, sim::Engine& engine, nic::ViEndpointId ep,
      const VipViAttributes& attrs, Cq* sendCq, Cq* recvCq)
       : prov_(&prov),
         ep_(ep),
         attrs_(attrs),
-        sendCq_(sendCq),
-        recvCq_(recvCq),
-        sendSignal_(engine),
-        recvSignal_(engine) {}
+        send_(engine, sendCq),
+        recv_(engine, recvCq) {}
+
+  WorkQueue& queue(bool isSend) { return isSend ? send_ : recv_; }
 
   Provider* prov_;
   nic::ViEndpointId ep_;
   VipViAttributes attrs_;
   ViState state_ = ViState::Idle;
-  Cq* sendCq_;
-  Cq* recvCq_;
+  WorkQueue send_;
+  WorkQueue recv_;
   std::uint32_t negotiatedMts_ = 0;
   fabric::NodeId remoteNode_ = 0;
   nic::ViEndpointId remoteVi_ = 0;
   std::uint32_t epoch_ = 0;
   std::uint32_t remoteEpoch_ = 0;
-
-  std::deque<VipDescriptor*> sendDone_;
-  std::deque<VipDescriptor*> recvDone_;
-  sim::Signal sendSignal_;
-  sim::Signal recvSignal_;
   std::deque<std::function<void(VipDescriptor*)>> recvNotify_;
 };
 
@@ -292,6 +297,14 @@ class Provider {
                              const std::vector<VipDataSegment>& ds) const;
   nic::WorkRequest buildWorkRequest(const VipDescriptor& desc,
                                     std::uint64_t cookie) const;
+
+  // One reap per wait mode; the send and recv calls of each forward here.
+  VipResult reapDone(Vi* vi, bool isSend, VipDescriptor*& out);
+  VipResult reapWait(Vi* vi, bool isSend, sim::Duration timeout,
+                     VipDescriptor*& out);
+  VipResult reapPoll(Vi* vi, bool isSend, VipDescriptor*& out);
+  /// Pops `q`'s oldest completed descriptor into `out`.
+  static VipResult takeDone(Vi::WorkQueue& q, VipDescriptor*& out);
 
   void onCompletion(nic::ViEndpointId ep, nic::Completion&& c);
   void deliverCompletion(Vi* vi, VipDescriptor* desc, bool isSend);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -343,9 +344,12 @@ TEST(TraceExportTest, DestructorFlushesBufferedEvents) {
 
 // --- Live stage attribution ----------------------------------------------
 
-TEST(ObsIntegration, StageSumMatchesEndToEndOnPingPong) {
+/// The stage spans of a 64 B ping-pong tile each message's journey on
+/// `profile`: their per-message sum matches the EndToEnd envelope.
+void expectStageSumMatchesEndToEnd(const nic::NicProfile& profile) {
+  SCOPED_TRACE(profile.name);
   SpanProfiler spans;
-  suite::ClusterConfig cc{nic::clanProfile()};
+  suite::ClusterConfig cc{profile};
   cc.spans = &spans;
   suite::TransferConfig cfg;
   cfg.msgBytes = 64;
@@ -376,6 +380,37 @@ TEST(ObsIntegration, StageSumMatchesEndToEndOnPingPong) {
   EXPECT_NE(table.find("nic_tx"), std::string::npos);
   EXPECT_NE(table.find("wire"), std::string::npos);
   EXPECT_NE(table.find("end-to-end"), std::string::npos);
+}
+
+/// Every fragment a NIC sends in a 4096 B ping-pong on `profile` (more
+/// than one per message) gets one NicTx span.
+void expectOneNicTxSpanPerFragment(const nic::NicProfile& profile) {
+  SCOPED_TRACE(profile.name);
+  SpanProfiler spans;
+  MetricsRegistry metrics;
+  suite::ClusterConfig cc{profile};
+  cc.spans = &spans;
+  cc.metrics = &metrics;
+  suite::TransferConfig cfg;
+  cfg.msgBytes = 4096;
+  cfg.iterations = 100;
+  cfg.warmup = 4;
+  suite::runPingPong(cc, cfg);
+  const std::uint64_t fragsTx = metrics.counter("node0/nic.frags_tx").value() +
+                                metrics.counter("node1/nic.frags_tx").value();
+  const std::uint64_t messages = (cfg.iterations + cfg.warmup) * 2;
+  EXPECT_GT(fragsTx, messages);
+  EXPECT_EQ(spans.stage(Stage::NicTx).count(), fragsTx);
+}
+
+TEST(ObsIntegration, StageSumMatchesEndToEndOnPingPong) {
+  // cLAN and BVIA build fragments on the NIC, M-VIA in the host kernel at
+  // the doorbell trap; each path emits its own NicTx spans.
+  for (const nic::NicProfile& profile :
+       {nic::clanProfile(), nic::bviaProfile(), nic::mviaProfile()}) {
+    expectStageSumMatchesEndToEnd(profile);
+    expectOneNicTxSpanPerFragment(profile);
+  }
 }
 
 TEST(ObsIntegration, AttachedProfilerDoesNotPerturbTiming) {
@@ -529,6 +564,63 @@ TEST(TimeSeriesSamplerTest, ClusterRejectsSamplerWithoutPeriod) {
         << e.what();
   }
   EXPECT_EQ(sampler.seriesCount(), 0u) << "no probe registered";
+}
+
+TEST(TimeSeriesSamplerTest, FlushAfterClusterIsGoneCallsNoProbe) {
+  // The Cluster's probes read its providers, links and switches. A flush
+  // after the Cluster is gone must call none of them (under ASan such a
+  // call reads dead stack memory); their series read NaN from then on.
+  obs::TimeSeriesSampler sampler;
+  sampler.setPeriod(sim::usec(10));
+  suite::ClusterConfig cc{nic::clanProfile()};
+  cc.sampler = &sampler;
+  suite::TransferConfig cfg;
+  cfg.msgBytes = 64;
+  cfg.iterations = 10;
+  (void)suite::runPingPong(cc, cfg);  // builds and destroys its Cluster
+  const std::size_t rows = sampler.windowCount();
+  ASSERT_GT(rows, 0u);
+  sampler.flushUntil(sampler.windowTime(rows - 1) + sim::usec(50));
+  ASSERT_EQ(sampler.windowCount(), rows + 5);
+  ASSERT_EQ(sampler.seriesCount(), 6u);
+  for (std::size_t s = 0; s < sampler.seriesCount(); ++s) {
+    EXPECT_FALSE(std::isnan(sampler.value(rows - 1, s)))
+        << sampler.seriesName(s);
+    EXPECT_TRUE(std::isnan(sampler.value(rows, s))) << sampler.seriesName(s);
+  }
+}
+
+TEST(TimeSeriesSamplerTest, SecondClusterOnOneSamplerIsRefused) {
+  obs::TimeSeriesSampler sampler;
+  sampler.setPeriod(sim::usec(10));
+  suite::ClusterConfig cc{nic::clanProfile()};
+  cc.sampler = &sampler;
+  suite::Cluster first(cc);
+  EXPECT_THROW(suite::Cluster second(cc), sim::SimError);
+  EXPECT_EQ(sampler.seriesCount(), 6u) << "a second probe set was stacked";
+}
+
+TEST(SloMonitorTest, ProbesStopWithTheMonitor) {
+  obs::TimeSeriesSampler sampler;
+  sampler.setPeriod(100);
+  Histogram h;
+  {
+    obs::SloMonitor slo("x", h);
+    slo.bindTo(sampler);
+    EXPECT_THROW(slo.bindTo(sampler), sim::SimError);
+    obs::SloMonitor twin("x", h);
+    EXPECT_THROW(twin.bindTo(sampler), sim::SimError);
+    EXPECT_EQ(sampler.seriesCount(), 5u);
+    h.add(50);
+    sampler.flushUntil(100);
+    EXPECT_EQ(slo.windows().size(), 1u);
+  }
+  sampler.flushUntil(200);
+  ASSERT_EQ(sampler.windowCount(), 2u);
+  for (std::size_t s = 0; s < sampler.seriesCount(); ++s) {
+    EXPECT_FALSE(std::isnan(sampler.value(0, s))) << sampler.seriesName(s);
+    EXPECT_TRUE(std::isnan(sampler.value(1, s))) << sampler.seriesName(s);
+  }
 }
 
 TEST(TimeSeriesSamplerTest, TimelineByteIdenticalAcrossJobsAndShards) {

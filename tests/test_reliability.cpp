@@ -573,6 +573,70 @@ TEST(ReliabilityTest, ReliableMissingDescriptorBreaksConnection) {
   EXPECT_TRUE(receiverSawError);
 }
 
+TEST(ReliabilityTest, HostInlineSendStopsAtTeardownMidMessage) {
+  // M-VIA builds a message's fragments in the kernel at the doorbell trap
+  // and charges the caller between them, so the peer's Disconnect can
+  // tear the connection down mid-message. The send must stop there and
+  // complete Aborted, not keep sending into the dead connection and wait
+  // for acks that never come until the retry budget breaks it.
+  constexpr std::uint32_t kBytes = 60000;
+  ClusterConfig cfg;
+  cfg.profile = nic::mviaProfile();
+  Cluster cluster(cfg);
+  sim::Duration sendToCompletion = 0;
+
+  auto sender = [&](NodeEnv& env) {
+    Provider& nic = env.nic;
+    auto ptag = vipl::VipCreatePtag(nic);
+    Buf buf = makeBuf(nic, ptag, kBytes);
+    vipl::VipViAttributes va;
+    va.ptag = ptag;
+    va.reliabilityLevel = nic::Reliability::ReliableDelivery;
+    Vi* vi = nullptr;
+    ASSERT_EQ(vipl::VipCreateVi(nic, va, nullptr, nullptr, vi),
+              VipResult::VIP_SUCCESS);
+    ASSERT_EQ(vipl::VipConnectRequest(nic, vi, {1, kDisc}, kTimeout),
+              VipResult::VIP_SUCCESS);
+    VipDescriptor d = VipDescriptor::send(buf.va, buf.handle, kBytes);
+    const sim::SimTime posted = env.now();
+    ASSERT_EQ(vipl::VipPostSend(nic, vi, &d), VipResult::VIP_SUCCESS);
+    VipDescriptor* done = nullptr;
+    EXPECT_EQ(nic.sendWait(vi, kTimeout, done),
+              VipResult::VIP_DESCRIPTOR_ERROR);
+    sendToCompletion = env.now() - posted;
+    EXPECT_EQ(d.cs.status.error, nic::WorkStatus::Aborted);
+    EXPECT_EQ(vi->state(), vipl::ViState::Disconnected);
+  };
+
+  auto receiver = [&](NodeEnv& env) {
+    Provider& nic = env.nic;
+    auto ptag = vipl::VipCreatePtag(nic);
+    Buf buf = makeBuf(nic, ptag, kBytes);
+    vipl::VipViAttributes va;
+    va.ptag = ptag;
+    va.reliabilityLevel = nic::Reliability::ReliableDelivery;
+    Vi* vi = nullptr;
+    ASSERT_EQ(vipl::VipCreateVi(nic, va, nullptr, nullptr, vi),
+              VipResult::VIP_SUCCESS);
+    VipDescriptor r = VipDescriptor::recv(buf.va, buf.handle, kBytes);
+    ASSERT_EQ(vipl::VipPostRecv(nic, vi, &r), VipResult::VIP_SUCCESS);
+    PendingConn conn;
+    ASSERT_EQ(vipl::VipConnectWait(nic, {1, kDisc}, kTimeout, conn),
+              VipResult::VIP_SUCCESS);
+    ASSERT_EQ(vipl::VipConnectAccept(nic, conn, vi), VipResult::VIP_SUCCESS);
+    env.self.advance(sim::usec(100), sim::CpuUse::Idle);
+    ASSERT_EQ(vipl::VipDisconnect(nic, vi), VipResult::VIP_SUCCESS);
+  };
+
+  cluster.run({sender, receiver});
+  const nic::NicStats& tx = cluster.node(0).device().stats();
+  const std::uint32_t mtu = cluster.node(0).profile().mtu;
+  EXPECT_LT(tx.fragsTx, (kBytes + mtu - 1) / mtu);  // stopped mid-message
+  EXPECT_EQ(tx.retransmits, 0u);
+  EXPECT_EQ(tx.protocolErrors, 0u);
+  EXPECT_LT(sendToCompletion, sim::msec(1));
+}
+
 TEST(ReliabilityTest, LossySendRecvUnderRdmaWrite) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");

@@ -564,5 +564,189 @@ TEST(TracerIntegration, NicTraceStreamIsUnchanged) {
   }
 }
 
+// --- NIC trace pin for the RDMA packets ----------------------------------
+
+/// Fragments sent and retransmitted by the initiator (node 0) and the
+/// responder (node 1).
+struct RdmaPinStats {
+  std::array<std::uint64_t, 2> fragsTx{};
+  std::array<std::uint64_t, 2> retransmits{};
+};
+
+/// Four rounds on a lossy ReliableReception connection: each a 5000 B RDMA
+/// write with immediate data from node 0 into node 1, then a 9000 B RDMA
+/// read of node 1's memory by node 0. 10% loss, plus a corruption window
+/// on node 0's downlink, which carries the read responses and the acks.
+/// Node 1 checks every written byte and node 0 every read byte.
+RdmaPinStats runNicRdmaTracePin(nic::NicProfile profile, Tracer& tracer) {
+  profile.supportsRdmaWrite = true;
+  profile.supportsRdmaRead = true;
+  suite::ClusterConfig cfg;
+  cfg.profile = profile;
+  cfg.seed = 5;
+  cfg.lossRate = 0.1;
+  cfg.tracer = &tracer;
+  suite::Cluster cluster(cfg);
+  cluster.topology().hostDownlink(0).scheduleCorruptWindow(0, sim::msec(20),
+                                                           0.25);
+  constexpr int kRounds = 4;
+  constexpr std::uint32_t kWriteBytes = 5000;
+  constexpr std::uint32_t kReadBytes = 9000;
+  constexpr std::uint64_t kSlot = 16384;  // per-round region, both sides
+  const sim::Duration kWait = sim::kSecond * 2;
+  // The responder's regions, published before it accepts the connection.
+  mem::VirtAddr writeTarget = 0;
+  mem::VirtAddr readSource = 0;
+  mem::MemHandle remoteHandle = 0;
+  auto readByte = [](std::uint64_t i) { return patternAt(i * 7 + 3); };
+  auto viAttrs = [](mem::PtagId ptag) {
+    vipl::VipViAttributes va;
+    va.ptag = ptag;
+    va.reliabilityLevel = nic::Reliability::ReliableReception;
+    va.enableRdmaWrite = true;
+    va.enableRdmaRead = true;
+    return va;
+  };
+
+  auto initiator = [&](suite::NodeEnv& env) {
+    vipl::Provider& nic = env.nic;
+    const auto ptag = vipl::VipCreatePtag(nic);
+    const std::uint64_t bytes = kSlot * (kRounds + 1);
+    const auto buf = nic.memory().alloc(bytes, mem::kPageSize);
+    std::vector<std::byte> fill(kSlot);
+    for (std::uint64_t i = 0; i < kSlot; ++i) fill[i] = patternAt(i);
+    nic.memory().write(buf, fill);
+    mem::MemHandle h = 0;
+    ASSERT_EQ(vipl::VipRegisterMem(nic, buf, bytes, {ptag, false, false}, h),
+              vipl::VipResult::VIP_SUCCESS);
+    vipl::Vi* vi = nullptr;
+    ASSERT_EQ(vipl::VipCreateVi(nic, viAttrs(ptag), nullptr, nullptr, vi),
+              vipl::VipResult::VIP_SUCCESS);
+    ASSERT_EQ(vipl::VipConnectRequest(nic, vi, {1, 9}, kWait),
+              vipl::VipResult::VIP_SUCCESS);
+    for (int r = 0; r < kRounds; ++r) {
+      vipl::VipDescriptor w = vipl::VipDescriptor::rdmaWrite(
+          buf + r * 100, h, kWriteBytes, writeTarget + r * kSlot,
+          remoteHandle);
+      w.cs.control |= vipl::VIP_CONTROL_IMMEDIATE;
+      w.cs.immediateData = 0x100 + r;
+      ASSERT_EQ(vipl::VipPostSend(nic, vi, &w), vipl::VipResult::VIP_SUCCESS);
+      vipl::VipDescriptor* done = nullptr;
+      ASSERT_EQ(nic.sendWait(vi, kWait, done), vipl::VipResult::VIP_SUCCESS)
+          << "write " << r;
+
+      const mem::VirtAddr local = buf + (r + 1) * kSlot;
+      vipl::VipDescriptor rd = vipl::VipDescriptor::rdmaRead(
+          local, h, kReadBytes, readSource + r * 11, remoteHandle);
+      ASSERT_EQ(vipl::VipPostSend(nic, vi, &rd),
+                vipl::VipResult::VIP_SUCCESS);
+      ASSERT_EQ(nic.sendWait(vi, kWait, done), vipl::VipResult::VIP_SUCCESS)
+          << "read " << r;
+      std::vector<std::byte> got(kReadBytes);
+      nic.memory().read(local, got);
+      for (std::uint64_t i = 0; i < kReadBytes; ++i) {
+        ASSERT_EQ(got[i], readByte(r * 11 + i))
+            << "read " << r << " byte " << i;
+      }
+    }
+  };
+  auto responder = [&](suite::NodeEnv& env) {
+    vipl::Provider& nic = env.nic;
+    const auto ptag = vipl::VipCreatePtag(nic);
+    const std::uint64_t bytes = kSlot * (kRounds + 1);
+    const auto buf = nic.memory().alloc(bytes, mem::kPageSize);
+    std::vector<std::byte> fill(kSlot);
+    for (std::uint64_t i = 0; i < kSlot; ++i) fill[i] = readByte(i);
+    nic.memory().write(buf, fill);
+    ASSERT_EQ(vipl::VipRegisterMem(nic, buf, bytes, {ptag, true, true},
+                                   remoteHandle),
+              vipl::VipResult::VIP_SUCCESS);
+    readSource = buf;
+    writeTarget = buf + kSlot;
+    vipl::Vi* vi = nullptr;
+    ASSERT_EQ(vipl::VipCreateVi(nic, viAttrs(ptag), nullptr, nullptr, vi),
+              vipl::VipResult::VIP_SUCCESS);
+    // Immediate-only receives: each write's immediate consumes one.
+    std::vector<vipl::VipDescriptor> recvs(kRounds);
+    for (vipl::VipDescriptor& d : recvs) {
+      ASSERT_EQ(vipl::VipPostRecv(nic, vi, &d), vipl::VipResult::VIP_SUCCESS);
+    }
+    vipl::PendingConn conn;
+    ASSERT_EQ(vipl::VipConnectWait(nic, {1, 9}, kWait, conn),
+              vipl::VipResult::VIP_SUCCESS);
+    ASSERT_EQ(vipl::VipConnectAccept(nic, conn, vi),
+              vipl::VipResult::VIP_SUCCESS);
+    for (int r = 0; r < kRounds; ++r) {
+      vipl::VipDescriptor* done = nullptr;
+      ASSERT_EQ(nic.recvWait(vi, kWait, done), vipl::VipResult::VIP_SUCCESS);
+      EXPECT_EQ(done->cs.immediateData, static_cast<std::uint32_t>(0x100 + r));
+      std::vector<std::byte> got(kWriteBytes);
+      nic.memory().read(writeTarget + r * kSlot, got);
+      for (std::uint64_t i = 0; i < kWriteBytes; ++i) {
+        ASSERT_EQ(got[i], patternAt(r * 100 + i))
+            << "write " << r << " byte " << i;
+      }
+    }
+  };
+  cluster.run({initiator, responder});
+  RdmaPinStats s;
+  for (std::uint32_t n = 0; n < 2; ++n) {
+    s.fragsTx[n] = cluster.node(n).device().stats().fragsTx;
+    s.retransmits[n] = cluster.node(n).device().stats().retransmits;
+  }
+  return s;
+}
+
+struct NicRdmaTracePin {
+  const char* profile;
+  std::uint64_t digest;
+  CategoryCounts counts;  // indexed by TraceCategory
+  RdmaPinStats stats;
+};
+
+TEST(TracerIntegration, NicRdmaTraceStreamIsUnchanged) {
+  // Pins the NIC trace text of the RDMA packets: RDMA-write fragments,
+  // read requests and read-response fragments, with their acks, RTO
+  // resends and probes under loss and corruption. cLAN and BVIA build
+  // them on the NIC (BVIA with TLB misses); M-VIA builds the write
+  // fragments in the host kernel (no Wire records). Every profile is
+  // given RDMA write and read for this run.
+  const NicRdmaTracePin pins[] = {
+      {"clan",
+       0x8336d6d74f0c1eb2ull,
+       {0, 0, 8, 0, 12, 89, 12, 41, 2, 0, 0, 0},
+       {{16, 20}, {11, 52}}},
+      {"bvia",
+       0xab54f57612326ce4ull,
+       {0, 0, 8, 0, 12, 77, 12, 36, 2, 25, 0, 0},
+       {{16, 20}, {12, 37}}},
+      {"mvia",
+       0x4d1b15bbaeb075d1ull,
+       {0, 0, 8, 0, 0, 96, 12, 46, 2, 0, 0, 0},
+       {{20, 24}, {20, 41}}},
+  };
+  for (const NicRdmaTracePin& pin : pins) {
+    SCOPED_TRACE(pin.profile);
+    Tracer tracer;
+    tracer.enableAll();
+    CategoryCounts counts{};
+    tracer.setSink([&](const sim::TraceRecord& r) {
+      ++counts[static_cast<std::size_t>(r.category)];
+    });
+    const RdmaPinStats s =
+        runNicRdmaTracePin(nic::profileByName(pin.profile), tracer);
+    EXPECT_EQ(tracer.digest(), pin.digest) << std::hex << tracer.digest();
+    for (std::size_t c = 0; c < kCategories; ++c) {
+      EXPECT_EQ(counts[c], pin.counts[c])
+          << sim::toString(static_cast<TraceCategory>(c));
+    }
+    for (std::size_t n = 0; n < 2; ++n) {
+      EXPECT_EQ(s.fragsTx[n], pin.stats.fragsTx[n]) << "fragsTx node " << n;
+      EXPECT_EQ(s.retransmits[n], pin.stats.retransmits[n])
+          << "retransmits node " << n;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vibe
