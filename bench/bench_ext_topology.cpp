@@ -8,6 +8,8 @@
 // permutation as the fabric tier is oversubscribed.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <span>
 
 #include "bench_common.hpp"
 #include "bench_registry.hpp"
@@ -39,13 +41,16 @@ vibe::fabric::TopologySpec rawFatTree(std::uint32_t k, std::uint32_t nodes,
   return spec;
 }
 
-vibe::fabric::Packet rawFrame(std::uint32_t src, std::uint32_t dst,
-                              std::size_t payloadBytes) {
-  vibe::fabric::Packet f;
-  f.kind = vibe::fabric::PacketKind::Data;
-  f.src = src;
-  f.dst = dst;
-  f.payload.assign(payloadBytes, std::byte{0x5A});
+vibe::fabric::PacketPtr rawFrame(std::uint32_t src, std::uint32_t dst,
+                                 std::size_t payloadBytes) {
+  auto f = std::make_unique<vibe::fabric::Packet>();
+  f->kind = vibe::fabric::PacketKind::Data;
+  f->src = src;
+  f->dst = dst;
+  f->payload = vibe::fabric::Payload::build(
+      payloadBytes, [](std::span<std::byte> out) {
+        std::fill(out.begin(), out.end(), std::byte{0x5A});
+      });
   return f;
 }
 
@@ -157,7 +162,7 @@ int run(int, char**) {
         fabric::Topology net(eng, rawFatTree(16, 1024, bufs[env.index]));
         std::uint64_t delivered = 0;
         for (std::uint32_t n = 0; n < 1024; ++n) {
-          net.setReceiver(n, [&](fabric::Packet&&) { ++delivered; });
+          net.setReceiver(n, [&](fabric::PacketPtr) { ++delivered; });
         }
         for (std::uint32_t s = 1; s < 1024; ++s) {
           for (int i = 0; i < 4; ++i) net.send(rawFrame(s, 0, 1024));
@@ -200,8 +205,8 @@ int run(int, char**) {
         std::uint64_t deliveredBytes = 0;
         sim::SimTime last = 0;
         for (std::uint32_t n = 0; n < 1024; ++n) {
-          net.setReceiver(n, [&](fabric::Packet&& f) {
-            deliveredBytes += f.payload.size();
+          net.setReceiver(n, [&](fabric::PacketPtr f) {
+            deliveredBytes += f->payload.size();
             last = std::max(last, clock.now());
           });
         }

@@ -41,10 +41,10 @@ std::uint32_t Link::queuedFrames(sim::SimTime now) {
   return static_cast<std::uint32_t>(serEnds_.size());
 }
 
-void Link::send(Packet&& p) {
+void Link::send(PacketPtr p) {
   if (!sink_) throw sim::SimError("Link::send on unconnected link " + name_);
   const sim::SimTime now = engine_.now();
-  const std::uint64_t wire = p.wireBytes(params_.headerBytes);
+  const std::uint64_t wire = p->wireBytes(params_.headerBytes);
   const sim::Duration ser = sim::transferTime(wire, params_.bandwidthMBps);
   const sim::SimTime done = tx_.acquire(now, ser);
   while (!serEnds_.empty() && serEnds_.front() <= now) serEnds_.pop_front();
@@ -55,15 +55,15 @@ void Link::send(Packet&& p) {
   // scheduled this reduces to exactly the base Bernoulli model, drawing
   // the same PRNG sequence (byte-identical runs).
   const double loss = effectiveRate(lossWindows_, params_.lossRate, now);
-  if (loss > 0.0 && !isConnectionManagement(p.kind) && rng_.chance(loss)) {
+  if (loss > 0.0 && !isConnectionManagement(p->kind) && rng_.chance(loss)) {
     ++framesDropped_;
     return;  // the wire time is still consumed; the frame just never arrives
   }
-  if (!corruptWindows_.empty() && !isConnectionManagement(p.kind)) {
+  if (!corruptWindows_.empty() && !isConnectionManagement(p->kind)) {
     const double corrupt = effectiveRate(corruptWindows_, 0.0, now);
     if (corrupt > 0.0 && corruptRng_.chance(corrupt)) {
       ++framesCorrupted_;
-      p.corrupted = true;  // delivered; the receiving NIC detects and drops
+      p->corrupted = true;  // delivered; the receiving NIC detects and drops
     }
   }
   sim::Duration prop = params_.propagation;
@@ -74,16 +74,16 @@ void Link::send(Packet&& p) {
       if (w.start <= now && now < w.end) prop = params_.propagation + w.extra;
     }
   }
-  if (spans_ != nullptr && p.kind != PacketKind::Ack &&
-      !isConnectionManagement(p.kind)) {
-    spans_->emit(obs::Stage::Wire, p.src, p.srcVi, now, done + prop, wire);
+  if (spans_ != nullptr && p->kind != PacketKind::Ack &&
+      !isConnectionManagement(p->kind)) {
+    spans_->emit(obs::Stage::Wire, p->src, p->srcVi, now, done + prop, wire);
   }
-  // The packet rides inside the event callback itself (EventFn is
-  // move-capable), so delivery costs no shared_ptr round-trip. A link
-  // whose receive side lives in another PDES domain routes the delivery
-  // through the cross-domain mailbox instead of its own engine; the
-  // arrival time done + prop >= now + serialize(header) + propagation, so
-  // the hop-lookahead bound is always paid.
+  // The packet's box rides inside the event callback, which fits EventFn's
+  // inline buffer, so delivery allocates nothing. A link whose receive
+  // side lives in another PDES domain routes the delivery through the
+  // cross-domain mailbox instead of its own engine; the arrival time
+  // done + prop >= now + serialize(header) + propagation, so the
+  // hop-lookahead bound is always paid.
   if (remote_) {
     remote_(done + prop,
             [this, p = std::move(p)]() mutable { sink_(std::move(p)); });

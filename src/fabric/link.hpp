@@ -36,7 +36,7 @@ struct LinkParams {
 
 class Link {
  public:
-  using Deliver = std::function<void(Packet&&)>;
+  using Deliver = std::function<void(PacketPtr)>;
 
   Link(sim::Engine& engine, std::string name, const LinkParams& params)
       : engine_(engine),
@@ -62,7 +62,7 @@ class Link {
 
   /// Queues a frame for transmission. Delivery happens at
   /// serialization-complete + propagation, unless the frame is dropped.
-  void send(Packet&& p);
+  void send(PacketPtr p);
 
   /// Attaches a span profiler: every delivered data-path frame emits a
   /// Wire span covering serialization + propagation (acks and connection

@@ -4,11 +4,19 @@
 // end-to-end tests can verify data integrity through fragmentation, loss,
 // and retransmission. Control packets (connection management, ACKs) carry
 // metadata only and are modelled as small fixed-size frames.
+//
+// Ownership: a frame travels as one PacketPtr box, made by its sender and
+// moved from hop to hop (host uplink, switches, links, the receiving NIC)
+// until the last hop drops it, so each hop's event carries a pointer, not
+// the packet. The payload bytes are written once, when the sender builds
+// the Payload, and are immutable afterwards: copies of the header (the
+// retransmit buffer, the probe frame, a resend) share them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
 
 namespace vibe::fabric {
 
@@ -44,6 +52,34 @@ constexpr bool isConnectionManagement(PacketKind k) {
   return k == PacketKind::ConnRequest || k == PacketKind::ConnAccept ||
          k == PacketKind::ConnReject || k == PacketKind::Disconnect;
 }
+
+/// A frame's payload: one immutable byte block shared by every copy of
+/// the frame's header. Copying a Payload copies a reference, not bytes.
+class Payload {
+ public:
+  Payload() = default;
+
+  /// Allocates `n` bytes uninitialized and has `fill(std::span<std::byte>)`
+  /// write them; `fill` must write every byte. The block is read-only
+  /// afterwards.
+  template <typename Fill>
+  static Payload build(std::size_t n, Fill&& fill) {
+    Payload p;
+    if (n == 0) return p;
+    auto block = std::make_shared_for_overwrite<std::byte[]>(n);
+    fill(std::span<std::byte>(block.get(), n));
+    p.block_ = std::move(block);
+    p.size_ = n;
+    return p;
+  }
+
+  std::size_t size() const { return size_; }
+  std::span<const std::byte> bytes() const { return {block_.get(), size_}; }
+
+ private:
+  std::shared_ptr<const std::byte[]> block_;
+  std::size_t size_ = 0;
+};
 
 /// Connection-management metadata exchanged during the VIA dialog.
 struct ConnInfo {
@@ -98,15 +134,20 @@ struct Packet {
   // Fault injection: the frame was damaged in flight. The payload bytes are
   // left intact (the simulator does not scramble memory); the flag models a
   // CRC failure that the receiving NIC detects and drops, exactly like a
-  // loss except that the receiver sees and counts the mangled frame.
+  // loss except that the receiver sees and counts the mangled frame. The
+  // flag belongs to one header copy: the sender's retransmit copy of a
+  // frame corrupted in flight stays clean.
   bool corrupted = false;
 
-  std::vector<std::byte> payload;
+  Payload payload;
 
   /// Bytes occupying the wire: payload plus a fixed per-frame header.
   std::uint64_t wireBytes(std::uint32_t headerBytes) const {
     return payload.size() + headerBytes;
   }
 };
+
+/// A frame in flight: one box per frame, moved from hop to hop.
+using PacketPtr = std::unique_ptr<Packet>;
 
 }  // namespace vibe::fabric

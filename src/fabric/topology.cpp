@@ -107,19 +107,19 @@ void Switch::setEcmpUplinks(std::vector<std::uint32_t> ports) {
   ecmp_ = std::move(ports);
 }
 
-void Switch::ingress(Packet&& p, std::uint32_t ingressHeaderBytes,
+void Switch::ingress(PacketPtr p, std::uint32_t ingressHeaderBytes,
                      bool fromHost) {
   // Switch-hop Wire span: cut-through latency, sized with the bytes the
   // ingress wire actually carried (each hop attributes its own link's
   // header, not a topology-wide constant). spans_ is this switch's own
   // (domain-local under sharding) profiler.
-  if (spans_ != nullptr && latency_ > 0 && p.kind != PacketKind::Ack &&
-      !isConnectionManagement(p.kind)) {
+  if (spans_ != nullptr && latency_ > 0 && p->kind != PacketKind::Ack &&
+      !isConnectionManagement(p->kind)) {
     const sim::SimTime now = engine_.now();
-    spans_->emit(obs::Stage::Wire, p.src, p.srcVi, now, now + latency_,
-                 p.wireBytes(ingressHeaderBytes));
+    spans_->emit(obs::Stage::Wire, p->src, p->srcVi, now, now + latency_,
+                 p->wireBytes(ingressHeaderBytes));
   }
-  engine_.post(latency_, [this, fromHost, p = std::move(p)]() mutable {
+  engine_.post(latency_, [this, p = std::move(p), fromHost]() mutable {
     forward(std::move(p), fromHost);
   });
 }
@@ -134,19 +134,19 @@ std::uint32_t Switch::selectUplink(const Packet& p) const {
   return ecmp_[h % ecmp_.size()];
 }
 
-void Switch::forward(Packet&& p, bool fromHost) {
+void Switch::forward(PacketPtr p, bool fromHost) {
   ++forwarded_;
   if (fromHost) ++fromHostForwards_;
   std::uint32_t portIdx = 0;
   const std::int32_t rt =
-      p.dst < route_.size() ? route_[p.dst] : std::int32_t{-1};
+      p->dst < route_.size() ? route_[p->dst] : std::int32_t{-1};
   if (rt >= 0) {
     portIdx = static_cast<std::uint32_t>(rt);
   } else if (!ecmp_.empty()) {
-    portIdx = selectUplink(p);
+    portIdx = selectUplink(*p);
   } else {
     throw sim::SimError("Switch " + name_ + ": no route to node " +
-                        std::to_string(p.dst));
+                        std::to_string(p->dst));
   }
   Port& port = ports_.at(portIdx);
   if (bufferFrames_ != 0) {
@@ -207,14 +207,14 @@ void Topology::setReceiver(NodeId node, Receiver rx) {
   receivers_[node] = std::move(rx);
 }
 
-void Topology::send(Packet&& p) {
-  if (p.src >= spec_.nodes || p.dst >= spec_.nodes) {
+void Topology::send(PacketPtr p) {
+  if (p->src >= spec_.nodes || p->dst >= spec_.nodes) {
     throw sim::SimError("Topology::send: node id out of range");
   }
-  if (p.src == p.dst) {
+  if (p->src == p->dst) {
     throw sim::SimError("Topology::send: wire loopback not supported");
   }
-  hostUp_[p.src]->send(std::move(p));
+  hostUp_[p->src]->send(std::move(p));
 }
 
 void Topology::placeLink(Link* l, std::uint32_t srcDomain,
@@ -241,7 +241,7 @@ Switch* Topology::addSwitch(std::string name, SwitchTier tier,
 
 void Topology::connectToSwitch(Link* l, Switch* sw, bool fromHost) {
   const std::uint32_t header = l->headerBytes();
-  l->connect([sw, header, fromHost](Packet&& p) {
+  l->connect([sw, header, fromHost](PacketPtr p) {
     sw->ingress(std::move(p), header, fromHost);
   });
 }
@@ -277,7 +277,7 @@ void Topology::buildHostLinks(const std::function<Switch*(NodeId)>& edgeOf) {
     lp.seed = spec_.seed ^ (0x2000ULL + n);
     auto down = std::make_unique<Link>(eng, "down" + std::to_string(n), lp);
     connectToSwitch(up.get(), edge, /*fromHost=*/true);
-    down->connect([this, n](Packet&& p) {
+    down->connect([this, n](PacketPtr p) {
       if (!receivers_[n]) {
         throw sim::SimError("Topology: no receiver registered for node " +
                             std::to_string(n));

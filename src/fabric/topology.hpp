@@ -148,7 +148,7 @@ class Switch {
   /// the *ingress* link's header, i.e. the bytes that wire carried), then
   /// forwards after the cut-through latency. `fromHost` marks frames
   /// entering the fabric from a host uplink (ingress accounting).
-  void ingress(Packet&& p, std::uint32_t ingressHeaderBytes, bool fromHost);
+  void ingress(PacketPtr p, std::uint32_t ingressHeaderBytes, bool fromHost);
 
   const std::string& name() const { return name_; }
   std::uint32_t id() const { return id_; }
@@ -179,7 +179,7 @@ class Switch {
   std::uint32_t maxQueueDepth() const { return maxDepth_; }
 
  private:
-  void forward(Packet&& p, bool fromHost);
+  void forward(PacketPtr p, bool fromHost);
   std::uint32_t selectUplink(const Packet& p) const;
 
   Topology& topo_;
@@ -208,7 +208,7 @@ class Switch {
 class Topology {
  public:
   /// Called with each frame that reaches its destination host.
-  using Receiver = std::function<void(Packet&&)>;
+  using Receiver = std::function<void(PacketPtr)>;
 
   /// Builds `spec` on `pdes`, which must have either one domain per
   /// switch (stackDomainCount(spec)) or exactly one; any other count
@@ -238,7 +238,7 @@ class Topology {
 
   /// Injects a packet from its source host's uplink. The destination must
   /// be a valid host other than the source (no loopback on the wire).
-  void send(Packet&& p);
+  void send(PacketPtr p);
 
   /// Attaches span profilers to every link and switch hop, so Wire spans
   /// tile the whole wire interval (host link, each switch hop, each

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <span>
 #include <utility>
 
 namespace vibe::nic {
@@ -96,7 +97,7 @@ NicDevice::NicDevice(sim::Engine& engine, fabric::Topology& net, NodeId node,
       nicProc_("nic" + std::to_string(node) + ".proc"),
       dma_("nic" + std::to_string(node) + ".dma"),
       hostKernel_("nic" + std::to_string(node) + ".kernel") {
-  net_.setReceiver(node_, [this](Packet&& p) { handleRx(std::move(p)); });
+  net_.setReceiver(node_, [this](PacketPtr p) { handleRx(std::move(p)); });
 }
 
 NicDevice::Endpoint& NicDevice::ep(ViEndpointId id) {
@@ -319,14 +320,15 @@ void NicDevice::tryProcessSendQueue(ViEndpointId id) {
     WorkRequest wr = std::move(e->sendQ.front());
     e->sendQ.pop_front();
     if (wr.op == WorkOp::RdmaRead) {
-      Packet req = packetTo(fabric::PacketKind::RdmaReadReq, id, *e);
-      req.remoteAddr = wr.remoteAddr;
-      req.remoteHandle = wr.remoteHandle;
-      req.msgBytes = wr.totalBytes();
-      req.conn.token = e->nextReadToken++;
-      req.fragSeq = ++e->txFragSeq;
-      req.postedAt = wr.postedAt;
-      e->pendingReads.emplace(req.conn.token, std::move(wr));
+      auto req = std::make_unique<Packet>(
+          packetTo(fabric::PacketKind::RdmaReadReq, id, *e));
+      req->remoteAddr = wr.remoteAddr;
+      req->remoteHandle = wr.remoteHandle;
+      req->msgBytes = wr.totalBytes();
+      req->conn.token = e->nextReadToken++;
+      req->fragSeq = ++e->txFragSeq;
+      req->postedAt = wr.postedAt;
+      e->pendingReads.emplace(req->conn.token, std::move(wr));
       launch(*e, std::move(req),
              nicProc_.acquire(engine_.now(), profile_.nicPerMsgCost +
                                                  profile_.nicPerFragCost),
@@ -376,27 +378,29 @@ void NicDevice::processSendWr(ViEndpointId id, Endpoint& e, WorkRequest wr) {
   const Packet head = messageHeader(id, e, wr);
   sim::SimTime lastDma = engine_.now();
   for (std::uint32_t i = 0; i < head.fragCount; ++i) {
-    Packet p = fragment(head, i, e);
+    // Each fragment reads its bytes from host memory as the NIC builds
+    // it; nothing runs between fragments, so this equals a snapshot of
+    // the whole message at pickup.
+    PacketPtr p = fragment(head, i, e,
+                           [&](std::uint64_t offset, std::span<std::byte> out) {
+                             gatherRead(memory_, wr.segments, offset, out);
+                           });
     const sim::Duration service =
         profile_.nicPerFragCost + (i == 0 ? firstExtra : 0);
     const sim::SimTime tProc = nicProc_.acquire(engine_.now(), service);
-    lastDma = dma_.acquire(tProc, profile_.dmaTime(p.payload.size()));
+    lastDma = dma_.acquire(tProc, profile_.dmaTime(p->payload.size()));
     if (spans_ != nullptr) {
       // The NIC service interval starts at tProc - service; the first
       // fragment's head is doorbell discovery, already attributed to the
       // Doorbell stage, so the NicTx span starts after it.
       const sim::SimTime segStart = tProc - service + (i == 0 ? discovery : 0);
       spans_->emit(obs::Stage::NicTx, node_, id, segStart, lastDma,
-                   p.payload.size());
+                   p->payload.size());
     }
-    // Each fragment reads its bytes from host memory as the NIC builds
-    // it; nothing runs between fragments, so this equals a snapshot of
-    // the whole message at pickup.
-    gatherRead(memory_, wr.segments, p.offset, p.payload);
     sim::trace(tracer_, lastDma, sim::TraceCategory::Wire, node_, [&] {
       return "frag " + std::to_string(i + 1) + "/" +
              std::to_string(head.fragCount) + " seq=" +
-             std::to_string(p.fragSeq) + " vi=" + std::to_string(id);
+             std::to_string(p->fragSeq) + " vi=" + std::to_string(id);
     });
     launch(e, std::move(p), lastDma, /*probe=*/i + 1 == head.fragCount);
   }
@@ -427,18 +431,21 @@ void NicDevice::processSendWrHostInline(ViEndpointId id, Endpoint& e,
       failSend(id, e, wr.cookie);
       return;
     }
-    Packet p = fragment(head, i, e);
-    std::copy_n(msg.begin() + static_cast<std::ptrdiff_t>(off),
-                p.payload.size(), p.payload.begin());
+    PacketPtr p = fragment(head, i, e,
+                           [&](std::uint64_t offset, std::span<std::byte> out) {
+                             std::copy_n(msg.begin() +
+                                             static_cast<std::ptrdiff_t>(offset),
+                                         out.size(), out.begin());
+                           });
     const sim::SimTime tNic = nicProc_.acquire(
         engine_.now(),
         profile_.nicPerFragCost + (i == 0 ? profile_.nicPerMsgCost : 0));
     const sim::SimTime tDma =
-        dma_.acquire(tNic, profile_.dmaTime(p.payload.size()));
+        dma_.acquire(tNic, profile_.dmaTime(p->payload.size()));
     if (spans_ != nullptr) {
       // Host-inline tx: kernel copy + NIC handoff + DMA, one span per frag.
       spans_->emit(obs::Stage::NicTx, node_, id, tKernelStart, tDma,
-                   p.payload.size());
+                   p->payload.size());
     }
     // Events run between these fragments: each is the probe until the next.
     launch(e, std::move(p), tDma, /*probe=*/true);
@@ -486,26 +493,31 @@ Packet NicDevice::messageHeader(ViEndpointId id, Endpoint& e,
   return head;
 }
 
-Packet NicDevice::fragment(const Packet& head, std::uint32_t i, Endpoint& e) {
-  Packet p = head;
-  p.fragIndex = i;
-  p.offset = std::uint64_t{i} * e.mtu;
-  p.fragSeq = ++e.txFragSeq;
-  p.payload.resize(std::min<std::uint64_t>(e.mtu, head.msgBytes - p.offset));
+template <typename Fill>
+PacketPtr NicDevice::fragment(const Packet& head, std::uint32_t i, Endpoint& e,
+                              Fill&& fill) {
+  auto p = std::make_unique<Packet>(head);
+  p->fragIndex = i;
+  p->offset = std::uint64_t{i} * e.mtu;
+  p->fragSeq = ++e.txFragSeq;
+  const std::uint64_t offset = p->offset;
+  p->payload = fabric::Payload::build(
+      std::min<std::uint64_t>(e.mtu, head.msgBytes - offset),
+      [&](std::span<std::byte> out) { fill(offset, out); });
   return p;
 }
 
-void NicDevice::launch(Endpoint& e, Packet&& p, sim::SimTime at, bool probe) {
+void NicDevice::launch(Endpoint& e, PacketPtr p, sim::SimTime at, bool probe) {
   if (e.rel != Reliability::Unreliable) {
-    e.unacked.push_back(p);
-    if (probe) e.lastFrag = p;
+    e.unacked.push_back(*p);
+    if (probe) e.lastFrag = *p;
   }
   ++stats_.fragsTx;
-  stats_.bytesTx += p.payload.size();
+  stats_.bytesTx += p->payload.size();
   transmit(std::move(p), at);
 }
 
-void NicDevice::transmit(Packet&& p, sim::SimTime at) {
+void NicDevice::transmit(PacketPtr p, sim::SimTime at) {
   engine_.postAt(
       at, [this, p = std::move(p)]() mutable { net_.send(std::move(p)); });
 }
@@ -532,27 +544,27 @@ void NicDevice::finishSend(ViEndpointId id, Endpoint& e, std::uint64_t cookie,
 // Receive path
 // ---------------------------------------------------------------------------
 
-void NicDevice::handleRx(Packet&& p) {
-  if (p.corrupted) {
+void NicDevice::handleRx(PacketPtr p) {
+  if (p->corrupted) {
     // CRC failure: the frame is discarded before any protocol processing,
     // exactly like a wire loss except that the receiving NIC observed it.
     // The reliability layer recovers through the normal RTO path.
     ++stats_.rxCorrupted;
     sim::trace(tracer_, engine_.now(), sim::TraceCategory::Rx, node_, [&] {
-      return "corrupt frame dropped seq=" + std::to_string(p.fragSeq) +
-             " vi=" + std::to_string(p.dstVi);
+      return "corrupt frame dropped seq=" + std::to_string(p->fragSeq) +
+             " vi=" + std::to_string(p->dstVi);
     });
     return;
   }
-  switch (p.kind) {
+  switch (p->kind) {
     case fabric::PacketKind::ConnRequest:
     case fabric::PacketKind::ConnAccept:
     case fabric::PacketKind::ConnReject:
     case fabric::PacketKind::Disconnect:
-      if (handlers_.control) handlers_.control(std::move(p));
+      if (handlers_.control) handlers_.control(std::move(*p));
       return;
     case fabric::PacketKind::Ack:
-      handleAck(p);
+      handleAck(*p);
       return;
     case fabric::PacketKind::RdmaReadReq:
     case fabric::PacketKind::Data:
@@ -563,27 +575,27 @@ void NicDevice::handleRx(Packet&& p) {
   }
 }
 
-void NicDevice::handleData(Packet&& p) {
-  Endpoint* eptr = epIfActive(p.dstVi);
+void NicDevice::handleData(PacketPtr p) {
+  Endpoint* eptr = epIfActive(p->dstVi);
   if (eptr == nullptr || !eptr->open()) {
     ++stats_.rxDroppedBadEndpoint;
     return;
   }
   Endpoint& e = *eptr;
-  const ViEndpointId id = p.dstVi;
+  const ViEndpointId id = p->dstVi;
   ++stats_.fragsRx;
-  stats_.bytesRx += p.payload.size();
+  stats_.bytesRx += p->payload.size();
   sim::trace(tracer_, engine_.now(), sim::TraceCategory::Rx, node_, [&] {
-    return "frag seq=" + std::to_string(p.fragSeq) + " msg=" +
-           std::to_string(p.msgSeq) + " vi=" + std::to_string(id);
+    return "frag seq=" + std::to_string(p->fragSeq) + " msg=" +
+           std::to_string(p->msgSeq) + " vi=" + std::to_string(id);
   });
 
   if (e.rel != Reliability::Unreliable) {
-    if (p.fragSeq < e.rxNextFragSeq) {
+    if (p->fragSeq < e.rxNextFragSeq) {
       sendAck(id, e);  // duplicate from a retransmission burst
       return;
     }
-    if (p.fragSeq > e.rxNextFragSeq) {
+    if (p->fragSeq > e.rxNextFragSeq) {
       ++stats_.rxOutOfOrderDropped;  // gap: go-back-N, dup-ack
       sendAck(id, e);
       return;
@@ -591,15 +603,15 @@ void NicDevice::handleData(Packet&& p) {
     ++e.rxNextFragSeq;
   }
 
-  if (p.kind == fabric::PacketKind::RdmaReadReq) {
-    handleRdmaRead(std::move(p));
+  if (p->kind == fabric::PacketKind::RdmaReadReq) {
+    handleRdmaRead(*p);
     return;
   }
   acceptFragment(id, e, std::move(p));
 }
 
-void NicDevice::acceptFragment(ViEndpointId id, Endpoint& e, Packet&& p) {
-  if (e.reasm && (p.msgSeq != e.reasm->msgSeq || p.kind != e.reasm->kind)) {
+void NicDevice::acceptFragment(ViEndpointId id, Endpoint& e, PacketPtr p) {
+  if (e.reasm && (p->msgSeq != e.reasm->msgSeq || p->kind != e.reasm->kind)) {
     // A new message started while the previous was incomplete: the old one
     // lost its tail (only possible on unreliable connections).
     Reassembly& old = *e.reasm;
@@ -616,22 +628,22 @@ void NicDevice::acceptFragment(ViEndpointId id, Endpoint& e, Packet&& p) {
   }
 
   if (!e.reasm) {
-    if (p.fragIndex != 0) {
+    if (p->fragIndex != 0) {
       // Tail of a message whose head was lost; swallow silently.
       ++stats_.rxOutOfOrderDropped;
       return;
     }
-    e.reasm = beginMessage(id, e, p);
+    e.reasm = beginMessage(id, e, *p);
     if (!e.reasm) return;  // connection broke (reliable NoDescriptor)
-  } else if (p.fragIndex != e.reasm->fragsSeen) {
+  } else if (p->fragIndex != e.reasm->fragsSeen) {
     // Mid-message loss on an unreliable connection: poison the assembly.
     e.reasm->discard = true;
     e.reasm->errorStatus = WorkStatus::PartialMessage;
   }
 
   std::shared_ptr<Reassembly> r = e.reasm;
-  r->fragsSeen = std::max(r->fragsSeen, p.fragIndex + 1);
-  r->lastFragSeq = p.fragSeq;
+  r->fragsSeen = std::max(r->fragsSeen, p->fragIndex + 1);
+  r->lastFragSeq = p->fragSeq;
   const bool last = r->fragsSeen == r->fragCount;
   if (last) {
     e.reasm.reset();  // arrival side done; placements continue
@@ -649,8 +661,8 @@ void NicDevice::acceptFragment(ViEndpointId id, Endpoint& e, Packet&& p) {
   }
 
   // Schedule placement through the RX pipeline.
-  const bool first = p.fragIndex == 0;
-  const std::uint64_t fragBytes = p.payload.size();
+  const bool first = p->fragIndex == 0;
+  const std::uint64_t fragBytes = p->payload.size();
   const sim::SimTime rxStart = engine_.now();
   sim::SimTime placeTime;
   if (profile_.hostRxProcessing) {
@@ -670,9 +682,9 @@ void NicDevice::acceptFragment(ViEndpointId id, Endpoint& e, Packet&& p) {
   } else {
     sim::Duration firstExtra = 0;
     if (first) {
-      if (p.kind == fabric::PacketKind::RdmaWrite) {
+      if (p->kind == fabric::PacketKind::RdmaWrite) {
         // RDMA writes carry their target address: no descriptor matching.
-        firstExtra += translationCostRange(p.remoteAddr, p.msgBytes);
+        firstExtra += translationCostRange(p->remoteAddr, p->msgBytes);
       } else {
         firstExtra += profile_.rxMatchCost + translationCost(r->desc.segments);
       }
@@ -688,9 +700,9 @@ void NicDevice::acceptFragment(ViEndpointId id, Endpoint& e, Packet&& p) {
   }
 
   engine_.postAt(placeTime,
-                 [this, id, p = std::move(p), r, last, placeTime]() mutable {
+                 [this, p = std::move(p), r, placeTime, id, last]() mutable {
                    if (r->discard) return;
-                   placeFragment(id, *r, p);
+                   placeFragment(id, *r, *p);
                    if (last) finishMessage(id, r, placeTime);
                  });
 }
@@ -764,9 +776,9 @@ std::shared_ptr<NicDevice::Reassembly> NicDevice::beginMessage(
 void NicDevice::placeFragment(ViEndpointId id, Reassembly& r,
                               const Packet& p) {
   if (p.kind == fabric::PacketKind::RdmaWrite) {
-    memory_.write(p.remoteAddr + p.offset, p.payload);
+    memory_.write(p.remoteAddr + p.offset, p.payload.bytes());
   } else {
-    scatterWrite(memory_, r.desc.segments, p.offset, p.payload);
+    scatterWrite(memory_, r.desc.segments, p.offset, p.payload.bytes());
   }
   if (Endpoint* e = epIfActive(id)) {
     e->rxPlacedFragSeq = std::max(e->rxPlacedFragSeq, p.fragSeq);
@@ -857,10 +869,10 @@ void NicDevice::finishMessage(ViEndpointId id,
 }
 
 void NicDevice::sendAck(ViEndpointId id, Endpoint& e, WorkStatus error) {
-  Packet ack = packetTo(fabric::PacketKind::Ack, id, e);
-  ack.ackSeq = e.rxNextFragSeq - 1;
-  ack.ackPlacedSeq = e.rxPlacedFragSeq;
-  ack.rxError = static_cast<std::uint8_t>(error);
+  auto ack = std::make_unique<Packet>(packetTo(fabric::PacketKind::Ack, id, e));
+  ack->ackSeq = e.rxNextFragSeq - 1;
+  ack->ackPlacedSeq = e.rxPlacedFragSeq;
+  ack->rxError = static_cast<std::uint8_t>(error);
   transmit(std::move(ack),
            nicProc_.acquire(engine_.now(), profile_.ackProcessingCost));
   ++stats_.acksTx;
@@ -921,7 +933,7 @@ void NicDevice::drainAcked(ViEndpointId id, Endpoint& e) {
 // RDMA read target side
 // ---------------------------------------------------------------------------
 
-void NicDevice::handleRdmaRead(Packet&& p) {
+void NicDevice::handleRdmaRead(const Packet& p) {
   Endpoint* eptr = epIfActive(p.dstVi);
   if (eptr == nullptr) return;
   Endpoint& e = *eptr;
@@ -945,12 +957,14 @@ void NicDevice::handleRdmaRead(Packet&& p) {
   const sim::Duration firstExtra =
       profile_.nicPerMsgCost + translationCostRange(p.remoteAddr, p.msgBytes);
   for (std::uint32_t i = 0; i < head.fragCount; ++i) {
-    Packet out = fragment(head, i, e);
+    PacketPtr out = fragment(
+        head, i, e, [&](std::uint64_t offset, std::span<std::byte> bytes) {
+          memory_.read(p.remoteAddr + offset, bytes);
+        });
     const sim::SimTime tProc = nicProc_.acquire(
         engine_.now(), profile_.nicPerFragCost + (i == 0 ? firstExtra : 0));
     const sim::SimTime tDma =
-        dma_.acquire(tProc, profile_.dmaTime(out.payload.size()));
-    memory_.read(p.remoteAddr + out.offset, out.payload);
+        dma_.acquire(tProc, profile_.dmaTime(out->payload.size()));
     launch(e, std::move(out), tDma, /*probe=*/i + 1 == head.fragCount);
   }
   if (e.rel != Reliability::Unreliable) armRto(p.dstVi, e);
@@ -1003,7 +1017,7 @@ void NicDevice::onRto(ViEndpointId id) {
                  node_, [&] {
                    return "RTO vi=" + std::to_string(id) + " probe retransmit";
                  });
-      transmit(Packet(*e.lastFrag),
+      transmit(std::make_unique<Packet>(*e.lastFrag),
                dma_.acquire(engine_.now(),
                             profile_.dmaTime(e.lastFrag->payload.size())));
       ++stats_.retransmits;
@@ -1020,7 +1034,7 @@ void NicDevice::onRto(ViEndpointId id) {
   for (const Packet& stored : e.unacked) {
     const sim::SimTime tProc =
         nicProc_.acquire(engine_.now(), profile_.nicPerFragCost);
-    transmit(Packet(stored),
+    transmit(std::make_unique<Packet>(stored),
              dma_.acquire(tProc, profile_.dmaTime(stored.payload.size())));
     ++stats_.retransmits;
   }
@@ -1034,7 +1048,7 @@ void NicDevice::onRto(ViEndpointId id) {
 
 void NicDevice::sendControl(Packet&& p) {
   p.src = node_;
-  net_.send(std::move(p));
+  net_.send(std::make_unique<Packet>(std::move(p)));
 }
 
 }  // namespace vibe::nic

@@ -14,12 +14,14 @@
 //                ACKs; ReliableReception acks only after memory placement.
 //
 // One fragment builder makes every packet the NIC originates: packetTo()
-// fills the fields all of them share, messageHeader() and fragment() a
-// message's header and each fragment's framing and sized payload buffer,
-// launch() keeps the retransmit and probe copies and counts the fragment,
-// transmit() is the one hand-off to the fabric (acks and RTO resends use
-// it too), and finishSend() completes a send or files it to wait for its
-// ack. The three send paths vary only what the implementations vary:
+// fills the fields all of them share, messageHeader() a message's header,
+// fragment() each fragment's box, framing and payload (built once from the
+// path's byte source, then immutable), launch() keeps the retransmit and
+// probe header copies, which share that payload, and counts the fragment,
+// transmit() is the one hand-off of a box to the fabric (acks and RTO
+// resends use it too), and finishSend() completes a send or files it to
+// wait for its ack. The three send paths vary only what the
+// implementations vary:
 //   - NIC pickup (cLAN, BVIA; sends and RDMA writes): timing starts at
 //     doorbell discovery on the NIC, bytes are gathered from the
 //     descriptor's segments per fragment; Wire record and NicTx span.
@@ -31,6 +33,9 @@
 //     posted on a dead connection.
 //   - RDMA read response: timing starts at the request's arrival, bytes
 //     come from the registered region; neither record.
+// On the receive side the frame's box moves on from the fabric through
+// handleRx(), handleData() and acceptFragment() into the placement event
+// that writes its payload to memory, so no receive hop copies a packet.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +62,7 @@ namespace vibe::nic {
 
 using fabric::NodeId;
 using fabric::Packet;
+using fabric::PacketPtr;
 using fabric::ViEndpointId;
 
 struct NicStats {
@@ -142,7 +148,8 @@ class NicDevice {
   void postRecv(ViEndpointId id, WorkRequest&& wr);
 
   // --- control path ---
-  /// Ships a connection-management packet (small fixed wire cost).
+  /// Ships a connection-management packet (small fixed wire cost) in a
+  /// box of its own.
   void sendControl(Packet&& p);
 
  private:
@@ -189,6 +196,8 @@ class NicDevice {
     std::uint64_t txFragSeq = 0;  // next fragment sequence to assign
 
     // Reliability sender state (go-back-N).
+    // Header copies of frames in flight; each shares its payload with the
+    // frame the fabric carries.
     std::optional<Packet> lastFrag;      // probe when only acks are missing
     std::deque<Packet> unacked;          // retransmit buffer, seq order
     std::uint64_t ackedFragSeq = 0;      // cumulative receipt ack
@@ -230,9 +239,13 @@ class NicDevice {
   Packet messageHeader(fabric::PacketKind kind, ViEndpointId id, Endpoint& e,
                        std::uint64_t bytes);
   Packet messageHeader(ViEndpointId id, Endpoint& e, const WorkRequest& wr);
-  Packet fragment(const Packet& head, std::uint32_t i, Endpoint& e);
-  void launch(Endpoint& e, Packet&& p, sim::SimTime at, bool probe);
-  void transmit(Packet&& p, sim::SimTime at);
+  /// Boxes fragment `i` of `head`'s message; `fill(offset, bytes)` writes
+  /// the fragment's payload bytes, starting at message offset `offset`.
+  template <typename Fill>
+  PacketPtr fragment(const Packet& head, std::uint32_t i, Endpoint& e,
+                     Fill&& fill);
+  void launch(Endpoint& e, PacketPtr p, sim::SimTime at, bool probe);
+  void transmit(PacketPtr p, sim::SimTime at);
   void finishSend(ViEndpointId id, Endpoint& e, std::uint64_t cookie,
                   sim::SimTime done);
   /// Completes a send that cannot run on `e`'s dead connection: Aborted,
@@ -240,11 +253,11 @@ class NicDevice {
   void failSend(ViEndpointId id, const Endpoint& e, std::uint64_t cookie);
 
   // Receive machinery.
-  void handleRx(Packet&& p);
-  void handleData(Packet&& p);
+  void handleRx(PacketPtr p);
+  void handleData(PacketPtr p);
   void handleAck(const Packet& p);
-  void handleRdmaRead(Packet&& p);
-  void acceptFragment(ViEndpointId id, Endpoint& e, Packet&& p);
+  void handleRdmaRead(const Packet& p);
+  void acceptFragment(ViEndpointId id, Endpoint& e, PacketPtr p);
   std::shared_ptr<Reassembly> beginMessage(ViEndpointId id, Endpoint& e,
                                            const Packet& first);
   void placeFragment(ViEndpointId id, Reassembly& r, const Packet& p);

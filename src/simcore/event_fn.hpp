@@ -1,10 +1,12 @@
 // Move-only callable holder for engine events.
 //
-// std::function requires copyability, which forced every payload-carrying
-// callback (e.g. a fabric::Packet in flight between switch hops) through a
-// shared_ptr indirection just to satisfy the type system. EventFn accepts
-// move-only lambdas directly: small captures (<= kInlineBytes) live inline
-// with zero heap traffic, larger ones cost exactly one allocation.
+// std::function requires copyability, which would force every move-only
+// capture (e.g. the fabric::PacketPtr box of a frame in flight between
+// switch hops) through a shared_ptr indirection just to satisfy the type
+// system. EventFn accepts move-only lambdas directly: small captures
+// (<= kInlineBytes) live inline with zero heap traffic, larger ones cost
+// exactly one allocation. Packet events capture the frame's box, not the
+// frame, so every hop of a packet stays inline.
 #pragma once
 
 #include <cstddef>

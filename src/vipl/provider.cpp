@@ -243,17 +243,50 @@ VipResult Provider::destroyVi(Vi* vi) {
   device_.destroyEndpoint(vi->ep_);
   byEndpoint_.erase(vi->ep_);
   // Descriptors still in flight must not dangle into the destroyed VI.
-  std::erase_if(pending_, [vi](const auto& kv) { return kv.second.vi == vi; });
+  flushViPending(vi);
   std::erase_if(vis_, [vi](const auto& p) { return p.get() == vi; });
   return VipResult::VIP_SUCCESS;
 }
 
 void Provider::flushViPending(Vi* vi) noexcept {
   if (vi == nullptr) return;
-  std::erase_if(pending_, [vi](const auto& kv) { return kv.second.vi == vi; });
+  for (std::uint32_t slot = 0; slot < pending_.size(); ++slot) {
+    if (pending_[slot].desc != nullptr && pending_[slot].vi == vi) {
+      releasePending(slot);
+    }
+  }
 }
 
-void Provider::quiesce() noexcept { pending_.clear(); }
+void Provider::quiesce() noexcept {
+  for (std::uint32_t slot = 0; slot < pending_.size(); ++slot) {
+    if (pending_[slot].desc != nullptr) releasePending(slot);
+  }
+}
+
+std::uint64_t Provider::trackPending(VipDescriptor* desc, Vi* vi,
+                                     bool isSend) {
+  std::uint32_t slot = freePending_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(pending_.size());
+    pending_.emplace_back();
+  } else {
+    freePending_ = pending_[slot].nextFree;
+  }
+  PendingWr& pw = pending_[slot];
+  pw.desc = desc;
+  pw.vi = vi;
+  pw.isSend = isSend;
+  return (std::uint64_t{pw.generation} << 32) | slot;
+}
+
+void Provider::releasePending(std::uint32_t slot) noexcept {
+  PendingWr& pw = pending_[slot];
+  pw.desc = nullptr;
+  pw.vi = nullptr;
+  ++pw.generation;
+  pw.nextFree = freePending_;
+  freePending_ = slot;
+}
 
 VipResult Provider::queryVi(Vi* vi, ViState& state, VipViAttributes& attrs,
                             bool& sendQueueEmpty, bool& recvQueueEmpty) {
@@ -568,8 +601,7 @@ VipResult Provider::postSend(Vi* vi, VipDescriptor* desc) {
   }
   desc->cs.status = VipDescStatus{};
   desc->kernelCpuTime = 0;
-  const std::uint64_t cookie = nextCookie_++;
-  pending_.emplace(cookie, PendingWr{desc, vi, /*isSend=*/true});
+  const std::uint64_t cookie = trackPending(desc, vi, /*isSend=*/true);
   charge(profile_.doorbellCost);
   nic::WorkRequest wr = buildWorkRequest(*desc, cookie);
   wr.postedAt = postStart;
@@ -595,8 +627,7 @@ VipResult Provider::postRecv(Vi* vi, VipDescriptor* desc) {
   }
   desc->cs.status = VipDescStatus{};
   desc->kernelCpuTime = 0;
-  const std::uint64_t cookie = nextCookie_++;
-  pending_.emplace(cookie, PendingWr{desc, vi, /*isSend=*/false});
+  const std::uint64_t cookie = trackPending(desc, vi, /*isSend=*/false);
   charge(profile_.doorbellCost);
   device_.postRecv(vi->ep_, buildWorkRequest(*desc, cookie));
   return VipResult::VIP_SUCCESS;
@@ -747,10 +778,13 @@ VipResult Provider::nsGetHostByName(const std::string& name,
 void Provider::onCompletion(nic::ViEndpointId ep, nic::Completion&& c) {
   auto epIt = byEndpoint_.find(ep);
   if (epIt == byEndpoint_.end()) return;  // VI destroyed while in flight
-  auto it = pending_.find(c.cookie);
-  if (it == pending_.end()) return;  // already flushed/reaped
-  const PendingWr pw = it->second;
-  pending_.erase(it);
+  const auto slot = static_cast<std::uint32_t>(c.cookie);
+  if (slot >= pending_.size()) return;
+  const PendingWr pw = pending_[slot];
+  if (pw.desc == nullptr || pw.generation != c.cookie >> 32) {
+    return;  // already flushed/reaped
+  }
+  releasePending(slot);
 
   VipDescriptor* desc = pw.desc;
   desc->cs.status.done = true;

@@ -264,10 +264,15 @@ class Provider {
   const std::string& hostName() const { return hostName_; }
 
  private:
+  /// One slot of the posted-descriptor table. A cookie names a slot and
+  /// the slot's generation, which moves on each time the slot is freed, so
+  /// a completion for a dropped descriptor cannot hit the slot's next use.
   struct PendingWr {
-    VipDescriptor* desc = nullptr;
+    VipDescriptor* desc = nullptr;  // nullptr: the slot is free
     Vi* vi = nullptr;
     bool isSend = true;
+    std::uint32_t generation = 1;  // never 0, so no cookie is 0
+    std::uint32_t nextFree = 0;    // free-list link while the slot is free
   };
   struct PendingConnect {
     std::unique_ptr<sim::Signal> signal;
@@ -297,6 +302,10 @@ class Provider {
                              const std::vector<VipDataSegment>& ds) const;
   nic::WorkRequest buildWorkRequest(const VipDescriptor& desc,
                                     std::uint64_t cookie) const;
+  /// Files a posted descriptor in a free slot and returns its cookie.
+  std::uint64_t trackPending(VipDescriptor* desc, Vi* vi, bool isSend);
+  /// Frees `slot`; a completion still carrying its cookie then misses.
+  void releasePending(std::uint32_t slot) noexcept;
 
   // One reap per wait mode; the send and recv calls of each forward here.
   VipResult reapDone(Vi* vi, bool isSend, VipDescriptor*& out);
@@ -333,8 +342,9 @@ class Provider {
   std::vector<std::unique_ptr<Vi>> vis_;
   std::vector<std::unique_ptr<Cq>> cqs_;
   std::unordered_map<nic::ViEndpointId, Vi*> byEndpoint_;
-  std::unordered_map<std::uint64_t, PendingWr> pending_;
-  std::uint64_t nextCookie_ = 1;
+  static constexpr std::uint32_t kNoSlot = 0xffffffffU;
+  std::vector<PendingWr> pending_;
+  std::uint32_t freePending_ = kNoSlot;  // head of the free-slot list
 
   std::unordered_map<std::uint64_t, Listener> listeners_;
   std::unordered_map<std::uint32_t, PendingConnect> pendingConnects_;

@@ -4,7 +4,10 @@
 // Cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,12 +19,14 @@
 namespace vibe::fabric {
 namespace {
 
-Packet makeData(NodeId src, NodeId dst, std::size_t payloadBytes) {
-  Packet p;
-  p.kind = PacketKind::Data;
-  p.src = src;
-  p.dst = dst;
-  p.payload.assign(payloadBytes, std::byte{0xAB});
+PacketPtr makeData(NodeId src, NodeId dst, std::size_t payloadBytes) {
+  auto p = std::make_unique<Packet>();
+  p->kind = PacketKind::Data;
+  p->src = src;
+  p->dst = dst;
+  p->payload = Payload::build(payloadBytes, [](std::span<std::byte> out) {
+    std::fill(out.begin(), out.end(), std::byte{0xAB});
+  });
   return p;
 }
 
@@ -33,7 +38,7 @@ TEST(LinkTest, DeliveryTimeIsSerializationPlusPropagation) {
   lp.headerBytes = 0;
   Link link(eng, "l", lp);
   sim::SimTime arrival = -1;
-  link.connect([&](Packet&&) { arrival = eng.now(); });
+  link.connect([&](PacketPtr) { arrival = eng.now(); });
   link.send(makeData(0, 1, 1000));  // 10 us serialization
   eng.run();
   EXPECT_EQ(arrival, sim::usec(11));
@@ -47,7 +52,7 @@ TEST(LinkTest, HeaderBytesCountTowardWireTime) {
   lp.headerBytes = 32;
   Link link(eng, "l", lp);
   sim::SimTime arrival = -1;
-  link.connect([&](Packet&&) { arrival = eng.now(); });
+  link.connect([&](PacketPtr) { arrival = eng.now(); });
   link.send(makeData(0, 1, 0));
   eng.run();
   EXPECT_EQ(arrival, sim::nsec(320));
@@ -61,7 +66,7 @@ TEST(LinkTest, BackToBackFramesQueueFifo) {
   lp.headerBytes = 0;
   Link link(eng, "l", lp);
   std::vector<sim::SimTime> arrivals;
-  link.connect([&](Packet&&) { arrivals.push_back(eng.now()); });
+  link.connect([&](PacketPtr) { arrivals.push_back(eng.now()); });
   for (int i = 0; i < 3; ++i) link.send(makeData(0, 1, 100));  // 1 us each
   eng.run();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -77,7 +82,7 @@ TEST(LinkTest, LossRateDropsApproximatelyTheRequestedFraction) {
   lp.seed = 7;
   Link link(eng, "l", lp);
   int delivered = 0;
-  link.connect([&](Packet&&) { ++delivered; });
+  link.connect([&](PacketPtr) { ++delivered; });
   const int n = 4000;
   for (int i = 0; i < n; ++i) link.send(makeData(0, 1, 8));
   eng.run();
@@ -99,7 +104,7 @@ TEST(LinkTest, SetLossRateAppliesOnlyToFramesSentAfterTheCall) {
   lp.headerBytes = 0;
   Link link(eng, "l", lp);
   int delivered = 0;
-  link.connect([&](Packet&&) { ++delivered; });
+  link.connect([&](PacketPtr) { ++delivered; });
   for (int i = 0; i < 4; ++i) link.send(makeData(0, 1, 100));
   link.setLossRate(1.0);  // in-flight frames are already committed
   for (int i = 0; i < 4; ++i) link.send(makeData(0, 1, 100));
@@ -116,7 +121,7 @@ TEST(LinkTest, LossWindowCoversExactlyItsHalfOpenInterval) {
   lp.headerBytes = 0;
   Link link(eng, "l", lp);
   std::vector<sim::SimTime> arrivals;
-  link.connect([&](Packet&&) { arrivals.push_back(eng.now()); });
+  link.connect([&](PacketPtr) { arrivals.push_back(eng.now()); });
   link.scheduleLossWindow(sim::usec(10), sim::usec(20), 1.0);
   // One frame before, one inside, one at the (exclusive) end, one after.
   eng.postAt(sim::usec(5), [&] { link.send(makeData(0, 1, 100)); });
@@ -140,7 +145,7 @@ TEST(LinkTest, OverlappingLossWindowsLatestScheduledWins) {
   lp.lossRate = 1.0;  // base: everything drops
   Link link(eng, "l", lp);
   int delivered = 0;
-  link.connect([&](Packet&&) { ++delivered; });
+  link.connect([&](PacketPtr) { ++delivered; });
   // A long 100%-loss window, then a later-scheduled loss-free window
   // punched into its middle: the newest covering window must win.
   link.scheduleLossWindow(0, sim::usec(100), 1.0);
@@ -164,7 +169,7 @@ TEST(LinkTest, CorruptWindowDeliversFlaggedFramesAndCountsThem) {
   Link link(eng, "l", lp);
   int corrupted = 0;
   int clean = 0;
-  link.connect([&](Packet&& p) { (p.corrupted ? corrupted : clean)++; });
+  link.connect([&](PacketPtr p) { (p->corrupted ? corrupted : clean)++; });
   link.scheduleCorruptWindow(0, sim::usec(50), 1.0);
   eng.postAt(sim::usec(10), [&] { link.send(makeData(0, 1, 100)); });
   eng.postAt(sim::usec(20), [&] { link.send(makeData(0, 1, 100)); });
@@ -186,7 +191,7 @@ TEST(LinkTest, LatencyWindowDelaysOnlyFramesSentInside) {
   lp.headerBytes = 0;
   Link link(eng, "l", lp);
   std::vector<sim::SimTime> arrivals;
-  link.connect([&](Packet&&) { arrivals.push_back(eng.now()); });
+  link.connect([&](PacketPtr) { arrivals.push_back(eng.now()); });
   link.scheduleLatencyWindow(sim::usec(10), sim::usec(20), sim::usec(7));
   eng.postAt(0, [&] { link.send(makeData(0, 1, 100)); });
   eng.postAt(sim::usec(15), [&] { link.send(makeData(0, 1, 100)); });
@@ -226,8 +231,8 @@ TopologySpec treeSpec(std::uint32_t nodes, std::uint32_t perLeaf) {
 TEST(NetworkTest, AggregatesDropAndCorruptionCountsAcrossLinks) {
   Fabric f(starSpec(2));
   Topology& net = f.net;
-  net.setReceiver(0, [](Packet&&) {});
-  net.setReceiver(1, [](Packet&&) {});
+  net.setReceiver(0, [](PacketPtr) {});
+  net.setReceiver(1, [](PacketPtr) {});
   net.hostUplink(0).scheduleLossWindow(0, sim::usec(1), 1.0);
   net.hostDownlink(1).scheduleCorruptWindow(0, sim::kSecond, 1.0);
   // First frame enters inside the loss window and drops on the uplink;
@@ -253,7 +258,7 @@ TEST(NetworkTest, ForwardsToDestinationOnly) {
   Topology& net = f.net;
   std::vector<int> got(4, 0);
   for (NodeId n = 0; n < 4; ++n) {
-    net.setReceiver(n, [&got, n](Packet&&) { ++got[n]; });
+    net.setReceiver(n, [&got, n](PacketPtr) { ++got[n]; });
   }
   net.send(makeData(0, 2, 64));
   net.send(makeData(3, 1, 64));
@@ -267,33 +272,36 @@ TEST(NetworkTest, RejectsSelfAndOutOfRange) {
   Topology& net = f.net;
   EXPECT_THROW(net.send(makeData(0, 0, 8)), sim::SimError);
   EXPECT_THROW(net.send(makeData(0, 5, 8)), sim::SimError);
-  EXPECT_THROW(net.setReceiver(2, [](Packet&&) {}), sim::SimError);
+  EXPECT_THROW(net.setReceiver(2, [](PacketPtr) {}), sim::SimError);
 }
 
 TEST(NetworkTest, PayloadArrivesIntact) {
   Fabric f(starSpec(2));
   Topology& net = f.net;
-  Packet p = makeData(0, 1, 0);
-  for (int i = 0; i < 256; ++i) p.payload.push_back(std::byte(i));
-  std::vector<std::byte> received;
-  net.setReceiver(1, [&](Packet&& in) { received = std::move(in.payload); });
-  net.setReceiver(0, [](Packet&&) {});
+  PacketPtr p = makeData(0, 1, 0);
+  p->payload = Payload::build(256, [](std::span<std::byte> out) {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::byte(i);
+  });
+  Payload received;
+  net.setReceiver(1, [&](PacketPtr in) { received = in->payload; });
+  net.setReceiver(0, [](PacketPtr) {});
   net.send(std::move(p));
   f.run();
   ASSERT_EQ(received.size(), 256u);
-  for (int i = 0; i < 256; ++i) EXPECT_EQ(received[i], std::byte(i));
+  const std::span<const std::byte> bytes = received.bytes();
+  for (int i = 0; i < 256; ++i) EXPECT_EQ(bytes[i], std::byte(i));
 }
 
 TEST(NetworkTest, PerPathOrderIsPreserved) {
   Fabric f(starSpec(3));
   Topology& net = f.net;
   std::vector<std::uint64_t> seqs;
-  net.setReceiver(1, [&](Packet&& in) { seqs.push_back(in.msgSeq); });
-  net.setReceiver(0, [](Packet&&) {});
-  net.setReceiver(2, [](Packet&&) {});
+  net.setReceiver(1, [&](PacketPtr in) { seqs.push_back(in->msgSeq); });
+  net.setReceiver(0, [](PacketPtr) {});
+  net.setReceiver(2, [](PacketPtr) {});
   for (std::uint64_t i = 0; i < 20; ++i) {
-    Packet p = makeData(0, 1, 100 + 37 * (i % 5));
-    p.msgSeq = i;
+    PacketPtr p = makeData(0, 1, 100 + 37 * (i % 5));
+    p->msgSeq = i;
     net.send(std::move(p));
   }
   f.run();
@@ -314,7 +322,7 @@ TEST(TreeTopologyTest, CrossLeafPaysTrunkAndRootCosts) {
   sim::SimTime local = 0;
   sim::SimTime remote = 0;
   for (NodeId n = 0; n < 4; ++n) {
-    net.setReceiver(n, [&, n](Packet&&) {
+    net.setReceiver(n, [&, n](PacketPtr) {
       (n == 1 ? local : remote) = f.eng.now();
     });
   }
@@ -341,7 +349,7 @@ TEST(TreeTopologyTest, SharedTrunkSerializesCrossLeafFlows) {
   Topology& net = f.net;
   std::vector<sim::SimTime> arrivals;
   for (NodeId n = 0; n < 4; ++n) {
-    net.setReceiver(n, [&](Packet&&) { arrivals.push_back(f.eng.now()); });
+    net.setReceiver(n, [&](PacketPtr) { arrivals.push_back(f.eng.now()); });
   }
   // Two flows from the same leaf to the other leaf share trunkUp[0]:
   // their frames serialize there even though host uplinks are distinct.
@@ -381,7 +389,7 @@ TEST(TreeTopologyTest, WireSpansTileThePathWithPerHopByteCounts) {
   net.setDomainSpanProfilers({&spans});
   sim::SimTime arrival = -1;
   for (NodeId n = 0; n < 4; ++n) {
-    net.setReceiver(n, [&, n](Packet&&) {
+    net.setReceiver(n, [&, n](PacketPtr) {
       if (n == 2) arrival = f.eng.now();
     });
   }
@@ -418,7 +426,7 @@ TEST(TreeTopologyTest, TrunkAccessorsExposeSharedLinksForFaults) {
   net.trunkUp(0).scheduleLossWindow(0, sim::kSecond, 1.0);
   int delivered = 0;
   for (NodeId n = 0; n < 4; ++n) {
-    net.setReceiver(n, [&](Packet&&) { ++delivered; });
+    net.setReceiver(n, [&](PacketPtr) { ++delivered; });
   }
   net.send(makeData(0, 1, 64));  // same leaf: unaffected
   net.send(makeData(0, 2, 64));  // cross leaf: dies on trunkUp0
@@ -461,7 +469,7 @@ TEST(FatTreeTest, DeliversAllPairsAtFullPopulation) {
   Topology& net = f.net;
   std::vector<int> got(16, 0);
   for (NodeId n = 0; n < 16; ++n) {
-    net.setReceiver(n, [&got, n](Packet&&) { ++got[n]; });
+    net.setReceiver(n, [&got, n](PacketPtr) { ++got[n]; });
   }
   for (NodeId s = 0; s < 16; ++s) {
     for (NodeId d = 0; d < 16; ++d) {
@@ -480,13 +488,13 @@ TEST(FatTreeTest, EcmpSpreadsDistinctFlowsAcrossCores) {
   Topology& net = f.net;
   int delivered = 0;
   for (NodeId n = 0; n < 16; ++n) {
-    net.setReceiver(n, [&](Packet&&) { ++delivered; });
+    net.setReceiver(n, [&](PacketPtr) { ++delivered; });
   }
   // 16 distinct flows (by srcVi) between the same cross-pod host pair:
   // the flow hash must not collapse them all onto one core.
   for (std::uint32_t vi = 0; vi < 16; ++vi) {
-    Packet p = makeData(0, 12, 64);
-    p.srcVi = vi;
+    PacketPtr p = makeData(0, 12, 64);
+    p->srcVi = vi;
     net.send(std::move(p));
   }
   f.run();
@@ -506,13 +514,13 @@ TEST(FatTreeTest, OneFlowStaysOnOnePathInOrder) {
   Topology& net = f.net;
   std::vector<std::uint64_t> seqs;
   for (NodeId n = 0; n < 16; ++n) {
-    net.setReceiver(n, [&, n](Packet&& p) {
-      if (n == 12) seqs.push_back(p.msgSeq);
+    net.setReceiver(n, [&, n](PacketPtr p) {
+      if (n == 12) seqs.push_back(p->msgSeq);
     });
   }
   for (std::uint64_t i = 0; i < 20; ++i) {
-    Packet p = makeData(0, 12, 100 + 53 * (i % 4));
-    p.msgSeq = i;
+    PacketPtr p = makeData(0, 12, 100 + 53 * (i % 4));
+    p->msgSeq = i;
     net.send(std::move(p));
   }
   f.run();
@@ -536,7 +544,7 @@ TEST(FatTreeTest, FiniteBuffersTailDropUnderIncast) {
     Topology& net = f.net;
     int delivered = 0;
     for (NodeId n = 0; n < 16; ++n) {
-      net.setReceiver(n, [&](Packet&&) { ++delivered; });
+      net.setReceiver(n, [&](PacketPtr) { ++delivered; });
     }
     // 7 hosts blast 4 back-to-back frames each at node 0: the edge
     // switch's single down port cannot drain 28 x 10 us frames.
@@ -569,7 +577,7 @@ TEST(FatTreeTest, BufferOccupancyStatsTrackBackpressure) {
   Topology& net = f.net;
   int delivered = 0;
   for (NodeId n = 0; n < 16; ++n) {
-    net.setReceiver(n, [&](Packet&&) { ++delivered; });
+    net.setReceiver(n, [&](PacketPtr) { ++delivered; });
   }
   for (NodeId s = 1; s < 4; ++s) {
     for (int i = 0; i < 3; ++i) net.send(makeData(s, 0, 500));
@@ -766,7 +774,7 @@ void expectOneDomainAllPairs(const TopologySpec& spec) {
   std::vector<int> got(spec.nodes, 0);
   for (NodeId n = 0; n < spec.nodes; ++n) {
     EXPECT_EQ(f.net.hostDomain(n), 0u);
-    f.net.setReceiver(n, [&got, n](Packet&&) { ++got[n]; });
+    f.net.setReceiver(n, [&got, n](PacketPtr) { ++got[n]; });
   }
   EXPECT_THROW(f.net.hostDomain(spec.nodes), sim::SimError);
   for (NodeId s = 0; s < spec.nodes; ++s) {

@@ -983,5 +983,47 @@ TEST(ViplTest, QueuedCompletionsReapInFifoOrder) {
   cluster.run({client, server});
 }
 
+TEST(ViplTest, CompletionOfDroppedDescriptorLeavesItsSuccessorPending) {
+  // flushViPending drops descriptor A while its work request is still
+  // posted on the NIC, and B is posted after it. The first message lands
+  // in A's buffer; its completion must not complete B, whatever the
+  // provider reuses for B's bookkeeping. The second message completes B.
+  Cluster cluster(configFor("clan"));
+  auto client = [&](NodeEnv& env) {
+    Provider& nic = env.nic;
+    auto ptag = vipl::VipCreatePtag(nic);
+    Buf buf = makeBuf(nic, ptag, 64);
+    fillPattern(nic, buf.va, 64, 7);
+    Vi* vi = makeVi(nic, ptag);
+    clientConnect(nic, vi);
+    for (std::uint32_t len : {8u, 16u}) {
+      VipDescriptor d = VipDescriptor::send(buf.va, buf.handle, len);
+      ASSERT_EQ(vipl::VipPostSend(nic, vi, &d), VipResult::VIP_SUCCESS);
+      VipDescriptor* done = nullptr;
+      ASSERT_EQ(nic.pollSend(vi, done), VipResult::VIP_SUCCESS);
+    }
+  };
+  auto server = [&](NodeEnv& env) {
+    Provider& nic = env.nic;
+    auto ptag = vipl::VipCreatePtag(nic);
+    Buf buf = makeBuf(nic, ptag, 64);
+    Vi* vi = makeVi(nic, ptag);
+    VipDescriptor a = VipDescriptor::recv(buf.va, buf.handle, 32);
+    ASSERT_EQ(vipl::VipPostRecv(nic, vi, &a), VipResult::VIP_SUCCESS);
+    nic.flushViPending(vi);
+    VipDescriptor b = VipDescriptor::recv(buf.va + 32, buf.handle, 32);
+    ASSERT_EQ(vipl::VipPostRecv(nic, vi, &b), VipResult::VIP_SUCCESS);
+    serverAccept(nic, vi);
+    VipDescriptor* done = nullptr;
+    ASSERT_EQ(nic.pollRecv(vi, done), VipResult::VIP_SUCCESS);
+    EXPECT_EQ(done, &b);
+    EXPECT_EQ(b.cs.length, 16u);
+    EXPECT_TRUE(checkPattern(nic, buf.va + 32, 16, 7));
+    EXPECT_FALSE(a.cs.status.done);
+    EXPECT_TRUE(checkPattern(nic, buf.va, 8, 7));
+  };
+  cluster.run({client, server});
+}
+
 }  // namespace
 }  // namespace vibe
