@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Usage: check-hot-alignment.sh BINARY
 #
-# Fails unless each hot engine, fabric and NIC function in BINARY starts
-# on a 64-byte boundary, the layout the -falign-functions=64 flag in
+# Fails unless each hot engine, process, fabric and NIC function in BINARY
+# starts on a 64-byte boundary, the layout the -falign-functions=64 flag in
 # src/simcore/CMakeLists.txt pins. Without it, code added anywhere shifts
 # these functions and moves perfbench's stream_64k_fattree by up to 40%
 # with no change to the work done. A function missing from BINARY fails
@@ -17,6 +17,7 @@ fi
 hot=(
   'vibe::sim::Engine::dispatchThrough'
   'vibe::sim::Engine::postAtImpl'
+  'vibe::sim::Process::advance'
   'vibe::fabric::Link::send'
   'vibe::fabric::Switch::ingress'
   'vibe::fabric::Switch::forward'

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <functional>
 
 #include "bench_json.hpp"
 #include "simcore/engine.hpp"
@@ -49,22 +50,44 @@ void BM_SelfRescheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_SelfRescheduling)->Arg(10000);
 
+/// A process body that advances `hops` times.
+std::function<void()> hopper(Engine& eng, int hops) {
+  return [&eng, hops] {
+    for (int i = 0; i < hops; ++i) {
+      eng.currentProcess()->advance(10);
+    }
+  };
+}
+
 void BM_ProcessContextSwitch(benchmark::State& state) {
-  // Each advance() is two user-space fiber switches (engine->proc->engine)
-  // plus one engine event.
+  // Two processes advance in lockstep: each resume ties with the other
+  // process's, which was posted first, so no advance() steps in place.
+  // Each one posts an engine event and costs two user-space fiber
+  // switches (proc->engine->proc).
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Engine eng;
-    Process p(eng, "hopper", [&] {
-      for (int i = 0; i < hops; ++i) {
-        eng.currentProcess()->advance(10);
-      }
-    });
+    Process a(eng, "hopper-a", hopper(eng, hops));
+    Process b(eng, "hopper-b", hopper(eng, hops));
+    eng.run();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * hops);
+}
+BENCHMARK(BM_ProcessContextSwitch)->Arg(200);
+
+void BM_ProcessAdvanceInPlace(benchmark::State& state) {
+  // A lone process: each resume would be the engine's next event, so
+  // advance() moves the clock in place, with no event posted and no fiber
+  // switch. Most of an iteration is the process's stack mapping.
+  const int hops = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Engine eng;
+    Process p(eng, "hopper", hopper(eng, hops));
     eng.run();
   }
   state.SetItemsProcessed(state.iterations() * hops);
 }
-BENCHMARK(BM_ProcessContextSwitch)->Arg(200);
+BENCHMARK(BM_ProcessAdvanceInPlace)->Arg(200);
 
 void BM_ResourceAcquire(benchmark::State& state) {
   Resource r("bench");

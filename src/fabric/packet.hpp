@@ -13,6 +13,7 @@
 // retransmit buffer, the probe frame, a resend) share them.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -69,6 +70,18 @@ class Payload {
     auto block = std::make_shared_for_overwrite<std::byte[]>(n);
     fill(std::span<std::byte>(block.get(), n));
     p.block_ = std::move(block);
+    p.size_ = n;
+    return p;
+  }
+
+  /// The `n` bytes at `offset`, sharing this payload's block: a fragment
+  /// of a message built as one Payload. The range must lie within it.
+  Payload slice(std::size_t offset, std::size_t n) const {
+    assert(offset + n <= size_);
+    Payload p;
+    if (n == 0) return p;
+    p.block_ =
+        std::shared_ptr<const std::byte[]>(block_, block_.get() + offset);
     p.size_ = n;
     return p;
   }

@@ -15,6 +15,20 @@ std::uint32_t fragCountFor(std::uint64_t bytes, std::uint32_t mtu) {
   return static_cast<std::uint32_t>((bytes + mtu - 1) / mtu);
 }
 
+/// Where fragment `i` of a message lies in it: every fragment but the
+/// last carries one MTU.
+struct FragmentRange {
+  std::uint64_t offset;
+  std::size_t bytes;
+};
+
+FragmentRange fragmentRange(const fabric::Packet& head, std::uint32_t i,
+                            std::uint32_t mtu) {
+  const std::uint64_t offset = std::uint64_t{i} * mtu;
+  return {offset, static_cast<std::size_t>(
+                      std::min<std::uint64_t>(mtu, head.msgBytes - offset))};
+}
+
 /// Copies message bytes [offset, offset + out.size()) out of the
 /// descriptor's segments.
 void gatherRead(const mem::HostMemory& memory,
@@ -381,10 +395,12 @@ void NicDevice::processSendWr(ViEndpointId id, Endpoint& e, WorkRequest wr) {
     // Each fragment reads its bytes from host memory as the NIC builds
     // it; nothing runs between fragments, so this equals a snapshot of
     // the whole message at pickup.
-    PacketPtr p = fragment(head, i, e,
-                           [&](std::uint64_t offset, std::span<std::byte> out) {
-                             gatherRead(memory_, wr.segments, offset, out);
-                           });
+    const FragmentRange r = fragmentRange(head, i, e.mtu);
+    PacketPtr p = fragment(
+        head, i, e,
+        fabric::Payload::build(r.bytes, [&](std::span<std::byte> out) {
+          gatherRead(memory_, wr.segments, r.offset, out);
+        }));
     const sim::Duration service =
         profile_.nicPerFragCost + (i == 0 ? firstExtra : 0);
     const sim::SimTime tProc = nicProc_.acquire(engine_.now(), service);
@@ -414,29 +430,25 @@ void NicDevice::processSendWrHostInline(ViEndpointId id, Endpoint& e,
   // fragment, copy into pre-pinned kernel buffers, hand frames to a dumb
   // Ethernet NIC. The caller is blocked (and its CPU busy) throughout.
   e.txBusy = true;
-  // The kernel copies the whole message at the trap: fragments sent after
-  // the caller's CPU time was charged still carry the bytes it posted.
-  std::vector<std::byte> msg(wr.totalBytes());
-  gatherRead(memory_, wr.segments, 0, msg);
+  // The kernel copies the whole message at the trap, into one block that
+  // its fragments share: fragments sent after the caller's CPU time was
+  // charged still carry the bytes it posted.
+  const fabric::Payload msg = fabric::Payload::build(
+      wr.totalBytes(), [&](std::span<std::byte> out) {
+        gatherRead(memory_, wr.segments, 0, out);
+      });
   const Packet head = messageHeader(id, e, wr);
   for (std::uint32_t i = 0; i < head.fragCount; ++i) {
     const sim::SimTime tKernelStart = engine_.now();
-    const std::uint64_t off = std::uint64_t{i} * e.mtu;
-    chargeCaller(profile_.hostPerFragCost +
-                 profile_.hostCopyTime(
-                     std::min<std::uint64_t>(e.mtu, msg.size() - off)));
+    const FragmentRange r = fragmentRange(head, i, e.mtu);
+    chargeCaller(profile_.hostPerFragCost + profile_.hostCopyTime(r.bytes));
     if (!e.open()) {
       // The charge ran a teardown or break: stop sending into it.
       e.txBusy = false;
       failSend(id, e, wr.cookie);
       return;
     }
-    PacketPtr p = fragment(head, i, e,
-                           [&](std::uint64_t offset, std::span<std::byte> out) {
-                             std::copy_n(msg.begin() +
-                                             static_cast<std::ptrdiff_t>(offset),
-                                         out.size(), out.begin());
-                           });
+    PacketPtr p = fragment(head, i, e, msg.slice(r.offset, r.bytes));
     const sim::SimTime tNic = nicProc_.acquire(
         engine_.now(),
         profile_.nicPerFragCost + (i == 0 ? profile_.nicPerMsgCost : 0));
@@ -493,17 +505,15 @@ Packet NicDevice::messageHeader(ViEndpointId id, Endpoint& e,
   return head;
 }
 
-template <typename Fill>
 PacketPtr NicDevice::fragment(const Packet& head, std::uint32_t i, Endpoint& e,
-                              Fill&& fill) {
+                              fabric::Payload payload) {
+  const FragmentRange r = fragmentRange(head, i, e.mtu);
+  assert(payload.size() == r.bytes);
   auto p = std::make_unique<Packet>(head);
   p->fragIndex = i;
-  p->offset = std::uint64_t{i} * e.mtu;
+  p->offset = r.offset;
   p->fragSeq = ++e.txFragSeq;
-  const std::uint64_t offset = p->offset;
-  p->payload = fabric::Payload::build(
-      std::min<std::uint64_t>(e.mtu, head.msgBytes - offset),
-      [&](std::span<std::byte> out) { fill(offset, out); });
+  p->payload = std::move(payload);
   return p;
 }
 
@@ -957,10 +967,12 @@ void NicDevice::handleRdmaRead(const Packet& p) {
   const sim::Duration firstExtra =
       profile_.nicPerMsgCost + translationCostRange(p.remoteAddr, p.msgBytes);
   for (std::uint32_t i = 0; i < head.fragCount; ++i) {
+    const FragmentRange r = fragmentRange(head, i, e.mtu);
     PacketPtr out = fragment(
-        head, i, e, [&](std::uint64_t offset, std::span<std::byte> bytes) {
-          memory_.read(p.remoteAddr + offset, bytes);
-        });
+        head, i, e,
+        fabric::Payload::build(r.bytes, [&](std::span<std::byte> bytes) {
+          memory_.read(p.remoteAddr + r.offset, bytes);
+        }));
     const sim::SimTime tProc = nicProc_.acquire(
         engine_.now(), profile_.nicPerFragCost + (i == 0 ? firstExtra : 0));
     const sim::SimTime tDma =

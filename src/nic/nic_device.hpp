@@ -15,8 +15,8 @@
 //
 // One fragment builder makes every packet the NIC originates: packetTo()
 // fills the fields all of them share, messageHeader() a message's header,
-// fragment() each fragment's box, framing and payload (built once from the
-// path's byte source, then immutable), launch() keeps the retransmit and
+// fragment() each fragment's box and framing around the payload its path
+// built (written once, then immutable), launch() keeps the retransmit and
 // probe header copies, which share that payload, and counts the fragment,
 // transmit() is the one hand-off of a box to the fabric (acks and RTO
 // resends use it too), and finishSend() completes a send or files it to
@@ -27,7 +27,8 @@
 //     descriptor's segments per fragment; Wire record and NicTx span.
 //   - Host inline (M-VIA): the caller's kernel builds each fragment and is
 //     charged for it, bytes come from a snapshot taken at the doorbell
-//     trap; NicTx span, no Wire record. Events run during each charge: a
+//     trap, one Payload of the whole message that each fragment slices;
+//     NicTx span, no Wire record. Events run during each charge: a
 //     teardown or break seen after one stops the send, which completes
 //     Aborted (ConnectionLost when broken), as postSend completes a send
 //     posted on a dead connection.
@@ -239,11 +240,11 @@ class NicDevice {
   Packet messageHeader(fabric::PacketKind kind, ViEndpointId id, Endpoint& e,
                        std::uint64_t bytes);
   Packet messageHeader(ViEndpointId id, Endpoint& e, const WorkRequest& wr);
-  /// Boxes fragment `i` of `head`'s message; `fill(offset, bytes)` writes
-  /// the fragment's payload bytes, starting at message offset `offset`.
-  template <typename Fill>
+  /// Boxes fragment `i` of `head`'s message around `payload`: the
+  /// fragment's bytes, one MTU from message offset i * MTU on (fewer in
+  /// the last fragment).
   PacketPtr fragment(const Packet& head, std::uint32_t i, Endpoint& e,
-                     Fill&& fill);
+                     fabric::Payload payload);
   void launch(Endpoint& e, PacketPtr p, sim::SimTime at, bool probe);
   void transmit(PacketPtr p, sim::SimTime at);
   void finishSend(ViEndpointId id, Endpoint& e, std::uint64_t cookie,

@@ -96,6 +96,7 @@ std::uint64_t Engine::runWindow(SimTime windowEnd) {
 }
 
 std::uint64_t Engine::dispatchThrough(SimTime last) {
+  DispatchScope scope(*this, last);
   const std::uint64_t before = executed_;
   while (!heap_.empty() && heap_.front().time <= last) {
     std::pop_heap(heap_.begin(), heap_.end(), HandleAfter{});
@@ -126,6 +127,14 @@ SimTime Engine::nextEventTime() {
     --staleInHeap_;
   }
   return kNoEventTime;
+}
+
+bool Engine::stepInPlace(SimTime t) {
+  if (t > dispatchLast_ || nextEventTime() <= t) return false;
+  now_ = t;
+  ++executed_;
+  ++nextSeq_;
+  return true;
 }
 
 void Engine::advanceTo(SimTime t) {

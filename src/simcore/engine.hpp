@@ -15,6 +15,13 @@
 // pop and compacted away once they outnumber live events, keeping the heap
 // within a constant factor of the live event count under post+cancel-heavy
 // workloads (e.g. retransmission timers).
+//
+// The dispatch bound: while a dispatch loop runs, the engine records the
+// last time it may fire: the horizon under runUntil(h), windowEnd - 1 in
+// a PDES window, unbounded under run(), and below every time outside a
+// dispatch. A Process's resume steps in place only up to it (see
+// process.hpp), so the step never passes a horizon or a window end, nor
+// the cross-domain merge and the sampler flush that follow a window.
 #pragma once
 
 #include <atomic>
@@ -217,16 +224,37 @@ class Engine {
     WindowScope& operator=(const WindowScope&) = delete;
     Engine& engine;
   };
+  // Records the running dispatch's bound for stepInPlace; exception-safe.
+  struct DispatchScope {
+    DispatchScope(Engine& e, SimTime last) : engine(e) {
+      engine.dispatchLast_ = last;
+    }
+    ~DispatchScope() { engine.dispatchLast_ = kNoDispatch; }
+    DispatchScope(const DispatchScope&) = delete;
+    DispatchScope& operator=(const DispatchScope&) = delete;
+    Engine& engine;
+  };
   EventId postAtImpl(SimTime t, EventFn fn);
   /// The one dispatch loop: fires every pending event with time <= `last`
   /// in (time, insertion seq) order, skipping cancelled handles, and
   /// returns how many fired. run(), runUntil() and runWindow() wrap it.
   std::uint64_t dispatchThrough(SimTime last);
+  /// Takes the running process's resume at `t` in place when it would be
+  /// the dispatch's next event: t within the dispatch bound and no live
+  /// event at or before t (one at t was posted first, so it runs first).
+  /// Then does what popping that event would: now() = t, one more
+  /// executed event, one sequence number consumed. Returns false, leaving
+  /// the caller to post and yield, otherwise.
+  bool stepInPlace(SimTime t);
   void checkDeadlock() const;
   void registerProcess(Process* p) { processes_.push_back(p); }
   void unregisterProcess(Process* p);
 
+  /// Below any event time: no dispatch runs, so nothing steps in place.
+  static constexpr SimTime kNoDispatch = std::numeric_limits<SimTime>::min();
+
   SimTime now_ = 0;
+  SimTime dispatchLast_ = kNoDispatch;  // the running dispatch's bound
   std::uint64_t nextSeq_ = 1;
   std::uint64_t executed_ = 0;
 

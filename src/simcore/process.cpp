@@ -267,6 +267,8 @@ void Process::advance(Duration d, CpuUse use) {
   if (use == CpuUse::Busy) cpuBusy_ += d;
   if (d == 0) return;  // nothing can interleave at zero cost; skip the yield
   if (killedNoWait()) return;
+  // The resume would be the dispatch's next event: take it without leaving.
+  if (engine_.stepInPlace(now() + d)) return;
   state_ = State::Ready;
   engine_.post(d, [this] { resume(); });
   yieldToEngine();

@@ -9,6 +9,16 @@
 // await) while the engine stays a pure discrete-event core underneath and
 // owns every scheduling decision.
 //
+// advance(d) posts the process's resume at t = now + d and yields, unless
+// that resume is certainly the running dispatch's next event: t is within
+// the dispatch's bound (the runUntil horizon, or windowEnd - 1 in a PDES
+// window) and no live event is due at or before t (one due at t was
+// posted earlier, so it runs first). Then the engine takes the step in
+// place (see engine.hpp) and the body runs on without a fiber switch.
+// The step is exact: no event could run between the post and the pop,
+// the clock, the executed-event count and the sequence numbers move as
+// they would, and no other domain's message can land inside the window.
+//
 // A fiber is not tied to an OS thread: a hosted ShardedEngine resumes it
 // on whichever thread runs its domain's window, which may change from one
 // window to the next. Each process keeps its own C++ exception state
@@ -53,6 +63,8 @@ class Process {
   /// --- API callable only from inside the process body ---
 
   /// Lets `d` of virtual time pass. Busy time counts toward cpuBusy().
+  /// Yields to the engine unless the resume would be its next event (see
+  /// the file comment).
   void advance(Duration d, CpuUse use = CpuUse::Busy);
 
   /// Blocks (idle) until the signal fires.

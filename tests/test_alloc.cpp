@@ -1,6 +1,6 @@
 // Allocation budget of the detached data path: heap allocations per
-// steady-state cLAN ping-pong round trip (64 B and 64 KB messages) with no
-// tracer, profiler or sampler attached. This is its own binary because it
+// steady-state ping-pong round trip (cLAN at 64 B and 64 KB, M-VIA at
+// 60,000 B) with no tracer, profiler or sampler attached. This is its own binary because it
 // replaces the global operator new/delete to count every allocation.
 #include <gtest/gtest.h>
 
@@ -66,11 +66,20 @@ constexpr double kRoundTripBudget = 18.0;
 // fragment allocated a closure and every payload was copied twice.
 constexpr double kLargeRoundTripBudget = 192.0;
 
+// Per 60,000 B M-VIA round trip (two 40-fragment messages, 1500 B
+// Ethernet frames; 65,535 B is M-VIA's largest message): at most 2
+// allocations per fragment. It made 217.32 while the kernel's trap-time
+// snapshot was a zeroed vector that every fragment copied again into a
+// block of its own.
+constexpr double kMviaLargeRoundTripBudget = 160.0;
+
 /// Allocations made by one whole ping-pong run (setup, warm-up, teardown).
 std::uint64_t allocationsFor(int iterations, sim::Tracer* tracer,
-                             std::uint64_t msgBytes = 64) {
+                             std::uint64_t msgBytes = 64,
+                             const nic::NicProfile& profile =
+                                 nic::clanProfile()) {
   suite::ClusterConfig cc;
-  cc.profile = nic::clanProfile();
+  cc.profile = profile;
   cc.tracer = tracer;
   suite::TransferConfig cfg;
   cfg.msgBytes = msgBytes;
@@ -85,9 +94,11 @@ std::uint64_t allocationsFor(int iterations, sim::Tracer* tracer,
 /// The extra allocations of 200 more round trips: setup, warm-up and
 /// teardown cancel out.
 std::uint64_t steadyStateAllocations(sim::Tracer* tracer,
-                                     std::uint64_t msgBytes = 64) {
-  return allocationsFor(300, tracer, msgBytes) -
-         allocationsFor(100, tracer, msgBytes);
+                                     std::uint64_t msgBytes = 64,
+                                     const nic::NicProfile& profile =
+                                         nic::clanProfile()) {
+  return allocationsFor(300, tracer, msgBytes, profile) -
+         allocationsFor(100, tracer, msgBytes, profile);
 }
 
 TEST(AllocationBudget, DetachedPingPongRoundTrip) {
@@ -102,6 +113,14 @@ TEST(AllocationBudget, DetachedLargeMessageRoundTrip) {
       static_cast<double>(steadyStateAllocations(nullptr, 64 * 1024)) / 200.0;
   RecordProperty("allocations_per_round_trip", std::to_string(perTrip));
   EXPECT_LE(perTrip, kLargeRoundTripBudget);
+}
+
+TEST(AllocationBudget, DetachedMviaLargeMessageRoundTrip) {
+  const double perTrip = static_cast<double>(steadyStateAllocations(
+                             nullptr, 60000, nic::mviaProfile())) /
+                         200.0;
+  RecordProperty("allocations_per_round_trip", std::to_string(perTrip));
+  EXPECT_LE(perTrip, kMviaLargeRoundTripBudget);
 }
 
 TEST(AllocationBudget, DisabledTracerAddsNoAllocation) {

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -481,6 +483,112 @@ TEST(ProcessTest, KilledBodyThatSwallowsTheKillIsKilledAgain) {
   EXPECT_FALSE(ranOn);
 }
 
+// --- Advance in place: a resume that is certainly the dispatch's next
+// event is taken without posting it or leaving the fiber. These tests pin
+// that the step leaves the schedule, the clock and the event count as the
+// posted resume would.
+
+TEST(ProcessTest, EventPostedEarlierForTheResumeTimeRunsFirst) {
+  // At a tie the earlier insertion runs first: an event already queued
+  // for exactly now + d runs before the advancing process continues.
+  Engine eng;
+  std::vector<std::pair<std::string, SimTime>> order;
+  eng.post(0, [&] {
+    eng.post(10, [&] { order.emplace_back("event", eng.now()); });
+  });
+  Process p(eng, "p", [&] {
+    eng.currentProcess()->advance(10);
+    order.emplace_back("process", eng.now());
+  });
+  eng.run();
+  const std::vector<std::pair<std::string, SimTime>> expected = {
+      {"event", 10}, {"process", 10}};
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ProcessTest, LoneProcessAdvancesInPlace) {
+  // Every resume of a lone process would be the only event, so no advance
+  // posts one. A timer armed and cancelled first leaves a stale handle
+  // past the end of the run: a posted resume would fire ahead of it and
+  // leave it queued, while the in-place step's look-ahead prunes it.
+  constexpr int kN = 50;
+  constexpr Duration kD = 7;
+  Engine eng;
+  std::size_t maxHandles = 0;
+  std::size_t maxPending = 0;
+  std::vector<SimTime> seen;
+  Process p(eng, "lone", [&] {
+    Process& self = *eng.currentProcess();
+    ASSERT_TRUE(eng.cancel(eng.post(kN * kD * 10, [] {})));
+    for (int i = 0; i < kN; ++i) {
+      self.advance(kD);
+      seen.push_back(eng.now());
+      maxHandles = std::max(maxHandles, eng.queuedHandles());
+      maxPending = std::max(maxPending, eng.pendingEvents());
+    }
+  });
+  eng.run();
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kN));
+  for (int i = 0; i < kN; ++i) EXPECT_EQ(seen[i], (i + 1) * kD) << i;
+  EXPECT_EQ(maxHandles, 0u);
+  EXPECT_EQ(maxPending, 0u);
+  EXPECT_EQ(eng.now(), kN * kD);
+  EXPECT_EQ(p.cpuBusy(), kN * kD);
+  // The start event plus one per advance, as when each resume was posted.
+  EXPECT_EQ(eng.executedEvents(), static_cast<std::uint64_t>(kN) + 1);
+  EXPECT_TRUE(p.finished());
+}
+
+TEST(ProcessTest, CancelledTimerDoesNotBlockTheInPlaceStep) {
+  // A cancelled timer below now + d is no event: it neither fires nor
+  // makes the process post its resume. With one more cancelled timer
+  // beyond the resume, a posted resume would leave that one queued.
+  Engine eng;
+  bool fired = false;
+  std::size_t handlesAfter = 99;
+  SimTime resumedAt = -1;
+  Process p(eng, "p", [&] {
+    ASSERT_TRUE(eng.cancel(eng.post(3, [&] { fired = true; })));
+    ASSERT_TRUE(eng.cancel(eng.post(1000, [&] { fired = true; })));
+    eng.currentProcess()->advance(10);
+    resumedAt = eng.now();
+    handlesAfter = eng.queuedHandles();
+  });
+  eng.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(resumedAt, 10);
+  EXPECT_EQ(handlesAfter, 0u);
+  EXPECT_EQ(eng.executedEvents(), 2u);
+}
+
+TEST(ProcessTest, AdvancePastTheHorizonParksUntilTheNextRunUntil) {
+  // runUntil(h) bounds the step: a resume at exactly h is taken in place,
+  // one past h is posted and waits, with the clock on h, for the next
+  // runUntil.
+  Engine eng;
+  std::vector<SimTime> seen;
+  Process p(eng, "p", [&] {
+    Process& self = *eng.currentProcess();
+    self.advance(10);
+    seen.push_back(eng.now());
+    self.advance(10);
+    seen.push_back(eng.now());
+  });
+  EXPECT_FALSE(eng.runUntil(10));
+  EXPECT_EQ(seen, (std::vector<SimTime>{10}));
+  EXPECT_EQ(eng.now(), 10);
+  EXPECT_FALSE(eng.runUntil(15));
+  EXPECT_EQ(seen, (std::vector<SimTime>{10}));
+  EXPECT_EQ(eng.now(), 15);
+  EXPECT_EQ(eng.pendingEvents(), 1u);  // the parked resume
+  EXPECT_FALSE(p.finished());
+  EXPECT_TRUE(eng.runUntil(100));
+  EXPECT_EQ(seen, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(eng.now(), 100);
+  EXPECT_EQ(eng.executedEvents(), 3u);
+  EXPECT_TRUE(p.finished());
+}
+
 TEST(ResourceTest, PipelinesBackToBackWork) {
   Resource r("link");
   // Three items, each needing 10ns, all ready at t=0: FIFO queueing.
@@ -810,6 +918,36 @@ TEST(HostedPdesTest, ProcessKeepsItsExceptionAcrossThreads) {
   EXPECT_GE(profiles[1].execNs,
             static_cast<std::uint64_t>(
                 std::chrono::nanoseconds(kSpin).count()));
+}
+
+TEST(HostedPdesTest, AdvanceWaitsForArrivalsPastTheWindowEnd) {
+  // Domain 0's process advances from 0 to 25 while domain 1 sends it a
+  // message for t=15: at or past the first window's end (10), so it is
+  // merged only after that window, yet before the resume. The window
+  // bound keeps the step from jumping over it: the process sees the
+  // message's side effect when it resumes.
+  EngineConfig cfg;
+  cfg.domains = 2;
+  cfg.lookahead = 10;
+  cfg.shards = 2;
+  ShardedEngine pdes(cfg);
+  Engine& a = pdes.domainEngine(0);
+  SimTime arrived = -1;
+  SimTime sawArrival = -1;
+  SimTime resumedAt = -1;
+  Process p(a, "a", [&] {
+    a.currentProcess()->advance(25);
+    resumedAt = a.now();
+    sawArrival = arrived;
+  });
+  pdes.domainEngine(1).postAt(0, [&] {
+    pdes.sendAt(1, 0, 15, [&] { arrived = a.now(); });
+  });
+  pdes.run();
+  EXPECT_EQ(arrived, 15);
+  EXPECT_EQ(sawArrival, 15);
+  EXPECT_EQ(resumedAt, 25);
+  EXPECT_TRUE(p.finished());
 }
 
 }  // namespace
