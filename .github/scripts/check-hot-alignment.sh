@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Usage: check-hot-alignment.sh BINARY
 #
-# Fails unless each hot engine, process, fabric and NIC function in BINARY
-# starts on a 64-byte boundary, the layout the -falign-functions=64 flag in
-# src/simcore/CMakeLists.txt pins. Without it, code added anywhere shifts
-# these functions and moves perfbench's stream_64k_fattree by up to 40%
-# with no change to the work done. A function missing from BINARY fails
-# too, so a rename cannot drop it from the check unnoticed.
+# Fails unless each hot engine, process, PDES window-loop, fabric and NIC
+# function in BINARY starts on a 64-byte boundary, the layout the
+# -falign-functions=64 flag in src/simcore/CMakeLists.txt pins. Without
+# it, code added anywhere shifts these functions and moves perfbench's
+# stream_64k_fattree by up to 40% with no change to the work done. A
+# function missing from BINARY fails too, so a rename cannot drop it from
+# the check unnoticed.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -18,6 +19,19 @@ hot=(
   'vibe::sim::Engine::dispatchThrough'
   'vibe::sim::Engine::postAtImpl'
   'vibe::sim::Process::advance'
+  'vibe::sim::Engine::runWindow'
+  'vibe::sim::Engine::nextEventTime'
+  'vibe::sim::ShardedEngine::sendAt'
+  'vibe::sim::ShardedEngine::serveShard'
+  'vibe::sim::ShardedEngine::runInline'
+  'vibe::sim::ShardedEngine::runShard'
+  'vibe::sim::ShardedEngine::execShardWindow'
+  'vibe::sim::ShardedEngine::siftDown'
+  'vibe::sim::ShardedEngine::completeWindow'
+  'vibe::sim::ShardedEngine::deliverOutboxes'
+  'vibe::sim::ShardedEngine::fileRunnable'
+  'vibe::sim::ShardedEngine::prepareWindow'
+  'vibe::sim::ShardedEngine::dispatchWindow'
   'vibe::fabric::Link::send'
   'vibe::fabric::Switch::ingress'
   'vibe::fabric::Switch::forward'

@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks of the simulation substrate itself
-// (google-benchmark): event throughput, process context-switch cost,
-// resource pipeline arithmetic, and PRNG speed. These bound how fast the
-// VIBe suite itself runs — useful when extending the workloads.
+// (google-benchmark): event throughput, process context-switch cost, the
+// cost of a thin PDES window, resource pipeline arithmetic, and PRNG speed.
+// These bound how fast the VIBe suite itself runs — useful when extending
+// the workloads.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -9,6 +10,7 @@
 
 #include "bench_json.hpp"
 #include "simcore/engine.hpp"
+#include "simcore/pdes.hpp"
 #include "simcore/process.hpp"
 #include "simcore/prng.hpp"
 #include "simcore/resource.hpp"
@@ -88,6 +90,49 @@ void BM_ProcessAdvanceInPlace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * hops);
 }
 BENCHMARK(BM_ProcessAdvanceInPlace)->Arg(200);
+
+/// A token that hops from each domain to the next, one lookahead ahead.
+struct HopToken {
+  ShardedEngine& eng;
+  std::uint64_t left = 0;
+  void hop(std::uint32_t d) {
+    if (--left == 0) return;
+    const std::uint32_t next = d + 1 == eng.domainCount() ? 0 : d + 1;
+    eng.sendAt(d, next, eng.domainEngine(d).now() + eng.lookahead(),
+               [this, next] { hop(next); });
+  }
+};
+
+void BM_ShardedThinWindows(benchmark::State& state) {
+  // The cost of a PDES window beyond its event: a token hops domain to
+  // domain at 4 shards, each arrival exactly one lookahead after its send,
+  // so every window runs one event, inline on the calling thread. The
+  // argument is the domain count (a k=4 fat-tree has 20 switch domains, a
+  // k=32 one 1280); ns_per_window should not grow with it.
+  constexpr std::uint64_t kHops = 10000;
+  ShardedEngine eng({.domains = static_cast<std::uint32_t>(state.range(0)),
+                     .lookahead = 100,
+                     .shards = 4});
+  HopToken token{eng};
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    token.left = kHops;
+    eng.domainEngine(0).postAt(eng.maxNow() + eng.lookahead(),
+                               [&token] { token.hop(0); });
+    eng.run();
+    benchmark::DoNotOptimize(eng.windowsExecuted());
+  }
+  const double ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  const auto windows = static_cast<double>(eng.windowsExecuted());
+  if (eng.windowsExecuted() != state.iterations() * kHops) {
+    state.SkipWithError("a window ran more or less than one event");
+  }
+  state.SetItemsProcessed(state.iterations() * kHops);
+  state.counters["ns_per_window"] = windows > 0 ? ns / windows : 0;
+}
+BENCHMARK(BM_ShardedThinWindows)->Arg(20)->Arg(1280);
 
 void BM_ResourceAcquire(benchmark::State& state) {
   Resource r("bench");

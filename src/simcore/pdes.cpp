@@ -15,6 +15,15 @@ namespace {
 constexpr SimTime kNoEvent = Engine::kNoEventTime;
 constexpr SimTime kMaxTime = std::numeric_limits<SimTime>::max();
 
+// Domain::heapPos of a domain with no pending event in its runnable heap.
+constexpr std::uint32_t kNotFiled = std::numeric_limits<std::uint32_t>::max();
+
+// What a dispatch hands the calling thread instead of one shard to run:
+// every active shard of an inline window, or nothing (park, or the run is
+// done).
+constexpr unsigned kInline = std::numeric_limits<unsigned>::max();
+constexpr unsigned kNoShard = kInline - 1;
+
 constexpr SimTime satAdd(SimTime t, Duration d) {
   return t > kMaxTime - d ? kMaxTime : t + d;
 }
@@ -48,21 +57,28 @@ unsigned shardCount() {
   return hw > 0 ? hw : 1;
 }
 
-/// Per-domain state. Cache-line aligned: during a window each shard
-/// writes only its own domains' outboxes and counters.
+/// Per-domain state, with the domain's engine in place. Cache-line
+/// aligned: during a window each shard writes only its own domains'
+/// engines, heap slots, outboxes and counters.
 struct alignas(64) ShardedEngine::Domain {
-  std::unique_ptr<Engine> engine = std::make_unique<Engine>();
+  std::uint32_t heapPos = kNotFiled;  // slot in its shard's runnable heap
+  std::uint32_t shard = 0;            // the owning shard, d % shards
+  Engine engine;
   // Cross-domain sends originating here; drained at the end of the window
   // by the completion step. Per-domain (not per-shard) so every write is
   // single-writer and the merge can drain in domain order.
   std::vector<CrossMsg> outbox;
   std::uint64_t executed = 0;  // events this engine ran in windows
   std::uint64_t crossDomain = 0;
+  // Cross-domain sends to another shard's domain, counted when they are
+  // set up or merged, where both ends' shards are at hand.
   std::uint64_t crossShard = 0;
 };
 
 ShardedEngine::ShardedEngine(const EngineConfig& cfg)
-    : domainCountU32_(cfg.domains), lookahead_(cfg.lookahead) {
+    : domains_(cfg.domains),
+      domainCountU32_(cfg.domains),
+      lookahead_(cfg.lookahead) {
   if (cfg.domains == 0) {
     throw SimError("ShardedEngine: at least one domain is required");
   }
@@ -77,10 +93,14 @@ ShardedEngine::ShardedEngine(const EngineConfig& cfg)
         "ShardedEngine: conservative PDES needs lookahead > 0 to run more "
         "than one shard (no cross-shard latency means no safe window)");
   }
-  domains_.resize(cfg.domains);
-  windowEvents_.resize(shards_);
-  runnable_.resize(shards_);
-  dirtyByShard_.resize(shards_);
+  perShard_ = std::vector<Shard>(shards_);
+  for (std::uint32_t d = 0; d < domainCountU32_; ++d) {
+    domains_[d].shard = d % shards_;
+  }
+  for (unsigned s = 0; s < shards_; ++s) {
+    perShard_[s].runnable.reserve((domainCountU32_ - s + shards_ - 1) /
+                                  shards_);
+  }
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -91,7 +111,7 @@ Engine& ShardedEngine::domainEngine(std::uint32_t domain) {
                    std::to_string(domain) + " out of range [0, " +
                    std::to_string(domainCountU32_) + ")");
   }
-  return *domains_[domain].engine;
+  return domains_[domain].engine;
 }
 
 void ShardedEngine::sendAt(std::uint32_t src, std::uint32_t dst, SimTime at,
@@ -101,16 +121,17 @@ void ShardedEngine::sendAt(std::uint32_t src, std::uint32_t dst, SimTime at,
     throw SimError("ShardedEngine::sendAt: domain out of range [0, " +
                    std::to_string(domainCountU32_) + ")");
   }
+  Domain& from = domains_[src];
   if (src == dst) {
-    domains_[src].engine->postAt(at, std::move(fn));
+    from.engine.postAt(at, std::move(fn));
     return;
   }
-  Domain& from = domains_[src];
   ++from.crossDomain;
-  if (shardOf(src) != shardOf(dst)) ++from.crossShard;
   if (!running_) {
     // Setup phase, single driving thread: schedule directly.
-    domains_[dst].engine->postAt(at, std::move(fn));
+    Domain& to = domains_[dst];
+    if (from.shard != to.shard) ++from.crossShard;
+    to.engine.postAt(at, std::move(fn));
     return;
   }
   if (at < windowEnd_) {
@@ -123,7 +144,7 @@ void ShardedEngine::sendAt(std::uint32_t src, std::uint32_t dst, SimTime at,
   // Always the outbox during a run — even same-shard — so the merge order
   // (and with it the destination engine's insertion-sequence tie order)
   // is a pure function of domain numbering, not of shard packing.
-  if (from.outbox.empty()) markOutboxDirty(src);
+  if (from.outbox.empty()) perShard_[from.shard].dirty.push_back(src);
   from.outbox.push_back(CrossMsg{at, dst, std::move(fn)});
 }
 
@@ -141,7 +162,7 @@ void ShardedEngine::setBoundaryHook(Duration period,
 
 SimTime ShardedEngine::maxNow() const {
   SimTime t = 0;
-  for (const Domain& dom : domains_) t = std::max(t, dom.engine->now());
+  for (const Domain& dom : domains_) t = std::max(t, dom.engine.now());
   return t;
 }
 
@@ -156,13 +177,13 @@ SimTime ShardedEngine::clampToBoundary(SimTime t, SimTime windowEnd) const {
 }
 
 void ShardedEngine::setWindowedMode(bool on) {
-  for (Domain& dom : domains_) dom.engine->setWindowedMode(on);
+  for (Domain& dom : domains_) dom.engine.setWindowedMode(on);
 }
 
 void ShardedEngine::checkDeadlock() const {
   std::string stuck;
   for (const Domain& dom : domains_) {
-    const std::string names = dom.engine->blockedProcessNames();
+    const std::string names = dom.engine.blockedProcessNames();
     if (names.empty()) continue;
     if (!stuck.empty()) stuck += ", ";
     stuck += names;
@@ -174,98 +195,130 @@ void ShardedEngine::checkDeadlock() const {
   }
 }
 
-void ShardedEngine::markOutboxDirty(std::uint32_t src) {
-  dirtyByShard_[shardOf(src)].push_back(src);
-}
-
 void ShardedEngine::initRunnable() {
-  for (auto& h : runnable_) h.clear();
-  domKey_.assign(domainCountU32_, kNoEvent);
+  for (unsigned s = 0; s < shards_; ++s) perShard_[s].runnable.clear();
   for (std::uint32_t d = 0; d < domainCountU32_; ++d) {
-    const SimTime t = domains_[d].engine->nextEventTime();
-    if (t != kNoEvent) pushRunnable(d, t);
+    domains_[d].heapPos = kNotFiled;
+    const SimTime t = domains_[d].engine.nextEventTime();
+    if (t != kNoEvent) fileRunnable(d, t);
   }
 }
 
-/// File domain d under key t in its owner's heap. Only the thread running
-/// d's shard (post-window re-file) or the single-threaded merge step may
-/// call this for a given d.
-void ShardedEngine::pushRunnable(std::uint32_t d, SimTime t) {
-  if (t >= domKey_[d]) return;  // an entry at or below t is already filed
-  domKey_[d] = t;
-  auto& h = runnable_[shardOf(d)];
-  h.emplace_back(t, d);
-  std::push_heap(h.begin(), h.end(), std::greater<>{});
+/// Files domain d, whose next event is now at t, in its shard's heap: adds
+/// it, or lowers its key in place when t is earlier. Only the
+/// single-threaded merge step (or the run entry) calls this.
+void ShardedEngine::fileRunnable(std::uint32_t d, SimTime t) {
+  Domain& dom = domains_[d];
+  std::vector<RunEntry>& heap = perShard_[dom.shard].runnable;
+  std::uint32_t i = dom.heapPos;
+  if (i == kNotFiled) {
+    i = static_cast<std::uint32_t>(heap.size());
+    heap.push_back(RunEntry{t, d});
+  } else if (t < heap[i].time) {
+    heap[i].time = t;
+  } else {
+    return;
+  }
+  siftUp(heap, i);
+}
+
+void ShardedEngine::siftUp(std::vector<RunEntry>& heap, std::uint32_t i) {
+  const RunEntry e = heap[i];
+  while (i > 0) {
+    const std::uint32_t parent = (i - 1) / 2;
+    if (!e.before(heap[parent])) break;
+    heap[i] = heap[parent];
+    domains_[heap[i].domain].heapPos = i;
+    i = parent;
+  }
+  heap[i] = e;
+  domains_[e.domain].heapPos = i;
+}
+
+void ShardedEngine::siftDown(std::vector<RunEntry>& heap, std::uint32_t i) {
+  const RunEntry e = heap[i];
+  const auto n = static_cast<std::uint32_t>(heap.size());
+  for (std::uint32_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && heap[child + 1].before(heap[child])) ++child;
+    if (!heap[child].before(e)) break;
+    heap[i] = heap[child];
+    domains_[heap[i].domain].heapPos = i;
+    i = child;
+  }
+  heap[i] = e;
+  domains_[e.domain].heapPos = i;
 }
 
 SimTime ShardedEngine::runnableTop(unsigned shard) const {
-  const auto& h = runnable_[shard];
-  return h.empty() ? kNoEvent : h.front().first;
+  const std::vector<RunEntry>& heap = perShard_[shard].runnable;
+  return heap.empty() ? kNoEvent : heap.front().time;
 }
 
-/// Drops the superseded duplicates at the top of a shard's heap, so its
-/// top is a live key. Completion step (or before the threads start) only.
-void ShardedEngine::pruneTop(unsigned shard) {
-  auto& h = runnable_[shard];
-  while (!h.empty() && h.front().first != domKey_[h.front().second]) {
-    std::pop_heap(h.begin(), h.end(), std::greater<>{});
-    h.pop_back();
-  }
-}
-
-/// One shard's window, heap-driven: pop every owned domain filed below
-/// windowEnd, re-check its real next-event time (entries may be stale),
-/// run the live ones, and re-file. Mid-window arrivals land at or past
-/// windowEnd (the lookahead contract), so each domain runs its whole
-/// window on the first live pop.
+/// One shard's window, heap-driven: run the root domain while its next
+/// event falls before windowEnd, then re-key it at its new next event time
+/// (or drop it when it has none) with one sift. Mid-window arrivals land at
+/// or past windowEnd (the lookahead contract), so each domain runs its
+/// whole window at once.
 std::uint64_t ShardedEngine::execShardWindow(unsigned shard,
                                              SimTime windowEnd) {
   std::uint64_t executed = 0;
-  auto& h = runnable_[shard];
-  while (!h.empty() && h.front().first < windowEnd) {
-    std::pop_heap(h.begin(), h.end(), std::greater<>{});
-    const auto [t, d] = h.back();
-    h.pop_back();
-    if (t != domKey_[d]) continue;  // superseded duplicate
-    domKey_[d] = kNoEvent;
-    Domain& dom = domains_[d];
-    const SimTime actual = dom.engine->nextEventTime();
-    if (actual == kNoEvent) continue;
-    if (actual >= windowEnd) {  // filed too early: re-file at its time
-      pushRunnable(d, actual);
-      continue;
-    }
-    const std::uint64_t n = dom.engine->runWindow(windowEnd);
+  std::vector<RunEntry>& heap = perShard_[shard].runnable;
+  while (!heap.empty() && heap.front().time < windowEnd) {
+    Domain& dom = domains_[heap.front().domain];
+    const std::uint64_t n = dom.engine.runWindow(windowEnd);
     dom.executed += n;
     executed += n;
-    const SimTime after = dom.engine->nextEventTime();
-    if (after != kNoEvent) pushRunnable(d, after);
+    const SimTime next = dom.engine.nextEventTime();
+    if (next == kNoEvent) {
+      dom.heapPos = kNotFiled;
+      heap.front() = heap.back();
+      heap.pop_back();
+      if (heap.empty()) break;
+    } else {
+      heap.front().time = next;
+    }
+    siftDown(heap, 0);
   }
   return executed;
 }
 
 void ShardedEngine::deliverOutboxes() {
-  // Gather the domains that actually parked messages (the sort restores
-  // the global domain order) instead of scanning every outbox — at
-  // thousands of mostly-idle domains per window the full scan is pure
-  // serial overhead.
-  dirtyScratch_.clear();
-  for (std::vector<std::uint32_t>& v : dirtyByShard_) {
-    dirtyScratch_.insert(dirtyScratch_.end(), v.begin(), v.end());
-    v.clear();
+  // Visit only the domains that actually parked messages, not every
+  // outbox: at thousands of mostly-idle domains per window the full scan
+  // is pure serial overhead. Most thin windows leave none or one dirty
+  // list, which needs no gather.
+  std::vector<std::uint32_t>* dirty = nullptr;
+  unsigned lists = 0;
+  for (unsigned s = 0; s < shards_; ++s) {
+    if (perShard_[s].dirty.empty()) continue;
+    dirty = &perShard_[s].dirty;
+    ++lists;
   }
-  std::sort(dirtyScratch_.begin(), dirtyScratch_.end());
+  if (lists == 0) return;
+  if (lists > 1) {
+    dirtyScratch_.clear();
+    for (unsigned s = 0; s < shards_; ++s) {
+      std::vector<std::uint32_t>& v = perShard_[s].dirty;
+      dirtyScratch_.insert(dirtyScratch_.end(), v.begin(), v.end());
+      v.clear();
+    }
+    dirty = &dirtyScratch_;
+  }
   // Drain in domain order, entries in send order: the destination
   // engines' insertion sequences — their tie order — become a pure
   // function of the simulation, independent of shard count.
-  for (std::uint32_t d : dirtyScratch_) {
+  if (dirty->size() > 1) std::sort(dirty->begin(), dirty->end());
+  for (std::uint32_t d : *dirty) {
     Domain& src = domains_[d];
     for (CrossMsg& m : src.outbox) {
-      domains_[m.dstDomain].engine->postAtMerge(m.time, std::move(m.fn));
-      pushRunnable(m.dstDomain, m.time);
+      Domain& dst = domains_[m.dstDomain];
+      if (dst.shard != src.shard) ++src.crossShard;
+      dst.engine.postAtMerge(m.time, std::move(m.fn));
+      fileRunnable(m.dstDomain, m.time);
     }
     src.outbox.clear();
   }
+  dirty->clear();
 }
 
 /// Computes the next window's bounds from the completion step (or before
@@ -275,15 +328,11 @@ void ShardedEngine::prepareWindow() {
     done_ = true;
     return;
   }
-  // O(shards) reduce over the heap tops, not an O(domains) rescan. The
-  // tops are pruned first, so a superseded duplicate (left by a
-  // cancelled timer) never starts a window early: every window starts at
+  // O(shards) reduce over the heap roots, not an O(domains) rescan. Each
+  // root is its domain's exact next event time, so every window starts at
   // a real event, which is also the boundary a hook may take it for.
   SimTime t = kNoEvent;
-  for (unsigned s = 0; s < shards_; ++s) {
-    pruneTop(s);
-    t = std::min(t, runnableTop(s));
-  }
+  for (unsigned s = 0; s < shards_; ++s) t = std::min(t, runnableTop(s));
   if (t == kNoEvent) {
     drained_ = true;
     done_ = true;
@@ -325,7 +374,7 @@ void ShardedEngine::startThreads() {
   pool_.reserve(shards_ - 1);
   try {
     for (unsigned s = 1; s < shards_; ++s) {
-      pool_.emplace_back([this, s] { serveShard(s, shards_); });
+      pool_.emplace_back([this, s] { serveShard(s, kNoShard); });
     }
   } catch (...) {
     done_ = true;  // could not start a thread: release the started ones
@@ -342,14 +391,15 @@ void ShardedEngine::startThreads() {
   pool_.clear();
 }
 
-/// Hands out the prepared window and returns the first shard the calling
-/// thread runs. A window fans out when the window before it ran at least
+/// Hands out the prepared window and returns what the calling thread
+/// runs. A window fans out when the window before it ran at least
 /// kFanOutEvents events and more than one shard is active: the caller
-/// keeps one active shard (its own if active, else the lowest-numbered
-/// one) and wakes the home threads of the others, starting them first if
-/// this is the run's first fan-out. Otherwise it runs inline: the caller
-/// keeps every active shard and wakes no one. Once the run is done it
-/// wakes every other thread to exit instead and returns shards_.
+/// keeps one active shard, which it returns (its own if active, else the
+/// lowest-numbered one), and wakes the home threads of the others,
+/// starting them first if this is the run's first fan-out. Otherwise it
+/// runs inline (kInline): the caller runs every active shard and wakes no
+/// one. Once the run is done it wakes every other thread to exit instead
+/// and returns kNoShard.
 unsigned ShardedEngine::dispatchWindow(unsigned home) {
   if (done_) {
     if (!pool_.empty()) {
@@ -357,25 +407,25 @@ unsigned ShardedEngine::dispatchWindow(unsigned home) {
         if (s != home) wake(s);
       }
     }
-    return shards_;
+    return kNoShard;
+  }
+  if (lastWindowEvents_ < kFanOutEvents) {
+    ++inline_;
+    return kInline;
   }
   // Active: exactly the shards execShardWindow has work for.
   auto active = [this](unsigned s) { return runnableTop(s) < windowEnd_; };
-  unsigned first = shards_;
   unsigned mine = shards_;
   unsigned count = 0;
   for (unsigned s = 0; s < shards_; ++s) {
     if (!active(s)) continue;
     ++count;
-    if (first == shards_) first = s;
     if (mine == shards_ || s == home) mine = s;
   }
-  // The window start is some shard's heap top, so count >= 1.
-  fanOut_ = count > 1 && lastWindowEvents_ >= kFanOutEvents;
-  if (!fanOut_) {
+  // The window start is some shard's heap root, so count >= 1.
+  if (count == 1) {
     ++inline_;
-    pending_.store(1, std::memory_order_relaxed);
-    return first;
+    return kInline;
   }
   if (pool_.empty()) startThreads();
   ++fannedOut_;
@@ -387,56 +437,55 @@ unsigned ShardedEngine::dispatchWindow(unsigned home) {
   return mine;
 }
 
-/// Runs one shard's part of the open window on the calling thread. An
-/// event failure is recorded against the shard, not the thread, and ends
-/// the run after this window; the other active shards still finish it, so
-/// which failures are recorded does not depend on the thread schedule.
-void ShardedEngine::runShard(unsigned shard) {
+/// Runs one shard's part of the open window on the calling thread and
+/// returns its event count. An event failure is recorded against the
+/// shard, not the thread, and ends the run after this window; the other
+/// active shards still finish it, so which failures are recorded does not
+/// depend on the thread schedule.
+std::uint64_t ShardedEngine::runShard(unsigned shard) {
+  std::uint64_t executed = 0;
   try {
     const std::uint64_t w0 = profiling_ ? wallNowNs() : 0;
-    const std::uint64_t executed = execShardWindow(shard, windowEnd_);
-    windowEvents_[shard].events = executed;
+    executed = execShardWindow(shard, windowEnd_);
     if (profiling_) {
       timing_[shard].execNs += wallNowNs() - w0;
       if (executed > 0) ++timing_[shard].windowsActive;
     }
   } catch (...) {
-    shardErrors_[shard] = std::current_exception();
+    perShard_[shard].error = std::current_exception();
     abort_.store(true, std::memory_order_relaxed);
   }
+  return executed;
 }
 
-/// Runs what the dispatch kept for the calling thread: shard `first`
-/// alone in a fanned-out window, every active shard from `first` up, in
-/// ascending order, in an inline one. A shard's window touches only its
-/// own heap, so the active set stays the one the dispatch saw.
-void ShardedEngine::runKept(unsigned first) {
-  const unsigned end = fanOut_ ? first + 1 : shards_;
-  for (unsigned s = first; s < end; ++s) {
-    if (runnableTop(s) < windowEnd_) runShard(s);
+/// Runs an inline window: every active shard, in ascending order, on the
+/// calling thread. A shard's window touches only its own heap, so the
+/// active set stays the one the window started with.
+std::uint64_t ShardedEngine::runInline() {
+  std::uint64_t executed = 0;
+  for (unsigned s = 0; s < shards_; ++s) {
+    if (runnableTop(s) < windowEnd_) executed += runShard(s);
   }
+  return executed;
 }
 
-/// The completion step, on the thread that finished the window's last
-/// runner: every other thread is parked or about to park, so the merge
-/// and the next window's bounds need no locks. The merge runs even after
-/// a failure, so a failed window's messages are never left behind.
-/// Returns the first shard this thread runs next (see dispatchWindow).
-unsigned ShardedEngine::completeWindow(unsigned home) {
+/// The completion step of a window that ran `events` events, on the
+/// thread that finished it: every other thread is parked or about to
+/// park, so the merge and the next window's bounds need no locks. The
+/// merge runs even after a failure, so a failed window's messages are
+/// never left behind. Returns what this thread runs next (see
+/// dispatchWindow).
+unsigned ShardedEngine::completeWindow(unsigned home, std::uint64_t events) {
   const std::uint64_t c0 = profiling_ ? wallNowNs() : 0;
   ++windows_;
-  lastWindowEvents_ = 0;
-  for (WindowTally& t : windowEvents_) {
-    lastWindowEvents_ += t.events;
-    t.events = 0;
-  }
+  lastWindowEvents_ = events;
   try {
     deliverOutboxes();
     prepareWindow();
   } catch (...) {
     // Merge/hook failure (e.g. a throwing boundary flush): surface it
     // like a shard-0 event failure and wind the run down.
-    if (!shardErrors_[0]) shardErrors_[0] = std::current_exception();
+    if (!perShard_[0].error) perShard_[0].error = std::current_exception();
     abort_.store(true, std::memory_order_relaxed);
     done_ = true;
   }
@@ -445,30 +494,38 @@ unsigned ShardedEngine::completeWindow(unsigned home) {
   return next;
 }
 
-/// The loop of `home`'s thread, starting with the shards a dispatch kept
-/// for it from `shard` up (shards_: park first): run them, then either
-/// complete the window (last runner out) or park until woken for its own
-/// shard.
+/// The loop of `home`'s thread, starting with what a dispatch handed it
+/// (kNoShard: park first). An inline window it runs and completes at once.
+/// A shard of a fanned-out window it runs, then either completes the
+/// window (last runner out) or parks until woken for its own shard.
 void ShardedEngine::serveShard(unsigned home, unsigned shard) {
   std::uint32_t seen = 0;  // tickets reset to 0 before the threads start
   for (;;) {
-    if (shard == shards_) {
-      const std::uint64_t b0 = profiling_ ? wallNowNs() : 0;
-      std::atomic<std::uint32_t>& ticket = parkers_[home].ticket;
-      ticket.wait(seen, std::memory_order_acquire);
-      seen = ticket.load(std::memory_order_acquire);
-      if (profiling_) timing_[home].barrierWaitNs += wallNowNs() - b0;
-      if (done_) return;
-      runShard(home);
+    std::uint64_t events = 0;
+    if (shard == kInline) {
+      events = runInline();
     } else {
-      runKept(shard);
+      if (shard == kNoShard) {
+        const std::uint64_t b0 = profiling_ ? wallNowNs() : 0;
+        std::atomic<std::uint32_t>& ticket = parkers_[home].ticket;
+        ticket.wait(seen, std::memory_order_acquire);
+        seen = ticket.load(std::memory_order_acquire);
+        if (profiling_) timing_[home].barrierWaitNs += wallNowNs() - b0;
+        if (done_) return;
+        shard = home;
+      }
+      perShard_[shard].windowEvents = runShard(shard);
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+        shard = kNoShard;  // others still running: park
+        continue;
+      }
+      for (unsigned s = 0; s < shards_; ++s) {
+        events += perShard_[s].windowEvents;
+        perShard_[s].windowEvents = 0;
+      }
     }
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-      shard = shards_;  // others still running: park
-      continue;
-    }
-    shard = completeWindow(home);
-    if (shard == shards_) return;  // done; the others were woken to exit
+    shard = completeWindow(home, events);
+    if (shard == kNoShard) return;  // done; the others were woken to exit
   }
 }
 
@@ -477,7 +534,7 @@ bool ShardedEngine::runWindows(SimTime horizon) {
   drained_ = false;
   done_ = false;
   abort_.store(false, std::memory_order_relaxed);
-  shardErrors_.assign(shards_, nullptr);
+  for (unsigned s = 0; s < shards_; ++s) perShard_[s].error = nullptr;
   initRunnable();
 
   prepareWindow();
@@ -491,7 +548,7 @@ bool ShardedEngine::runWindows(SimTime horizon) {
   // Failure reports are schedule-independent: the lowest shard's
   // exception wins, like the sweep harness's lowest-index rule.
   for (unsigned s = 0; s < shards_; ++s) {
-    if (shardErrors_[s]) std::rethrow_exception(shardErrors_[s]);
+    if (perShard_[s].error) std::rethrow_exception(perShard_[s].error);
   }
   return drained_;
 }
@@ -522,21 +579,21 @@ void ShardedEngine::run() {
 
 bool ShardedEngine::runUntil(SimTime until) {
   const bool drained = runDispatch(until);
-  for (Domain& dom : domains_) dom.engine->advanceTo(until);
+  for (Domain& dom : domains_) dom.engine.advanceTo(until);
   if (drained) checkDeadlock();
   return drained;
 }
 
 std::uint64_t ShardedEngine::executedEvents() const {
   std::uint64_t n = 0;
-  for (const Domain& dom : domains_) n += dom.engine->executedEvents();
+  for (const Domain& dom : domains_) n += dom.engine.executedEvents();
   return n;
 }
 
 std::uint64_t ShardedEngine::pendingEvents() const {
   std::uint64_t n = 0;
   for (const Domain& dom : domains_) {
-    n += dom.engine->pendingEvents() + dom.outbox.size();
+    n += dom.engine.pendingEvents() + dom.outbox.size();
   }
   return n;
 }
@@ -574,11 +631,11 @@ std::vector<ShardProfile> ShardedEngine::shardProfiles() const {
       out[s].windowsActive = timing_[s].windowsActive;
     }
   }
-  for (std::uint32_t d = 0; d < domainCountU32_; ++d) {
-    ShardProfile& p = out[shardOf(d)];
+  for (const Domain& dom : domains_) {
+    ShardProfile& p = out[dom.shard];
     ++p.domains;
-    p.events += domains_[d].executed;
-    p.crossShardSent += domains_[d].crossShard;
+    p.events += dom.executed;
+    p.crossShardSent += dom.crossShard;
   }
   return out;
 }
@@ -587,9 +644,7 @@ double ShardedEngine::loadImbalance() const {
   std::uint64_t maxEv = 0;
   std::uint64_t total = 0;
   std::vector<std::uint64_t> perShard(shards_, 0);
-  for (std::uint32_t d = 0; d < domainCountU32_; ++d) {
-    perShard[shardOf(d)] += domains_[d].executed;
-  }
+  for (const Domain& dom : domains_) perShard[dom.shard] += dom.executed;
   for (const std::uint64_t ev : perShard) {
     maxEv = std::max(maxEv, ev);
     total += ev;

@@ -27,10 +27,12 @@
 // shards (those with an event before the window's end) it runs itself.
 // If the window just completed ran fewer than kFanOutEvents events, or
 // only one shard is active, it runs every active shard itself, in
-// ascending shard order, and wakes no one: the window runs inline.
-// Otherwise the window fans out: it runs one active shard itself (its own
-// if active, else the lowest-numbered one) and wakes only the home
-// threads of the others, each parked on its own futex word. Shard 0's
+// ascending shard order, and wakes no one: the window runs inline, with
+// no hand-off at all (no runner count, no per-shard event tally), and the
+// same thread completes it. Otherwise the window fans out: it runs one
+// active shard itself (its own if active, else the lowest-numbered one)
+// and wakes only the home threads of the others, each parked on its own
+// futex word. Shard 0's
 // home thread is the thread that calls run(); the other shards - 1 home
 // threads are started at the run's first fanned-out window and joined
 // before run() returns, so a run whose windows are all thin, and every
@@ -38,13 +40,18 @@
 // one thread over a run, and so do the Process fibers of its domains;
 // exactly one thread runs a shard at a time.
 //
+// Each shard files its domains in a runnable heap under their exact next
+// event times, each domain at most once, so a window visits only the
+// domains with work before its end, and each domain's engine lives in
+// its domain slot (one array, allocated at construction).
+//
 // Determinism contract (see docs/PDES.md): a hosted engine breaks ties at
 // one timestamp by insertion order. Events a domain posts to itself are
 // inserted as it runs; cross-domain arrivals are inserted by the merge,
 // which drains the outboxes in ascending source-domain order, entries in
 // send order, whatever the shard count — even when source and
-// destination share a shard. The window bounds come from the heap keys
-// each domain files, not from the shard packing, so every domain's
+// destination share a shard. The window bounds come from each domain's
+// exact next event time, not from the shard packing, so every domain's
 // insertion order, and therefore its execution order and every
 // per-domain output, is byte-identical for any shard count and any
 // thread schedule.
@@ -131,11 +138,6 @@ class ShardedEngine {
   /// Shards actually used (after the env default and the domain clamp).
   unsigned shards() const { return shards_; }
   Duration lookahead() const { return lookahead_; }
-  /// Shard that owns a domain (round-robin packing).
-  std::uint32_t shardOf(std::uint32_t domain) const {
-    return domain % shards_;
-  }
-
   /// The serial engine hosted by `domain`. Build the domain's simulation
   /// state (NICs, processes, timers) directly on it; during run() it is
   /// driven in lockstep windows.
@@ -219,6 +221,43 @@ class ShardedEngine {
  private:
   struct Domain;
 
+  // A domain filed in its shard's runnable heap under its next event time.
+  struct RunEntry {
+    SimTime time;
+    std::uint32_t domain;
+    // The heap order: earliest time first, then lowest domain. Each domain
+    // is filed at most once, so no two entries tie.
+    bool before(const RunEntry& o) const {
+      return time != o.time ? time < o.time : domain < o.domain;
+    }
+  };
+
+  // One shard's run state. Cache-line aligned: in a fanned-out window each
+  // shard's runner writes only its own entry.
+  struct alignas(64) Shard {
+    // Runnable heap: an indexed min-heap on (next event time, domain) over
+    // the shard's domains that have a pending event, each filed at most
+    // once (Domain::heapPos is its slot), so a window visits only the
+    // domains with work before its end, and the next window's start is an
+    // O(shards) reduce over the roots. A domain's key is its exact next
+    // event time: only its own window and the merge change its events (a
+    // boundary hook cannot post or cancel), and the window re-keys it
+    // after it runs while the merge lowers its key in place. Rebuilt at
+    // every run entry; reserved at construction to the shard's domains.
+    std::vector<RunEntry> runnable;
+    // Domains that parked >= 1 cross-domain message this window, in the
+    // order they first did. Appended only by the thread running the shard
+    // (or by a boundary hook, from the completion step); the merge sorts
+    // them into ascending domain order.
+    std::vector<std::uint32_t> dirty;
+    // Events the shard ran in the open fanned-out window: written by the
+    // thread that ran it, summed and cleared by the completion step after
+    // the pending_ hand-off. Inline windows count their own.
+    std::uint64_t windowEvents = 0;
+    // The first exception an event of this shard raised in this run.
+    std::exception_ptr error;
+  };
+
   // Per-shard wall-clock accumulators; cache-line aligned because several
   // threads write distinct entries concurrently during a parallel run.
   // execNs/windowsActive are charged by whichever thread runs the shard,
@@ -238,20 +277,13 @@ class ShardedEngine {
     std::atomic<std::uint32_t> ticket{0};
   };
 
-  // Events a shard ran in the open window: written by whichever thread
-  // runs the shard, summed and cleared by the completion step after the
-  // pending_ hand-off. Aligned like ShardTiming.
-  struct alignas(64) WindowTally {
-    std::uint64_t events = 0;
-  };
-
   void deliverOutboxes();
   bool runWindows(SimTime horizon);
   void prepareWindow();
   void serveShard(unsigned home, unsigned shard);
-  void runShard(unsigned shard);
-  void runKept(unsigned first);
-  unsigned completeWindow(unsigned home);
+  std::uint64_t runShard(unsigned shard);
+  std::uint64_t runInline();
+  unsigned completeWindow(unsigned home, std::uint64_t events);
   unsigned dispatchWindow(unsigned home);
   void startThreads();
   void joinThreads();
@@ -260,14 +292,17 @@ class ShardedEngine {
   void setWindowedMode(bool on);
   void checkDeadlock() const;
   bool runDispatch(SimTime horizon);
-  void markOutboxDirty(std::uint32_t src);
   void initRunnable();
-  void pushRunnable(std::uint32_t d, SimTime t);
+  void fileRunnable(std::uint32_t d, SimTime t);
+  void siftUp(std::vector<RunEntry>& heap, std::uint32_t i);
+  void siftDown(std::vector<RunEntry>& heap, std::uint32_t i);
   SimTime runnableTop(unsigned shard) const;
-  void pruneTop(unsigned shard);
   std::uint64_t execShardWindow(unsigned shard, SimTime windowEnd);
 
+  // Every domain with its engine in place, in one block allocated at
+  // construction.
   std::vector<Domain> domains_;
+  std::vector<Shard> perShard_;  // one per shard, allocated at construction
   Duration boundaryPeriod_ = 0;
   std::function<void(SimTime)> boundaryFlush_;
   std::uint32_t domainCountU32_ = 0;
@@ -292,43 +327,15 @@ class ShardedEngine {
   bool drained_ = false;
   bool done_ = false;
   std::atomic<bool> abort_{false};
-  std::vector<std::exception_ptr> shardErrors_;
-  std::vector<WindowTally> windowEvents_;  // one per shard
-  // Whether the open window fanned out; read back only by the thread
-  // whose completion step dispatched it.
-  bool fanOut_ = false;
-  // Runners still in the open window: one per active shard when it
-  // fanned out, one when it runs inline.
+  // Runners still in the open fanned-out window, one per active shard.
+  // Inline windows never touch it.
   std::atomic<unsigned> pending_{0};
   // Allocated at the engine's first fanned-out window, one per shard.
   std::unique_ptr<Parker[]> parkers_;
   // The home threads of shards 1.., started by the calling thread at a
   // run's first fanned-out window and joined when the run ends.
   std::vector<std::thread> pool_;
-
-  // Runnable-domain heaps: at thousands of mostly-idle domains, touching
-  // every domain every window — an O(domains) next-event scan in the
-  // completion step plus an O(domains/shards) execute pass per shard — is
-  // the Amdahl floor of thin-window runs. Instead each shard keeps a
-  // lazy min-heap of (next event time, domain) over the domains it owns,
-  // so a window costs O(active domains · log). domKey_[d] is the key the
-  // owner's heap currently holds for d (kNoEvent when absent): pushes
-  // that don't beat it are skipped, pops that don't match it are stale
-  // duplicates. A superseded entry can sit below a live one (a timer
-  // cancelled after a merge lowered the key): the completion step prunes
-  // such tops before it picks a window start, and the pops skip the
-  // deeper ones. Rebuilt at every run entry. Only a domain's own window
-  // and the merge change what a domain holds (a boundary hook cannot
-  // post or cancel), and both re-file it, so a live key is always the
-  // domain's real next event time.
-  std::vector<std::vector<std::pair<SimTime, std::uint32_t>>> runnable_;
-  std::vector<SimTime> domKey_;
-  // Outbox dirty lists, per owning shard: domains that parked >= 1
-  // cross-domain message this window. Single-writer (each shard appends
-  // only its own list; a boundary hook appends from the completion step);
-  // the merge gathers and sorts them so the drain runs in ascending
-  // domain order.
-  std::vector<std::vector<std::uint32_t>> dirtyByShard_;
+  // The merge's gather buffer when more than one shard's list is dirty.
   std::vector<std::uint32_t> dirtyScratch_;
 
   bool running_ = false;

@@ -951,6 +951,36 @@ TEST(ShardedEngineHook, PostAndCancelOnADomainEngineThrow) {
   }
 }
 
+TEST(ShardedEngineHook, CancelledTimerNeverStartsAWindow) {
+  // Domain 1's runnable key drops from its timer at 3000 to an arrival at
+  // 2000, whose handler cancels the timer. Nothing is left at 3000, so no
+  // window may start there, and a hook never sees 3000 as a boundary.
+  for (unsigned shards : {1u, 2u}) {
+    for (bool hooked : {false, true}) {
+      HookedPair p(shards);
+      const sim::EventId timer = p.one().postAt(3000, p.note());
+      p.eng.domainEngine(0).postAt(1500, [&p, timer] {
+        p.eng.sendAt(0, 1, 2000, [&p, timer] { p.one().cancel(timer); });
+      });
+      std::vector<SimTime> boundaries;
+      if (hooked) {
+        p.eng.setBoundaryHook(1000,
+                              [&](SimTime t) { boundaries.push_back(t); });
+      }
+      p.eng.run();
+      const std::string where = "shards=" + std::to_string(shards) +
+                                (hooked ? " hooked" : " unhooked");
+      EXPECT_EQ(p.eng.windowsExecuted(), 3u) << where;
+      if (hooked) {
+        EXPECT_EQ(boundaries, (std::vector<SimTime>{1000, 1500, 2000}))
+            << where;
+      }
+      EXPECT_EQ(p.seen, (std::vector<SimTime>{1000, 1050})) << where;
+      EXPECT_EQ(p.eng.pendingEvents(), 0u) << where;
+    }
+  }
+}
+
 // --- Runtime profiler ------------------------------------------------------
 
 TEST(PdesProfiler, ProfilingDoesNotPerturbTheSimulation) {
