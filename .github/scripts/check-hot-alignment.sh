@@ -16,7 +16,6 @@ if [[ $# -ne 1 ]]; then
 fi
 
 hot=(
-  'vibe::sim::Engine::dispatchThrough'
   'vibe::sim::Engine::postAtImpl'
   'vibe::sim::Process::advance'
   'vibe::sim::Engine::runWindow'

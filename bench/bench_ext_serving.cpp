@@ -75,8 +75,8 @@ struct RunConfig {
   /// correlated demand). Off: independent per-client draws, whose MMPP
   /// phases average out across clients.
   bool syncArrivals = false;
-  /// >= 1 hosts the whole run on the sharded PDES engine (one domain per
-  /// switch); 0 = the classic serial engine.
+  /// >= 1 hosts the whole run on one domain per switch; 0 = one domain
+  /// on one shard.
   std::uint32_t simShards = 0;
 };
 

@@ -24,11 +24,12 @@ using namespace vibe::sim;
 void BM_EventDispatch(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Engine eng;
+    ShardedEngine pdes(EngineConfig{});
+    Engine& eng = pdes.domainEngine(0);
     for (int i = 0; i < batch; ++i) {
       eng.post(i, [] {});
     }
-    eng.run();
+    pdes.run();
     benchmark::DoNotOptimize(eng.executedEvents());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -39,13 +40,14 @@ void BM_SelfRescheduling(benchmark::State& state) {
   // A single event chain of depth N: stresses push/pop interleaving.
   const int depth = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Engine eng;
+    ShardedEngine pdes(EngineConfig{});
+    Engine& eng = pdes.domainEngine(0);
     int remaining = depth;
     std::function<void()> step = [&] {
       if (--remaining > 0) eng.post(1, step);
     };
     eng.post(1, step);
-    eng.run();
+    pdes.run();
     benchmark::DoNotOptimize(remaining);
   }
   state.SetItemsProcessed(state.iterations() * depth);
@@ -68,10 +70,11 @@ void BM_ProcessContextSwitch(benchmark::State& state) {
   // switches (proc->engine->proc).
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Engine eng;
+    ShardedEngine pdes(EngineConfig{});
+    Engine& eng = pdes.domainEngine(0);
     Process a(eng, "hopper-a", hopper(eng, hops));
     Process b(eng, "hopper-b", hopper(eng, hops));
-    eng.run();
+    pdes.run();
   }
   state.SetItemsProcessed(state.iterations() * 2 * hops);
 }
@@ -83,9 +86,10 @@ void BM_ProcessAdvanceInPlace(benchmark::State& state) {
   // switch. Most of an iteration is the process's stack mapping.
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Engine eng;
+    ShardedEngine pdes(EngineConfig{});
+    Engine& eng = pdes.domainEngine(0);
     Process p(eng, "hopper", hopper(eng, hops));
-    eng.run();
+    pdes.run();
   }
   state.SetItemsProcessed(state.iterations() * hops);
 }
@@ -173,11 +177,12 @@ double measureEventsPerSec() {
   for (int rep = 0; rep < 3; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     for (int b = 0; b < kBatches; ++b) {
-      Engine eng;
+      ShardedEngine pdes(EngineConfig{});
+      Engine& eng = pdes.domainEngine(0);
       for (int i = 0; i < kBatch; ++i) {
         eng.post(i, [] {});
       }
-      eng.run();
+      pdes.run();
       benchmark::DoNotOptimize(eng.executedEvents());
     }
     best = std::max(best, kBatch * kBatches / secondsSince(t0));
@@ -190,14 +195,15 @@ double measureCancelsPerSec() {
   constexpr int kPairs = 1000000;
   double best = 0;
   for (int rep = 0; rep < 3; ++rep) {
-    Engine eng;
+    ShardedEngine pdes(EngineConfig{});
+    Engine& eng = pdes.domainEngine(0);
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kPairs; ++i) {
       const EventId id = eng.post(1000000, [] {});
       eng.cancel(id);
     }
     best = std::max(best, kPairs / secondsSince(t0));
-    eng.run();
+    pdes.run();
   }
   return best;
 }

@@ -20,7 +20,7 @@ std::uint32_t Engine::allocSlot() {
 }
 
 EventId Engine::postAt(SimTime t, EventFn fn) {
-  if (windowed_ && !inWindow_) {
+  if (parked()) {
     throw SimError(
         "Engine::postAt: engine is parked between PDES windows; schedule "
         "into a foreign domain via ShardedEngine::sendAt instead");
@@ -45,7 +45,7 @@ EventId Engine::postAtImpl(SimTime t, EventFn fn) {
 }
 
 bool Engine::cancel(EventId id) {
-  if (windowed_ && !inWindow_) {
+  if (parked()) {
     throw SimError(
         "Engine::cancel: engine is parked between PDES windows; "
         "cross-domain timer cancel is forbidden under sharding");
@@ -74,31 +74,10 @@ void Engine::compactIfStale() {
   staleInHeap_ = 0;
 }
 
-void Engine::run() {
-  DriveGuard guard(*this);
-  dispatchThrough(kNoEventTime);
-  checkDeadlock();
-}
-
-bool Engine::runUntil(SimTime until) {
-  DriveGuard guard(*this);
-  dispatchThrough(until);
-  advanceTo(until);
-  if (live_ != 0) return false;
-  checkDeadlock();
-  return true;
-}
-
 std::uint64_t Engine::runWindow(SimTime windowEnd) {
-  DriveGuard guard(*this);
-  WindowScope scope(*this);
-  return dispatchThrough(windowEnd - 1);
-}
-
-std::uint64_t Engine::dispatchThrough(SimTime last) {
-  DispatchScope scope(*this, last);
+  DispatchScope scope(*this, windowEnd - 1);
   const std::uint64_t before = executed_;
-  while (!heap_.empty() && heap_.front().time <= last) {
+  while (!heap_.empty() && heap_.front().time < windowEnd) {
     std::pop_heap(heap_.begin(), heap_.end(), HandleAfter{});
     const Handle h = heap_.back();
     heap_.pop_back();
@@ -149,15 +128,6 @@ std::string Engine::blockedProcessNames() const {
     out += p->name();
   }
   return out;
-}
-
-void Engine::checkDeadlock() const {
-  const std::string stuck = blockedProcessNames();
-  if (!stuck.empty()) {
-    throw DeadlockError(
-        "simulation deadlock: event queue empty but processes blocked: " +
-        stuck);
-  }
 }
 
 void Engine::unregisterProcess(Process* p) {

@@ -2,9 +2,14 @@
 //
 // The engine owns a single event queue ordered by (time, insertion sequence)
 // so ties break deterministically. Exactly one logical thread of control is
-// ever executing simulation code: either the engine's run loop or one
-// cooperative Process (see process.hpp) that the run loop has handed control
+// ever executing simulation code: either the engine's dispatch loop or one
+// cooperative Process (see process.hpp) that the loop has handed control
 // to. All simulation state can therefore be touched without locks.
+//
+// One driver: only a ShardedEngine (pdes.hpp) constructs an Engine, one
+// per domain (domainEngine()), and runs its events, window by window. To
+// run a model without a suite::Cluster, build it on the one domain of
+// ShardedEngine(EngineConfig{}) and drive that.
 //
 // Storage layout: event callbacks live in a slab/free-list pool and the
 // queue is a binary heap of small POD handles {time, seq, slot, gen}. An
@@ -16,15 +21,14 @@
 // within a constant factor of the live event count under post+cancel-heavy
 // workloads (e.g. retransmission timers).
 //
-// The dispatch bound: while a dispatch loop runs, the engine records the
-// last time it may fire: the horizon under runUntil(h), windowEnd - 1 in
-// a PDES window, unbounded under run(), and below every time outside a
-// dispatch. A Process's resume steps in place only up to it (see
-// process.hpp), so the step never passes a horizon or a window end, nor
-// the cross-domain merge and the sampler flush that follow a window.
+// The dispatch bound: while a window runs, the engine records the last
+// time it may fire, windowEnd - 1 (the horizon under
+// ShardedEngine::runUntil(h), whose windows end at h + 1), and below every
+// time outside a window. A Process's resume steps in place only up to it
+// (see process.hpp), so the step never passes a horizon or a window end,
+// nor the cross-domain merge and the sampler flush that follow a window.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -49,8 +53,9 @@ class SimError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Thrown by Engine::run when the event queue drains while processes are
-/// still blocked on signals — the simulated program can never finish.
+/// Thrown by ShardedEngine::run (and a draining ShardedEngine::runUntil)
+/// when every event queue drains while processes are still blocked on
+/// signals — the simulated program can never finish.
 class DeadlockError : public SimError {
  public:
   using SimError::SimError;
@@ -58,7 +63,6 @@ class DeadlockError : public SimError {
 
 class Engine {
  public:
-  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -71,68 +75,21 @@ class Engine {
     return postAt(now_ + delay, std::move(fn));
   }
 
-  /// Schedules `fn` at absolute time `t`. `t` must be >= now().
+  /// Schedules `fn` at absolute time `t`. `t` must be >= now(). Throws
+  /// SimError while the engine is parked between the windows of a running
+  /// ShardedEngine: posting into or cancelling on a parked foreign domain
+  /// is exactly the cross-domain mutation the PDES contract forbids (use
+  /// ShardedEngine::sendAt).
   EventId postAt(SimTime t, EventFn fn);
 
   /// Cancels a pending event in O(1). Returns true if the event had not yet
   /// fired (nor been cancelled). The callback is destroyed immediately and
   /// its pool slot recycled; a later cancel of the same id returns false.
+  /// Throws SimError while parked, as postAt does.
   bool cancel(EventId id);
 
-  /// Runs events until the queue drains. Throws DeadlockError if blocked
-  /// processes remain, and rethrows the first exception raised inside a
-  /// process body or event callback.
-  void run();
-
-  /// Runs events with time <= `until` (absolute). Used by tests and by
-  /// open-ended workloads that want a horizon. Returns true if the queue
-  /// drained completely. now() never moves backwards: a horizon earlier
-  /// than the current time leaves the clock where it is.
-  bool runUntil(SimTime until);
-
-  /// --- Windowed driving (conservative PDES) ---
-  ///
-  /// A ShardedEngine owns one Engine per domain and drives them in
-  /// lockstep lookahead windows: runWindow executes one window,
-  /// cross-domain arrivals merge between windows via postAtMerge, and
-  /// setWindowedMode brackets the whole run. While windowed mode is on and
-  /// no window is open on this engine, postAt/cancel throw — posting into
-  /// or cancelling on a parked foreign engine is exactly the cross-domain
-  /// mutation the PDES contract forbids (use ShardedEngine::sendAt).
-
-  /// Sentinel for nextEventTime(): no pending events.
+  /// Sentinel time: no pending event.
   static constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
-
-  /// Executes every pending event with time strictly before `windowEnd`,
-  /// in (time, insertion seq) order. Unlike run()/runUntil() this performs
-  /// no deadlock check (the queue legitimately drains while other domains
-  /// still hold events) and never advances now() past the last executed
-  /// event. Returns the number of events executed.
-  std::uint64_t runWindow(SimTime windowEnd);
-
-  /// Time of the earliest pending event, or kNoEventTime when none. Prunes
-  /// stale (cancelled) handles off the top of the heap as it looks.
-  SimTime nextEventTime();
-
-  /// Advances now() to `t`; no-op when t <= now(). ShardedEngine::runUntil
-  /// uses this to land the clock on the horizon.
-  void advanceTo(SimTime t);
-
-  /// Windowed-mode guard (see block comment above). Toggling it changes
-  /// nothing until postAt/cancel are called outside an open window.
-  void setWindowedMode(bool on) { windowed_ = on; }
-
-  /// postAt bypassing the windowed guard: the ShardedEngine outbox merge
-  /// runs between windows (single-threaded, in the completion step) and
-  /// is the one sanctioned writer into parked engines.
-  EventId postAtMerge(SimTime t, EventFn fn) {
-    return postAtImpl(t, std::move(fn));
-  }
-
-  /// The names of the processes blocked on a signal, joined with ", "
-  /// (empty when none is). run() and a ShardedEngine run build their
-  /// drain-time deadlock message from it.
-  std::string blockedProcessNames() const;
 
   /// The process currently executing, or nullptr when the engine itself
   /// (an event callback) is running. VIPL uses this to charge host CPU
@@ -155,6 +112,45 @@ class Engine {
 
  private:
   friend class Process;
+  friend class ShardedEngine;
+
+  Engine() = default;
+
+  /// --- Windowed driving (conservative PDES), for ShardedEngine ---
+  ///
+  /// A run is a sequence of runWindow calls, bracketed by setWindowedMode;
+  /// cross-domain arrivals merge between windows via postAtMerge.
+
+  /// Executes every pending event with time strictly before `windowEnd`,
+  /// in (time, insertion seq) order, skipping cancelled handles. Performs
+  /// no deadlock check (the queue legitimately drains while other domains
+  /// still hold events) and never advances now() past the last executed
+  /// event. Returns the number of events executed.
+  std::uint64_t runWindow(SimTime windowEnd);
+
+  /// Time of the earliest pending event, or kNoEventTime when none. Prunes
+  /// stale (cancelled) handles off the top of the heap as it looks.
+  SimTime nextEventTime();
+
+  /// Advances now() to `t`; no-op when t <= now(). ShardedEngine::runUntil
+  /// uses this to land the clock on the horizon.
+  void advanceTo(SimTime t);
+
+  /// The parked guard of postAt/cancel (see postAt). Toggling it changes
+  /// nothing until they are called outside an open window.
+  void setWindowedMode(bool on) { windowed_ = on; }
+
+  /// postAt bypassing the windowed guard: the ShardedEngine outbox merge
+  /// runs between windows (single-threaded, in the completion step) and
+  /// is the one sanctioned writer into parked engines.
+  EventId postAtMerge(SimTime t, EventFn fn) {
+    return postAtImpl(t, std::move(fn));
+  }
+
+  /// The names of the processes blocked on a signal, joined with ", "
+  /// (empty when none is). A ShardedEngine run builds its drain-time
+  /// deadlock message from it.
+  std::string blockedProcessNames() const;
 
   // 24-byte POD heap entry; the callback lives in the pool.
   struct Handle {
@@ -193,38 +189,7 @@ class Engine {
   /// amortized O(1) per cancel; ordering is unaffected because
   /// (time, seq) is a total order.
   void compactIfStale();
-  // Debug guard against two sweep shards driving one Engine at once. It is
-  // deliberately not a thread-id check: a hosted ShardedEngine drives each
-  // domain Engine from whichever thread runs the domain's window. The
-  // flag stays set while a Process fiber runs (the run loop is suspended
-  // inside fn() on the same thread), so only genuinely concurrent
-  // run()/runUntil() entry trips it.
-  struct DriveGuard {
-#ifndef NDEBUG
-    explicit DriveGuard(Engine& e) : engine(e) {
-      if (engine.driving_.exchange(true, std::memory_order_acquire)) {
-        throw SimError(
-            "Engine::run entered concurrently: each Engine must be driven "
-            "by exactly one sweep point at a time");
-      }
-    }
-    ~DriveGuard() { engine.driving_.store(false, std::memory_order_release); }
-    Engine& engine;
-#else
-    explicit DriveGuard(Engine&) {}
-#endif
-    DriveGuard(const DriveGuard&) = delete;
-    DriveGuard& operator=(const DriveGuard&) = delete;
-  };
-  // Marks a window open for the windowed-mode guard; exception-safe.
-  struct WindowScope {
-    explicit WindowScope(Engine& e) : engine(e) { engine.inWindow_ = true; }
-    ~WindowScope() { engine.inWindow_ = false; }
-    WindowScope(const WindowScope&) = delete;
-    WindowScope& operator=(const WindowScope&) = delete;
-    Engine& engine;
-  };
-  // Records the running dispatch's bound for stepInPlace; exception-safe.
+  // Records the open window's bound for stepInPlace; exception-safe.
   struct DispatchScope {
     DispatchScope(Engine& e, SimTime last) : engine(e) {
       engine.dispatchLast_ = last;
@@ -234,11 +199,9 @@ class Engine {
     DispatchScope& operator=(const DispatchScope&) = delete;
     Engine& engine;
   };
+  /// True between the windows of a running ShardedEngine.
+  bool parked() const { return windowed_ && dispatchLast_ == kNoDispatch; }
   EventId postAtImpl(SimTime t, EventFn fn);
-  /// The one dispatch loop: fires every pending event with time <= `last`
-  /// in (time, insertion seq) order, skipping cancelled handles, and
-  /// returns how many fired. run(), runUntil() and runWindow() wrap it.
-  std::uint64_t dispatchThrough(SimTime last);
   /// Takes the running process's resume at `t` in place when it would be
   /// the dispatch's next event: t within the dispatch bound and no live
   /// event at or before t (one at t was posted first, so it runs first).
@@ -246,15 +209,14 @@ class Engine {
   /// executed event, one sequence number consumed. Returns false, leaving
   /// the caller to post and yield, otherwise.
   bool stepInPlace(SimTime t);
-  void checkDeadlock() const;
   void registerProcess(Process* p) { processes_.push_back(p); }
   void unregisterProcess(Process* p);
 
-  /// Below any event time: no dispatch runs, so nothing steps in place.
+  /// Below any event time: no window is open, so nothing steps in place.
   static constexpr SimTime kNoDispatch = std::numeric_limits<SimTime>::min();
 
   SimTime now_ = 0;
-  SimTime dispatchLast_ = kNoDispatch;  // the running dispatch's bound
+  SimTime dispatchLast_ = kNoDispatch;  // the open window's bound
   std::uint64_t nextSeq_ = 1;
   std::uint64_t executed_ = 0;
 
@@ -268,10 +230,6 @@ class Engine {
   std::vector<Process*> processes_;
   Process* current_ = nullptr;
   bool windowed_ = false;
-  bool inWindow_ = false;
-#ifndef NDEBUG
-  std::atomic<bool> driving_{false};
-#endif
 };
 
 }  // namespace vibe::sim

@@ -68,7 +68,6 @@ struct alignas(64) ShardedEngine::Domain {
   // by the completion step. Per-domain (not per-shard) so every write is
   // single-writer and the merge can drain in domain order.
   std::vector<CrossMsg> outbox;
-  std::uint64_t executed = 0;  // events this engine ran in windows
   std::uint64_t crossDomain = 0;
   // Cross-domain sends to another shard's domain, counted when they are
   // set up or merged, where both ends' shards are at hand.
@@ -85,7 +84,12 @@ ShardedEngine::ShardedEngine(const EngineConfig& cfg)
   if (cfg.lookahead < 0) {
     throw SimError("ShardedEngine: lookahead must be >= 0");
   }
-  unsigned shards = cfg.shards != 0 ? cfg.shards : shardCount();
+  // A single domain gets one shard whatever shardCount() says, so it is
+  // not asked: hardware_concurrency() reads /sys, which costs more than
+  // building the engine.
+  unsigned shards = cfg.shards != 0     ? cfg.shards
+                    : cfg.domains == 1 ? 1
+                                       : shardCount();
   if (shards > cfg.domains) shards = cfg.domains;
   shards_ = shards;
   if (shards_ > 1 && lookahead_ <= 0) {
@@ -127,7 +131,7 @@ void ShardedEngine::sendAt(std::uint32_t src, std::uint32_t dst, SimTime at,
     return;
   }
   ++from.crossDomain;
-  if (!running_) {
+  if (!running_.load(std::memory_order_relaxed)) {
     // Setup phase, single driving thread: schedule directly.
     Domain& to = domains_[dst];
     if (from.shard != to.shard) ++from.crossShard;
@@ -150,7 +154,7 @@ void ShardedEngine::sendAt(std::uint32_t src, std::uint32_t dst, SimTime at,
 
 void ShardedEngine::setBoundaryHook(Duration period,
                                     std::function<void(SimTime)> flush) {
-  if (running_) {
+  if (running_.load(std::memory_order_relaxed)) {
     throw SimError("ShardedEngine::setBoundaryHook: engine is running");
   }
   if (flush && period <= 0) {
@@ -265,9 +269,7 @@ std::uint64_t ShardedEngine::execShardWindow(unsigned shard,
   std::vector<RunEntry>& heap = perShard_[shard].runnable;
   while (!heap.empty() && heap.front().time < windowEnd) {
     Domain& dom = domains_[heap.front().domain];
-    const std::uint64_t n = dom.engine.runWindow(windowEnd);
-    dom.executed += n;
-    executed += n;
+    executed += dom.engine.runWindow(windowEnd);
     const SimTime next = dom.engine.nextEventTime();
     if (next == kNoEvent) {
       dom.heapPos = kNotFiled;
@@ -343,7 +345,7 @@ void ShardedEngine::prepareWindow() {
     return;
   }
   // A single domain has no cross-domain constraint: one window runs the
-  // whole horizon, degenerating to the serial engine.
+  // whole horizon.
   const Duration width =
       domainCountU32_ == 1 ? kMaxTime : std::max<Duration>(lookahead_, 1);
   windowEnd_ = clampToBoundary(
@@ -554,19 +556,22 @@ bool ShardedEngine::runWindows(SimTime horizon) {
 }
 
 bool ShardedEngine::runDispatch(SimTime horizon) {
-  if (running_) throw SimError("ShardedEngine: run entered recursively");
-  running_ = true;
+  if (running_.exchange(true, std::memory_order_acquire)) {
+    throw SimError(
+        "ShardedEngine: run entered while running (from one of its events "
+        "or from another thread)");
+  }
   setWindowedMode(true);
   bool drained = false;
   try {
     drained = runWindows(horizon);
   } catch (...) {
     setWindowedMode(false);
-    running_ = false;
+    running_.store(false, std::memory_order_release);
     throw;
   }
   setWindowedMode(false);
-  running_ = false;
+  running_.store(false, std::memory_order_release);
   return drained;
 }
 
@@ -611,7 +616,7 @@ std::uint64_t ShardedEngine::crossShardEvents() const {
 }
 
 void ShardedEngine::setProfiling(bool on) {
-  if (running_) {
+  if (running_.load(std::memory_order_relaxed)) {
     throw SimError("ShardedEngine::setProfiling: engine is running");
   }
   profiling_ = on;
@@ -634,7 +639,7 @@ std::vector<ShardProfile> ShardedEngine::shardProfiles() const {
   for (const Domain& dom : domains_) {
     ShardProfile& p = out[dom.shard];
     ++p.domains;
-    p.events += dom.executed;
+    p.events += dom.engine.executedEvents();
     p.crossShardSent += dom.crossShard;
   }
   return out;
@@ -644,7 +649,9 @@ double ShardedEngine::loadImbalance() const {
   std::uint64_t maxEv = 0;
   std::uint64_t total = 0;
   std::vector<std::uint64_t> perShard(shards_, 0);
-  for (const Domain& dom : domains_) perShard[dom.shard] += dom.executed;
+  for (const Domain& dom : domains_) {
+    perShard[dom.shard] += dom.engine.executedEvents();
+  }
   for (const std::uint64_t ev : perShard) {
     maxEv = std::max(maxEv, ev);
     total += ev;

@@ -2,11 +2,12 @@
 //
 // A ShardedEngine partitions a simulation into `domains` — state-disjoint
 // groups (the VIA stack uses one per fabric switch, with its hosts under
-// the edge switches) — and hosts one full serial sim::Engine per domain
-// (domainEngine()). Within a domain the whole serial API is legal:
-// cancellable timers, cooperative Processes, tracers. Domains are packed
-// onto `shards` (domain d belongs to shard d % shards) and advance in
-// lockstep windows of virtual time:
+// the edge switches) — and hosts one sim::Engine per domain
+// (domainEngine()); it is the only driver of a sim::Engine. Within a
+// domain the engine's whole model API is legal: cancellable timers,
+// cooperative Processes, tracers. Domains are packed onto `shards`
+// (domain d belongs to shard d % shards) and advance in lockstep windows
+// of virtual time:
 //
 //   window = [T, T + lookahead)  where T is the global minimum pending
 //   event time and `lookahead` is the minimum latency any cross-domain
@@ -18,8 +19,7 @@
 // window can affect events inside it. sendAt() is the only cross-domain
 // path. It parks the message in the source domain's outbox, and the
 // window's completion step merges the outboxes into the destination
-// engines. A parked engine rejects postAt/cancel outright (the
-// windowed-mode guard of sim::Engine).
+// engines. A parked engine rejects postAt/cancel outright.
 //
 // Window dispatch: the thread that finishes a window's last active shard
 // runs the completion step — the domain-ordered merge and the next
@@ -138,9 +138,9 @@ class ShardedEngine {
   /// Shards actually used (after the env default and the domain clamp).
   unsigned shards() const { return shards_; }
   Duration lookahead() const { return lookahead_; }
-  /// The serial engine hosted by `domain`. Build the domain's simulation
-  /// state (NICs, processes, timers) directly on it; during run() it is
-  /// driven in lockstep windows.
+  /// The engine hosted by `domain`. Build the domain's simulation state
+  /// (NICs, processes, timers) directly on it; during run() it is driven
+  /// in lockstep windows.
   Engine& domainEngine(std::uint32_t domain);
 
   /// Cross-domain delivery: `fn` runs in `dst`'s engine at absolute time
@@ -172,12 +172,14 @@ class ShardedEngine {
   /// the first (lowest-shard) exception raised by an event callback, after
   /// the failed window's merge; the engine can run again. Throws
   /// DeadlockError after the drain if any hosted process is still blocked
-  /// on a signal (the global analogue of the serial engine's drain-time
-  /// deadlock check).
+  /// on a signal. Throws SimError, touching nothing, when entered while
+  /// the engine is running: from one of its events, or from another
+  /// thread.
   void run();
 
-  /// Runs events with time <= `until` (absolute). Returns true if the
-  /// queues drained completely. Domain clocks never move backwards.
+  /// Runs events with time <= `until` (absolute), then lands every domain
+  /// clock on `until` (clocks never move backwards). Returns true if the
+  /// queues drained completely, after the deadlock check run() makes.
   bool runUntil(SimTime until);
 
   /// --- Introspection (sum over domains; call when not running) ---
@@ -338,7 +340,9 @@ class ShardedEngine {
   // The merge's gather buffer when more than one shard's list is dirty.
   std::vector<std::uint32_t> dirtyScratch_;
 
-  bool running_ = false;
+  // Set for the whole of run()/runUntil(); the exchange that sets it is
+  // the check against a recursive or second-thread entry.
+  std::atomic<bool> running_{false};
 };
 
 }  // namespace vibe::sim

@@ -10,17 +10,17 @@
 // owns every scheduling decision.
 //
 // advance(d) posts the process's resume at t = now + d and yields, unless
-// that resume is certainly the running dispatch's next event: t is within
-// the dispatch's bound (the runUntil horizon, or windowEnd - 1 in a PDES
-// window) and no live event is due at or before t (one due at t was
-// posted earlier, so it runs first). Then the engine takes the step in
-// place (see engine.hpp) and the body runs on without a fiber switch.
+// that resume is certainly the open window's next event: t is before the
+// window's end (which a ShardedEngine::runUntil horizon h puts at h + 1)
+// and no live event is due at or before t (one due at t was posted
+// earlier, so it runs first). Then the engine takes the step in place
+// (see engine.hpp) and the body runs on without a fiber switch.
 // The step is exact: no event could run between the post and the pop,
 // the clock, the executed-event count and the sequence numbers move as
 // they would, and no other domain's message can land inside the window.
 //
-// A fiber is not tied to an OS thread: a hosted ShardedEngine resumes it
-// on whichever thread runs its domain's window, which may change from one
+// A fiber is not tied to an OS thread: the ShardedEngine resumes it on
+// whichever thread runs its domain's window, which may change from one
 // window to the next. Each process keeps its own C++ exception state
 // (caught-exception stack and std::uncaught_exceptions()) across the
 // switch, as a thread of its own would.

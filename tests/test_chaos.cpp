@@ -383,10 +383,9 @@ struct RunResult {
 
 /// One chaos run: cluster + tracer + invariant checker + injector with the
 /// seed-generated plan, then the workload, then finalize. `simShards` 0
-/// runs the classic serial engine; >= 1 hosts the stack on the sharded
-/// PDES engine with the two nodes on separate leaf domains of a
-/// two-level tree, so every frame and every fault window crosses a
-/// domain boundary.
+/// runs the stack in one domain on one shard; >= 1 puts the two nodes on
+/// separate leaf domains of a two-level tree, so every frame and every
+/// fault window crosses a domain boundary.
 RunResult runOnce(std::uint64_t seed, WorkloadFn workload,
                   std::uint32_t simShards = 0) {
   static const char* kProfiles[] = {"mvia", "bvia", "clan"};
@@ -481,7 +480,7 @@ TEST_P(ChaosSweep, InvariantsHoldAndRunsAreDeterministic) {
 }
 
 TEST(ChaosShardsAxis, DigestSweepIgnoresSimShards) {
-  // The chaos stack runs on the serial Engine; VIBE_SIM_SHARDS threads a
+  // The chaos stack runs in one domain; VIBE_SIM_SHARDS threads a
   // *sharded PDES* simulation and must not move a single chaos digest —
   // at any jobs count. This is the cheap half of the shards x jobs
   // matrix (test_determinism and test_pdes carry the PDES half); the

@@ -58,9 +58,9 @@ struct RunOutcome {
 /// A lossy ping-pong whose retransmission pattern depends on every PRNG
 /// draw: any divergence between two runs of the same seed shows up in the
 /// digest, and different seeds drop different frames.
-/// `simShards` 0 = the classic serial engine; >= 1 hosts the whole stack
-/// on the sharded PDES engine, each node on its own leaf-switch domain
-/// of a two-level tree so every frame crosses a domain boundary.
+/// `simShards` 0 = the whole stack in one domain on one shard; >= 1 one
+/// domain per switch, each node on its own leaf-switch domain of a
+/// two-level tree so every frame crosses a domain boundary.
 RunOutcome lossyPingPong(const std::string& profile, std::uint64_t seed,
                          std::uint32_t simShards = 0) {
   ClusterConfig cfg;
@@ -211,8 +211,8 @@ TEST_P(DeterminismTest, SeedSweepComposesDigestIndependentOfJobs) {
 using vibe::testing::ScopedEnv;
 
 TEST(ShardsAxis, SerialStackDigestIgnoresSimShards) {
-  // The full VIA stack runs on the serial Engine; flipping the PDES
-  // shard count must not move a single byte of its trace digest.
+  // The full VIA stack runs in one domain on one shard; flipping the
+  // PDES shard count must not move a single byte of its trace digest.
   const RunOutcome base = [&] {
     ScopedEnv env("VIBE_SIM_SHARDS", "1");
     return lossyPingPong("clan", 7331);

@@ -1,7 +1,7 @@
 // Unit tests for the SAN fabric: link timing, FIFO ordering, loss
-// injection, and switch forwarding. Topologies run on a one-domain
-// ShardedEngine (EngineConfig{}), the way to use the fabric without a
-// Cluster.
+// injection, and switch forwarding. Links and topologies run on a
+// one-domain ShardedEngine (EngineConfig{}), the way to use the fabric
+// without a Cluster.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +31,8 @@ PacketPtr makeData(NodeId src, NodeId dst, std::size_t payloadBytes) {
 }
 
 TEST(LinkTest, DeliveryTimeIsSerializationPlusPropagation) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.bandwidthMBps = 100.0;  // 10 ns/byte
   lp.propagation = sim::usec(1);
@@ -40,12 +41,13 @@ TEST(LinkTest, DeliveryTimeIsSerializationPlusPropagation) {
   sim::SimTime arrival = -1;
   link.connect([&](PacketPtr) { arrival = eng.now(); });
   link.send(makeData(0, 1, 1000));  // 10 us serialization
-  eng.run();
+  pdes.run();
   EXPECT_EQ(arrival, sim::usec(11));
 }
 
 TEST(LinkTest, HeaderBytesCountTowardWireTime) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.bandwidthMBps = 100.0;
   lp.propagation = 0;
@@ -54,12 +56,13 @@ TEST(LinkTest, HeaderBytesCountTowardWireTime) {
   sim::SimTime arrival = -1;
   link.connect([&](PacketPtr) { arrival = eng.now(); });
   link.send(makeData(0, 1, 0));
-  eng.run();
+  pdes.run();
   EXPECT_EQ(arrival, sim::nsec(320));
 }
 
 TEST(LinkTest, BackToBackFramesQueueFifo) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.bandwidthMBps = 100.0;
   lp.propagation = 0;
@@ -68,7 +71,7 @@ TEST(LinkTest, BackToBackFramesQueueFifo) {
   std::vector<sim::SimTime> arrivals;
   link.connect([&](PacketPtr) { arrivals.push_back(eng.now()); });
   for (int i = 0; i < 3; ++i) link.send(makeData(0, 1, 100));  // 1 us each
-  eng.run();
+  pdes.run();
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], sim::usec(1));
   EXPECT_EQ(arrivals[1], sim::usec(2));
@@ -76,7 +79,8 @@ TEST(LinkTest, BackToBackFramesQueueFifo) {
 }
 
 TEST(LinkTest, LossRateDropsApproximatelyTheRequestedFraction) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.lossRate = 0.25;
   lp.seed = 7;
@@ -85,7 +89,7 @@ TEST(LinkTest, LossRateDropsApproximatelyTheRequestedFraction) {
   link.connect([&](PacketPtr) { ++delivered; });
   const int n = 4000;
   for (int i = 0; i < n; ++i) link.send(makeData(0, 1, 8));
-  eng.run();
+  pdes.run();
   EXPECT_EQ(link.framesSent(), static_cast<std::uint64_t>(n));
   const double dropFrac =
       static_cast<double>(link.framesDropped()) / n;
@@ -97,7 +101,8 @@ TEST(LinkTest, SetLossRateAppliesOnlyToFramesSentAfterTheCall) {
   // The loss decision is made at send() time: raising the rate to 1.0
   // cannot retroactively drop frames already queued on the wire, and
   // frames sent after the call all drop.
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.bandwidthMBps = 100.0;
   lp.propagation = sim::usec(5);
@@ -108,13 +113,14 @@ TEST(LinkTest, SetLossRateAppliesOnlyToFramesSentAfterTheCall) {
   for (int i = 0; i < 4; ++i) link.send(makeData(0, 1, 100));
   link.setLossRate(1.0);  // in-flight frames are already committed
   for (int i = 0; i < 4; ++i) link.send(makeData(0, 1, 100));
-  eng.run();
+  pdes.run();
   EXPECT_EQ(delivered, 4);
   EXPECT_EQ(link.framesDropped(), 4u);
 }
 
 TEST(LinkTest, LossWindowCoversExactlyItsHalfOpenInterval) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.bandwidthMBps = 100.0;  // 1 us per 100-byte frame
   lp.propagation = 0;
@@ -128,7 +134,7 @@ TEST(LinkTest, LossWindowCoversExactlyItsHalfOpenInterval) {
   eng.postAt(sim::usec(15), [&] { link.send(makeData(0, 1, 100)); });
   eng.postAt(sim::usec(20), [&] { link.send(makeData(0, 1, 100)); });
   eng.postAt(sim::usec(25), [&] { link.send(makeData(0, 1, 100)); });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(link.framesDropped(), 1u);
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], sim::usec(6));
@@ -137,7 +143,8 @@ TEST(LinkTest, LossWindowCoversExactlyItsHalfOpenInterval) {
 }
 
 TEST(LinkTest, OverlappingLossWindowsLatestScheduledWins) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.bandwidthMBps = 100.0;
   lp.propagation = 0;
@@ -155,13 +162,14 @@ TEST(LinkTest, OverlappingLossWindowsLatestScheduledWins) {
   eng.postAt(sim::usec(90), [&] { link.send(makeData(0, 1, 100)); });
   // After every window expires the base rate applies again (still 1.0).
   eng.postAt(sim::usec(150), [&] { link.send(makeData(0, 1, 100)); });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(link.framesDropped(), 3u);
 }
 
 TEST(LinkTest, CorruptWindowDeliversFlaggedFramesAndCountsThem) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.bandwidthMBps = 100.0;
   lp.propagation = 0;
@@ -174,7 +182,7 @@ TEST(LinkTest, CorruptWindowDeliversFlaggedFramesAndCountsThem) {
   eng.postAt(sim::usec(10), [&] { link.send(makeData(0, 1, 100)); });
   eng.postAt(sim::usec(20), [&] { link.send(makeData(0, 1, 100)); });
   eng.postAt(sim::usec(70), [&] { link.send(makeData(0, 1, 100)); });
-  eng.run();
+  pdes.run();
   // Corrupted frames are still delivered (the receiving NIC drops them);
   // the wire never discards them, so framesDropped stays zero.
   EXPECT_EQ(corrupted, 2);
@@ -184,7 +192,8 @@ TEST(LinkTest, CorruptWindowDeliversFlaggedFramesAndCountsThem) {
 }
 
 TEST(LinkTest, LatencyWindowDelaysOnlyFramesSentInside) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   LinkParams lp;
   lp.bandwidthMBps = 100.0;  // 1 us serialization for 100 bytes
   lp.propagation = sim::usec(1);
@@ -196,7 +205,7 @@ TEST(LinkTest, LatencyWindowDelaysOnlyFramesSentInside) {
   eng.postAt(0, [&] { link.send(makeData(0, 1, 100)); });
   eng.postAt(sim::usec(15), [&] { link.send(makeData(0, 1, 100)); });
   eng.postAt(sim::usec(30), [&] { link.send(makeData(0, 1, 100)); });
-  eng.run();
+  pdes.run();
   ASSERT_EQ(arrivals.size(), 3u);
   EXPECT_EQ(arrivals[0], sim::usec(2));   // 1 ser + 1 prop
   EXPECT_EQ(arrivals[1], sim::usec(24));  // + 7 spike
@@ -248,7 +257,8 @@ TEST(NetworkTest, AggregatesDropAndCorruptionCountsAcrossLinks) {
 }
 
 TEST(LinkTest, SendWithoutSinkThrows) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   Link link(eng, "l", LinkParams{});
   EXPECT_THROW(link.send(makeData(0, 1, 8)), sim::SimError);
 }

@@ -149,7 +149,8 @@ TEST(SocketsTest, ConnectToSilentHostTimesOut) {
 }
 
 TEST(EngineCornerTest, RunUntilInterleavesWithProcesses) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   int progress = 0;
   sim::Process p(eng, "stepper", [&] {
     for (int i = 0; i < 5; ++i) {
@@ -157,21 +158,22 @@ TEST(EngineCornerTest, RunUntilInterleavesWithProcesses) {
       ++progress;
     }
   });
-  EXPECT_FALSE(eng.runUntil(sim::usec(25)));
+  EXPECT_FALSE(pdes.runUntil(sim::usec(25)));
   EXPECT_EQ(progress, 2);
-  EXPECT_TRUE(eng.runUntil(sim::usec(1000)));
+  EXPECT_TRUE(pdes.runUntil(sim::usec(1000)));
   EXPECT_EQ(progress, 5);
   EXPECT_TRUE(p.finished());
 }
 
 TEST(EngineCornerTest, ChargeCpuAddsBusyWithoutTimePassing) {
-  sim::Engine eng;
+  sim::ShardedEngine pdes(sim::EngineConfig{});
+  sim::Engine& eng = pdes.domainEngine(0);
   sim::SimTime at = -1;
   sim::Process p(eng, "isr", [&] {
     eng.currentProcess()->chargeCpu(sim::usec(7));
     at = eng.now();
   });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(at, 0);
   EXPECT_EQ(p.cpuBusy(), sim::usec(7));
 }

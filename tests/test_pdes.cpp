@@ -7,8 +7,9 @@
 // Every test builds its model on the hosted domain engines
 // (domainEngine(d).postAt) and crosses domains only through sendAt(). The
 // wall has five faces:
-//   - bit-identity with the serial Engine at one shard on randomized
-//     workloads (the two engines replay the same cascade event-for-event),
+//   - bit-identity with a one-domain run at one shard on randomized
+//     workloads (one window to the drain and many windows replay the same
+//     cascade event-for-event),
 //   - the domain-ordered merge under adversarial same-timestamp storms
 //     (every domain sends every domain events that land at one time),
 //   - mailbox exactly-once delivery with exact cross-shard accounting,
@@ -84,11 +85,11 @@ TEST(ShardedEngineConfig, Validation) {
   EXPECT_EQ(serial.domainCount(), 5u);
 }
 
-// --- Face 1: bit-identity with the serial Engine at one shard -------------
+// --- Face 1: bit-identity with a one-domain run at one shard --------------
 
-/// A randomized event cascade replayed on both engines: every event
+/// A randomized event cascade replayed on several engines: every event
 /// mixes (now, id) into a digest and schedules 0-2 children at random
-/// future delays. Child ids are assigned in execution order, so the two
+/// future delays. Child ids are assigned in execution order, so two
 /// digests match iff the engines execute the identical sequence.
 struct CascadeState {
   std::uint64_t seed = 0;
@@ -121,33 +122,31 @@ struct CascadePost {
 TEST(ShardedEngineSerial, BitIdenticalWithSerialEngine) {
   const std::uint64_t base = testing::testRunSeed();
   for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    // The reference: one domain runs to the drain in one window, one
+    // serial dispatch with no window boundary inside it.
     CascadeState serial{base + 11 * trial + 1};
-    Engine eng;
-    CascadePost{&eng, &serial}(0, 0);
-    eng.run();
+    ShardedEngine one(sim::EngineConfig{});
+    CascadePost{&one.domainEngine(0), &serial}(0, 0);
+    one.run();
+    EXPECT_EQ(one.windowsExecuted(), 1u);
 
-    // One domain runs to the horizon in one window; with three, 50 ns
-    // windows cut the cascade (all in domain 0) into many.
-    for (std::uint32_t domains : {1u, 3u}) {
-      CascadeState sharded{base + 11 * trial + 1};
-      ShardedEngine seng({.domains = domains, .lookahead = 50, .shards = 1});
-      CascadePost{&seng.domainEngine(0), &sharded}(0, 0);
-      seng.run();
+    // Three domains: 50 ns windows cut the cascade (all in domain 0) into
+    // many.
+    CascadeState sharded{base + 11 * trial + 1};
+    ShardedEngine seng({.domains = 3, .lookahead = 50, .shards = 1});
+    CascadePost{&seng.domainEngine(0), &sharded}(0, 0);
+    seng.run();
 
-      const std::string label = "trial " + std::to_string(trial) +
-                                " domains " + std::to_string(domains);
-      EXPECT_EQ(serial.executed, sharded.executed) << label;
-      EXPECT_EQ(serial.digest, sharded.digest) << label;
-      EXPECT_EQ(seng.executedEvents(), sharded.executed) << label;
-      EXPECT_EQ(seng.maxNow(), eng.now()) << label;
-      EXPECT_EQ(seng.pendingEvents(), 0u);
-      EXPECT_EQ(seng.crossDomainEvents(), 0u);
-      EXPECT_EQ(seng.crossShardEvents(), 0u);
-      if (domains == 1) {
-        EXPECT_EQ(seng.windowsExecuted(), 1u) << label;
-      } else if (eng.now() >= 50) {
-        EXPECT_GT(seng.windowsExecuted(), 1u) << label;
-      }
+    const std::string label = "trial " + std::to_string(trial);
+    EXPECT_EQ(serial.executed, sharded.executed) << label;
+    EXPECT_EQ(serial.digest, sharded.digest) << label;
+    EXPECT_EQ(seng.executedEvents(), sharded.executed) << label;
+    EXPECT_EQ(seng.maxNow(), one.maxNow()) << label;
+    EXPECT_EQ(seng.pendingEvents(), 0u);
+    EXPECT_EQ(seng.crossDomainEvents(), 0u);
+    EXPECT_EQ(seng.crossShardEvents(), 0u);
+    if (one.maxNow() >= 50) {
+      EXPECT_GT(seng.windowsExecuted(), 1u) << label;
     }
   }
 }
@@ -346,6 +345,8 @@ TEST(ShardedEngineSafety, ForeignDomainPostThrowsDuringRun) {
       << cancelWhat;
   EXPECT_EQ(eng.executedEvents(), 2u);  // the timer survived
   EXPECT_EQ(foreign.now(), 100);
+  // Once run() has returned, no engine is parked.
+  EXPECT_TRUE(foreign.cancel(foreign.postAt(200, [] {})));
 }
 
 TEST(ShardedEngineSafety, PostValidation) {
@@ -361,8 +362,16 @@ TEST(ShardedEngineSafety, PostValidation) {
 }
 
 TEST(ShardedEngineSafety, EventExceptionPropagatesAndAborts) {
+  // The shard profile counts every executed event, the failed window's
+  // included.
+  auto profiled = [](const ShardedEngine& eng) {
+    std::uint64_t n = 0;
+    for (const sim::ShardProfile& p : eng.shardProfiles()) n += p.events;
+    return n;
+  };
   for (unsigned shards : {1u, 4u}) {
     ShardedEngine eng({.domains = 4, .lookahead = 10, .shards = shards});
+    eng.domainEngine(2).postAt(3, [] {});
     eng.domainEngine(2).postAt(5, [] { throw SimError("boom in domain 2"); });
     for (std::uint32_t d = 0; d < 4; ++d) {
       eng.domainEngine(d).postAt(1000, [] {});  // far future
@@ -373,10 +382,58 @@ TEST(ShardedEngineSafety, EventExceptionPropagatesAndAborts) {
     } catch (const SimError& e) {
       EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
     }
+    EXPECT_EQ(eng.executedEvents(), 2u) << "shards=" << shards;
+    EXPECT_EQ(profiled(eng), eng.executedEvents()) << "shards=" << shards;
     // The engine is not wedged: a fresh run() drains what remains.
     eng.run();
     EXPECT_EQ(eng.pendingEvents(), 0u);
-    EXPECT_EQ(eng.executedEvents(), 5u) << "shards=" << shards;
+    EXPECT_EQ(eng.executedEvents(), 6u) << "shards=" << shards;
+    EXPECT_EQ(profiled(eng), eng.executedEvents()) << "shards=" << shards;
+  }
+}
+
+TEST(ShardedEngineSafety, RunRefusesReentry) {
+  for (unsigned shards : {1u, 4u}) {
+    // From one of its own events: the inner call throws, and the outer
+    // run goes on to the drain.
+    ShardedEngine eng({.domains = 4, .lookahead = 10, .shards = shards});
+    bool later = false;
+    eng.domainEngine(1).postAt(5, [&eng] {
+      EXPECT_THROW(eng.run(), SimError);
+      EXPECT_THROW(eng.runUntil(100), SimError);
+    });
+    eng.domainEngine(3).postAt(50, [&later] { later = true; });
+    eng.run();
+    EXPECT_TRUE(later) << "shards=" << shards;
+    EXPECT_EQ(eng.executedEvents(), 2u) << "shards=" << shards;
+
+    // From a second thread while the first is inside a window: the event
+    // holds its window open until the second thread's call has returned.
+    ShardedEngine busy({.domains = 4, .lookahead = 10, .shards = shards});
+    std::atomic<bool> inside{false};
+    std::atomic<bool> tried{false};
+    bool threw = false;
+    bool done = false;
+    busy.domainEngine(2).postAt(5, [&] {
+      inside.store(true);
+      while (!tried.load()) std::this_thread::yield();
+    });
+    busy.domainEngine(0).postAt(50, [&done] { done = true; });
+    std::thread second([&] {
+      while (!inside.load()) std::this_thread::yield();
+      try {
+        busy.run();
+      } catch (const SimError&) {
+        threw = true;
+      }
+      tried.store(true);
+    });
+    busy.run();
+    second.join();
+    EXPECT_TRUE(threw) << "shards=" << shards;
+    EXPECT_TRUE(done) << "shards=" << shards;
+    EXPECT_EQ(busy.executedEvents(), 2u) << "shards=" << shards;
+    EXPECT_EQ(busy.pendingEvents(), 0u) << "shards=" << shards;
   }
 }
 

@@ -224,10 +224,10 @@ void pingPongWorkload(Cluster& cluster, std::uint64_t seed) {
 /// connect dialogs plus request fan-in from every edge domain at once.
 /// Clients stagger their start (same idiom as bench_ext_multiclient):
 /// unstaggered, every cross-pod client's connect lands on the server
-/// edge at the same timestamp, and the serial engine orders such
-/// same-time arrivals from different source domains by global insertion
-/// order where the hosted merge orders them by domain index — both valid
-/// schedules, but not comparable. The stagger keeps the workload
+/// edge at the same timestamp, and a one-domain run orders such
+/// same-time arrivals by global insertion order where the per-switch
+/// merge orders them by source domain index — both valid schedules, but
+/// not comparable. The stagger keeps the workload
 /// tie-free so serial-vs-sharded identity is well-defined.
 void rpcWorkload(Cluster& cluster, std::uint64_t seed) {
   constexpr int kCalls = 5;

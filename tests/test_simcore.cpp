@@ -1,5 +1,7 @@
 // Unit tests for the discrete-event engine, processes, signals, resources,
-// statistics, and the deterministic PRNG.
+// statistics, and the deterministic PRNG. Every engine is a domain of a
+// ShardedEngine, its only driver; most tests use the one domain of
+// ShardedEngine(EngineConfig{}).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -42,32 +44,35 @@ TEST(TimeTest, TransferTimeMatchesRate) {
 }
 
 TEST(EngineTest, EventsFireInTimeOrder) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   std::vector<int> order;
   eng.post(30, [&] { order.push_back(3); });
   eng.post(10, [&] { order.push_back(1); });
   eng.post(20, [&] { order.push_back(2); });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(eng.now(), 30);
 }
 
 TEST(EngineTest, TiesBreakByInsertionOrder) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
     eng.post(5, [&order, i] { order.push_back(i); });
   }
-  eng.run();
+  pdes.run();
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EngineTest, CancelPreventsExecution) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   int fired = 0;
   EventId id = eng.post(10, [&] { ++fired; });
   eng.post(5, [&] { EXPECT_TRUE(eng.cancel(id)); });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(fired, 0);
   EXPECT_FALSE(eng.cancel(id));  // already gone
 }
@@ -75,22 +80,24 @@ TEST(EngineTest, CancelPreventsExecution) {
 TEST(EngineTest, MoveOnlyCallbacksArePostable) {
   // EventFn (unlike std::function) accepts move-only captures, so payloads
   // ride inside the event itself — the fabric layer depends on this.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   auto payload = std::make_unique<int>(41);
   int got = 0;
   eng.post(5, [&got, p = std::move(payload)] { got = *p + 1; });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(got, 42);
 }
 
 TEST(EngineTest, NullCallableThrowsAtPostTime) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   EXPECT_THROW(eng.post(10, std::function<void()>{}), SimError);
   EXPECT_THROW(eng.postAt(10, EventFn{}), SimError);
   EXPECT_THROW(eng.post(10, nullptr), SimError);
   // Nothing leaked into the queue and the engine still runs cleanly.
   EXPECT_EQ(eng.pendingEvents(), 0u);
-  eng.run();
+  pdes.run();
   // Cancel of never-issued ids (including the 0 sentinel) is well-defined.
   EXPECT_FALSE(eng.cancel(0));
   EXPECT_FALSE(eng.cancel(12345));
@@ -100,7 +107,8 @@ TEST(EngineTest, NullCallableThrowsAtPostTime) {
 TEST(EngineTest, CancelledEventsDoNotLingerInQueue) {
   // Regression: cancel used to tombstone the queue entry until fire time,
   // so far-future post+cancel cycles grew the queue without bound.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   for (int i = 0; i < 100000; ++i) {
     const EventId id = eng.post(1'000'000'000, [] {});
     ASSERT_TRUE(eng.cancel(id));
@@ -108,14 +116,15 @@ TEST(EngineTest, CancelledEventsDoNotLingerInQueue) {
   EXPECT_EQ(eng.pendingEvents(), 0u);
   EXPECT_LT(eng.queuedHandles(), 200u);  // compaction keeps stale handles small
   EXPECT_LE(eng.poolSlots(), 256u);      // slots recycle; one slab suffices
-  eng.run();
+  pdes.run();
   EXPECT_EQ(eng.executedEvents(), 0u);
 }
 
 TEST(EngineTest, PostCancelStormStaysBounded) {
   // The reliability layer's retransmit-timer pattern: a live timer per
   // endpoint, constantly rearmed. 1M rearms must not grow queue or pool.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   constexpr std::size_t kEndpoints = 32;
   EventId timers[kEndpoints] = {};
   for (int i = 0; i < 1'000'000; ++i) {
@@ -128,101 +137,110 @@ TEST(EngineTest, PostCancelStormStaysBounded) {
   EXPECT_EQ(eng.pendingEvents(), kEndpoints);
   EXPECT_LT(eng.queuedHandles(), 1000u);
   EXPECT_LT(eng.poolSlots(), 1000u);
-  eng.run();
+  pdes.run();
   EXPECT_EQ(eng.executedEvents(), kEndpoints);
 }
 
 TEST(EngineTest, CancelInsideOwnCallbackReturnsFalse) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   EventId id = 0;
   bool sawFalse = false;
   id = eng.post(10, [&] { sawFalse = !eng.cancel(id); });
-  eng.run();
+  pdes.run();
   EXPECT_TRUE(sawFalse);
 }
 
 TEST(EngineTest, StaleIdDoesNotCancelRecycledSlot) {
   // Generation tags: after an event fires, its pool slot is recycled; the
   // old id must not cancel the new occupant.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   const EventId first = eng.post(1, [] {});
-  eng.run();
+  pdes.run();
   EXPECT_FALSE(eng.cancel(first));
   int fired = 0;
   const EventId second = eng.post(1, [&] { ++fired; });
   EXPECT_NE(first, second);        // same slot, new generation
   EXPECT_FALSE(eng.cancel(first)); // stale id is inert
-  eng.run();
+  pdes.run();
   EXPECT_EQ(fired, 1);
 }
 
 TEST(EngineTest, PostIntoPastThrows) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   eng.post(10, [&] {
     EXPECT_THROW(eng.postAt(5, [] {}), SimError);
   });
-  eng.run();
+  pdes.run();
 }
 
 TEST(EngineTest, NestedPostsExecute) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   SimTime innerTime = -1;
   eng.post(10, [&] {
     eng.post(7, [&] { innerTime = eng.now(); });
   });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(innerTime, 17);
 }
 
 TEST(EngineTest, RunUntilStopsAtHorizon) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   int fired = 0;
   eng.post(10, [&] { ++fired; });
   eng.post(100, [&] { ++fired; });
-  EXPECT_FALSE(eng.runUntil(50));
+  EXPECT_FALSE(pdes.runUntil(50));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(eng.now(), 50);
-  EXPECT_TRUE(eng.runUntil(200));
+  EXPECT_TRUE(pdes.runUntil(200));
   EXPECT_EQ(fired, 2);
 }
 
 TEST(EngineTest, RunUntilFiresEventExactlyAtHorizon) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   int fired = 0;
   eng.post(50, [&] { ++fired; });
-  EXPECT_TRUE(eng.runUntil(50));  // inclusive horizon; queue drains
+  EXPECT_TRUE(pdes.runUntil(50));  // inclusive horizon; queue drains
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(eng.now(), 50);
 }
 
 TEST(EngineTest, RunUntilSkipsCancelledEventAtTopOfHeap) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   int fired = 0;
   const EventId early = eng.post(10, [&] { ++fired; });
   eng.post(100, [&] { ++fired; });
   ASSERT_TRUE(eng.cancel(early));
   // The earliest handle is stale; runUntil must skip it, see that the next
   // live event is beyond the horizon, and stop at the horizon time.
-  EXPECT_FALSE(eng.runUntil(50));
+  EXPECT_FALSE(pdes.runUntil(50));
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(eng.now(), 50);
-  EXPECT_TRUE(eng.runUntil(100));
+  EXPECT_TRUE(pdes.runUntil(100));
   EXPECT_EQ(fired, 1);
 }
 
 TEST(EngineTest, RunUntilNeverMovesTimeBackwards) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   eng.post(80, [] {});
-  EXPECT_TRUE(eng.runUntil(100));
+  EXPECT_TRUE(pdes.runUntil(100));
   EXPECT_EQ(eng.now(), 100);
-  EXPECT_TRUE(eng.runUntil(50));  // horizon in the past: clock stays put
+  EXPECT_TRUE(pdes.runUntil(50));  // horizon in the past: clock stays put
   EXPECT_EQ(eng.now(), 100);
   // And posting still measures against the unchanged now().
   EXPECT_THROW(eng.postAt(99, [] {}), SimError);
 }
 
 TEST(ProcessTest, AdvanceMovesVirtualTimeAndAccountsCpu) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   SimTime sawTime = -1;
   Process p(eng, "worker", [&] {
     Process& self = *eng.currentProcess();
@@ -230,14 +248,15 @@ TEST(ProcessTest, AdvanceMovesVirtualTimeAndAccountsCpu) {
     self.advance(usec(3), CpuUse::Idle);
     sawTime = eng.now();
   });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(sawTime, usec(8));
   EXPECT_EQ(p.cpuBusy(), usec(5));
   EXPECT_TRUE(p.finished());
 }
 
 TEST(ProcessTest, TwoProcessesInterleaveDeterministically) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   std::vector<std::pair<char, SimTime>> trace;
   Process a(eng, "a", [&] {
     Process& self = *eng.currentProcess();
@@ -253,7 +272,7 @@ TEST(ProcessTest, TwoProcessesInterleaveDeterministically) {
       trace.emplace_back('b', eng.now());
     }
   });
-  eng.run();
+  pdes.run();
   // At the t=30 tie, b's resume event was posted (at t=15) before a's
   // (at t=20), so insertion order puts b first.
   const std::vector<std::pair<char, SimTime>> expected = {
@@ -264,7 +283,8 @@ TEST(ProcessTest, TwoProcessesInterleaveDeterministically) {
 }
 
 TEST(ProcessTest, SignalWakesWaiter) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal sig(eng);
   SimTime wokenAt = -1;
   Process waiter(eng, "waiter", [&] {
@@ -275,25 +295,27 @@ TEST(ProcessTest, SignalWakesWaiter) {
     eng.currentProcess()->advance(usec(42));
     sig.notifyAll();
   });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(wokenAt, usec(42));
   EXPECT_EQ(waiter.cpuBusy(), 0);  // await is idle
 }
 
 TEST(ProcessTest, AwaitBusyChargesCpu) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal sig(eng);
   Process waiter(eng, "waiter", [&] { eng.currentProcess()->awaitBusy(sig); });
   Process notifier(eng, "notifier", [&] {
     eng.currentProcess()->advance(usec(42));
     sig.notifyAll();
   });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(waiter.cpuBusy(), usec(42));
 }
 
 TEST(ProcessTest, AwaitForTimesOut) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal sig(eng);
   bool fired = true;
   SimTime endTime = -1;
@@ -301,13 +323,14 @@ TEST(ProcessTest, AwaitForTimesOut) {
     fired = eng.currentProcess()->awaitFor(sig, usec(100));
     endTime = eng.now();
   });
-  eng.run();
+  pdes.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(endTime, usec(100));
 }
 
 TEST(ProcessTest, SignalBeatsTimeout) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal sig(eng);
   bool fired = false;
   Process waiter(eng, "waiter", [&] {
@@ -317,13 +340,14 @@ TEST(ProcessTest, SignalBeatsTimeout) {
     eng.currentProcess()->advance(usec(10));
     sig.notifyAll();
   });
-  eng.run();
+  pdes.run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(eng.now(), usec(10));
 }
 
 TEST(ProcessTest, TimedOutWaiterIsNotWokenBySubsequentNotify) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal sig(eng);
   int wakeups = 0;
   Process waiter(eng, "waiter", [&] {
@@ -338,12 +362,13 @@ TEST(ProcessTest, TimedOutWaiterIsNotWokenBySubsequentNotify) {
     eng.currentProcess()->advance(usec(50));
     sig.notifyAll();
   });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(wakeups, 2);
 }
 
 TEST(ProcessTest, NotifyOneWakesSingleWaiterInFifoOrder) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal sig(eng);
   std::vector<int> woken;
   auto makeWaiter = [&](int idx) {
@@ -361,29 +386,32 @@ TEST(ProcessTest, NotifyOneWakesSingleWaiterInFifoOrder) {
     self.advance(usec(5));
     sig.notifyOne();
   });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(woken, (std::vector<int>{0, 1}));
 }
 
 TEST(ProcessTest, DeadlockIsDetected) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal sig(eng);
   auto waiter = std::make_unique<Process>(
       eng, "stuck", [&] { eng.currentProcess()->await(sig); });
-  EXPECT_THROW(eng.run(), DeadlockError);
+  EXPECT_THROW(pdes.run(), DeadlockError);
 }
 
 TEST(ProcessTest, BodyExceptionPropagatesOutOfRun) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Process p(eng, "thrower", [&] {
     eng.currentProcess()->advance(usec(1));
     throw std::runtime_error("boom");
   });
-  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_THROW(pdes.run(), std::runtime_error);
 }
 
 TEST(ProcessTest, UnstartedProcessIsKilledCleanlyOnDestruction) {
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   {
     Process p(eng, "never-run", [&] { eng.currentProcess()->advance(1); });
     // Engine never runs; destructor must unwind the body without hanging.
@@ -395,7 +423,8 @@ TEST(ProcessTest, YieldInsideCatchKeepsOwnException) {
   // Each process has its own caught-exception stack: a handler that
   // yields and later rethrows gets its own exception back, even though
   // another process threw, caught and yielded inside a handler meanwhile.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   int rethrown = 0;
   bool bHandled = false;
   Process a(eng, "a", [&] {
@@ -423,7 +452,7 @@ TEST(ProcessTest, YieldInsideCatchKeepsOwnException) {
       bHandled = std::uncaught_exceptions() == 0;
     }
   });
-  eng.run();
+  pdes.run();
   EXPECT_EQ(rethrown, 7);
   EXPECT_TRUE(bHandled);
 }
@@ -443,7 +472,8 @@ TEST(ProcessTest, KilledUnwindThatYieldsCompletes) {
       done = true;
     }
   };
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal never(eng);
   Process* stored = nullptr;
   bool done = false;
@@ -453,7 +483,7 @@ TEST(ProcessTest, KilledUnwindThatYieldsCompletes) {
     YieldOnUnwind guard{eng, stored, done, sawCurrent};
     stored->await(never);
   });
-  EXPECT_THROW(eng.run(), DeadlockError);
+  EXPECT_THROW(pdes.run(), DeadlockError);
   p.reset();
   EXPECT_TRUE(done);
   EXPECT_FALSE(sawCurrent);
@@ -463,7 +493,8 @@ TEST(ProcessTest, KilledUnwindThatYieldsCompletes) {
 TEST(ProcessTest, KilledBodyThatSwallowsTheKillIsKilledAgain) {
   // Outside an unwind, the next wait of a killed body rethrows the kill
   // instead of parking.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   Signal never(eng);
   bool swallowed = false;
   bool ranOn = false;
@@ -477,7 +508,7 @@ TEST(ProcessTest, KilledBodyThatSwallowsTheKillIsKilledAgain) {
     self.advance(1);
     ranOn = true;
   });
-  EXPECT_THROW(eng.run(), DeadlockError);
+  EXPECT_THROW(pdes.run(), DeadlockError);
   p.reset();
   EXPECT_TRUE(swallowed);
   EXPECT_FALSE(ranOn);
@@ -491,7 +522,8 @@ TEST(ProcessTest, KilledBodyThatSwallowsTheKillIsKilledAgain) {
 TEST(ProcessTest, EventPostedEarlierForTheResumeTimeRunsFirst) {
   // At a tie the earlier insertion runs first: an event already queued
   // for exactly now + d runs before the advancing process continues.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   std::vector<std::pair<std::string, SimTime>> order;
   eng.post(0, [&] {
     eng.post(10, [&] { order.emplace_back("event", eng.now()); });
@@ -500,7 +532,7 @@ TEST(ProcessTest, EventPostedEarlierForTheResumeTimeRunsFirst) {
     eng.currentProcess()->advance(10);
     order.emplace_back("process", eng.now());
   });
-  eng.run();
+  pdes.run();
   const std::vector<std::pair<std::string, SimTime>> expected = {
       {"event", 10}, {"process", 10}};
   EXPECT_EQ(order, expected);
@@ -513,7 +545,8 @@ TEST(ProcessTest, LoneProcessAdvancesInPlace) {
   // leave it queued, while the in-place step's look-ahead prunes it.
   constexpr int kN = 50;
   constexpr Duration kD = 7;
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   std::size_t maxHandles = 0;
   std::size_t maxPending = 0;
   std::vector<SimTime> seen;
@@ -527,7 +560,7 @@ TEST(ProcessTest, LoneProcessAdvancesInPlace) {
       maxPending = std::max(maxPending, eng.pendingEvents());
     }
   });
-  eng.run();
+  pdes.run();
   ASSERT_EQ(seen.size(), static_cast<std::size_t>(kN));
   for (int i = 0; i < kN; ++i) EXPECT_EQ(seen[i], (i + 1) * kD) << i;
   EXPECT_EQ(maxHandles, 0u);
@@ -543,7 +576,8 @@ TEST(ProcessTest, CancelledTimerDoesNotBlockTheInPlaceStep) {
   // A cancelled timer below now + d is no event: it neither fires nor
   // makes the process post its resume. With one more cancelled timer
   // beyond the resume, a posted resume would leave that one queued.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   bool fired = false;
   std::size_t handlesAfter = 99;
   SimTime resumedAt = -1;
@@ -554,7 +588,7 @@ TEST(ProcessTest, CancelledTimerDoesNotBlockTheInPlaceStep) {
     resumedAt = eng.now();
     handlesAfter = eng.queuedHandles();
   });
-  eng.run();
+  pdes.run();
   EXPECT_FALSE(fired);
   EXPECT_EQ(resumedAt, 10);
   EXPECT_EQ(handlesAfter, 0u);
@@ -565,7 +599,8 @@ TEST(ProcessTest, AdvancePastTheHorizonParksUntilTheNextRunUntil) {
   // runUntil(h) bounds the step: a resume at exactly h is taken in place,
   // one past h is posted and waits, with the clock on h, for the next
   // runUntil.
-  Engine eng;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& eng = pdes.domainEngine(0);
   std::vector<SimTime> seen;
   Process p(eng, "p", [&] {
     Process& self = *eng.currentProcess();
@@ -574,15 +609,15 @@ TEST(ProcessTest, AdvancePastTheHorizonParksUntilTheNextRunUntil) {
     self.advance(10);
     seen.push_back(eng.now());
   });
-  EXPECT_FALSE(eng.runUntil(10));
+  EXPECT_FALSE(pdes.runUntil(10));
   EXPECT_EQ(seen, (std::vector<SimTime>{10}));
   EXPECT_EQ(eng.now(), 10);
-  EXPECT_FALSE(eng.runUntil(15));
+  EXPECT_FALSE(pdes.runUntil(15));
   EXPECT_EQ(seen, (std::vector<SimTime>{10}));
   EXPECT_EQ(eng.now(), 15);
   EXPECT_EQ(eng.pendingEvents(), 1u);  // the parked resume
   EXPECT_FALSE(p.finished());
-  EXPECT_TRUE(eng.runUntil(100));
+  EXPECT_TRUE(pdes.runUntil(100));
   EXPECT_EQ(seen, (std::vector<SimTime>{10, 20}));
   EXPECT_EQ(eng.now(), 100);
   EXPECT_EQ(eng.executedEvents(), 3u);
@@ -671,10 +706,11 @@ TEST(PrngTest, UniformInRangeAndBelowIsUnbiased) {
 // --- timer / window properties the sharded stack port relies on -----------
 
 TEST(TimerApiTest, CancelAfterFireReturnsFalse) {
-  Engine e;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& e = pdes.domainEngine(0);
   int fired = 0;
   const EventId id = e.post(10, [&] { ++fired; });
-  e.run();
+  pdes.run();
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(e.cancel(id));  // already fired: a stale handle is a no-op
   EXPECT_FALSE(e.cancel(id));  // and stays one
@@ -683,13 +719,14 @@ TEST(TimerApiTest, CancelAfterFireReturnsFalse) {
 TEST(TimerApiTest, CancelledIdIsNeverConfusedWithReusedSlot) {
   // The RTO path cancels and re-arms constantly; a recycled pool slot
   // must not let an old handle kill the new timer.
-  Engine e;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& e = pdes.domainEngine(0);
   int fired = 0;
   const EventId a = e.post(10, [&] { fired += 1; });
   ASSERT_TRUE(e.cancel(a));
   const EventId b = e.post(10, [&] { fired += 100; });
   EXPECT_FALSE(e.cancel(a));  // stale generation: no effect on b
-  e.run();
+  pdes.run();
   EXPECT_EQ(fired, 100);
   (void)b;
 }
@@ -697,86 +734,60 @@ TEST(TimerApiTest, CancelledIdIsNeverConfusedWithReusedSlot) {
 TEST(TimerApiTest, StaleExpiryAfterCancelIsANoOp) {
   // Cancel between post and expiry: the heap entry left behind must be
   // skipped, not fired, and must not stall time for later events.
-  Engine e;
+  ShardedEngine pdes(EngineConfig{});
+  Engine& e = pdes.domainEngine(0);
   int fired = 0;
   const EventId a = e.post(10, [&] { ++fired; });
   e.post(20, [&] { fired += 10; });
   ASSERT_TRUE(e.cancel(a));
-  e.run();
+  pdes.run();
   EXPECT_EQ(fired, 10);
   EXPECT_EQ(e.now(), 20);
 }
 
-TEST(TimerApiTest, NextEventTimePrunesCancelledTop) {
-  Engine e;
-  const EventId a = e.post(5, [] {});
-  e.post(9, [] {});
-  EXPECT_EQ(e.nextEventTime(), 5);
-  ASSERT_TRUE(e.cancel(a));
-  EXPECT_EQ(e.nextEventTime(), 9);
-  e.run();
-  EXPECT_EQ(e.nextEventTime(), Engine::kNoEventTime);
-}
-
-TEST(WindowedModeTest, PostAndCancelOnParkedEngineThrow) {
-  // The PDES contract: between windows a domain engine is parked, and
-  // mutating it from outside (a cross-domain timer cancel, a direct
-  // post) is exactly the data race the sharded port must never make.
-  Engine e;
-  const EventId id = e.post(50, [] {});
-  e.setWindowedMode(true);
-  EXPECT_THROW(e.post(10, [] {}), SimError);
-  EXPECT_THROW(e.postAt(10, [] {}), SimError);
-  EXPECT_THROW(e.cancel(id), SimError);
-  e.setWindowedMode(false);
-  EXPECT_TRUE(e.cancel(id));  // legal again outside windowed mode
-}
-
 TEST(WindowedModeTest, InWindowPostAndCancelAreLegal) {
-  // Inside runWindow the domain owns itself: same-domain timer
-  // programming (the NIC RTO pattern) must work unchanged.
-  Engine e;
+  // Inside its windows a domain owns itself: same-domain timer programming
+  // (the NIC RTO pattern) works unchanged, even when the engine parked
+  // between the arm and the cancel.
+  ShardedEngine pdes({.domains = 2, .lookahead = 10, .shards = 1});
+  Engine& e = pdes.domainEngine(0);
   int fired = 0;
   EventId rto = 0;
   e.post(10, [&] {
-    rto = e.post(5, [&] { fired += 100; });  // arm
+    rto = e.post(20, [&] { fired += 100; });  // arm, in window [10, 20)
   });
-  e.post(12, [&] {
-    EXPECT_TRUE(e.cancel(rto));  // ack arrived: cancel in-window
+  e.post(25, [&] {
+    EXPECT_TRUE(e.cancel(rto));  // ack arrived: cancel, in window [25, 35)
     ++fired;
   });
-  e.setWindowedMode(true);
-  e.runWindow(100);
-  e.setWindowedMode(false);
+  pdes.run();
   EXPECT_EQ(fired, 1);
+  EXPECT_EQ(pdes.windowsExecuted(), 2u);
 }
 
 TEST(WindowedModeTest, RunWindowExecutesHalfOpenInterval) {
-  Engine e;
-  std::vector<int> order;
-  e.post(10, [&] { order.push_back(10); });
-  e.post(20, [&] { order.push_back(20); });
-  e.post(30, [&] { order.push_back(30); });
-  e.setWindowedMode(true);
-  EXPECT_EQ(e.runWindow(20), 1u);  // [0, 20): only t=10
-  EXPECT_EQ(e.now(), 10);          // the clock rests on the last event
-  EXPECT_EQ(e.runWindow(31), 2u);  // [20, 31): t=20 and t=30
-  e.setWindowedMode(false);
-  EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
-}
-
-TEST(WindowedModeTest, MergePostBypassesGuardAndKeepsOrder) {
-  // postAtMerge is the barrier-time merge hook: it must work on a parked
-  // engine, and two merged arrivals at one timestamp must fire in merge
-  // (domain) order.
-  Engine e;
-  std::vector<int> order;
-  e.setWindowedMode(true);
-  e.postAtMerge(10, [&] { order.push_back(1); });
-  e.postAtMerge(10, [&] { order.push_back(2); });
-  e.runWindow(11);
-  e.setWindowedMode(false);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  // A window [T, T + lookahead) leaves an event at its end to the next
+  // window, and the clock on its last event, not on its end: the hook at
+  // each window start sees the clock there.
+  for (const Duration lookahead : {10, 11}) {
+    ShardedEngine pdes({.domains = 2, .lookahead = lookahead, .shards = 1});
+    Engine& e = pdes.domainEngine(0);
+    using Starts = std::vector<std::pair<SimTime, SimTime>>;
+    std::vector<int> order;
+    for (int t : {10, 20, 30}) {
+      e.postAt(t, [&order, t] { order.push_back(t); });
+    }
+    Starts starts;  // (window start, domain 0's clock there)
+    pdes.setBoundaryHook(1000,
+                         [&](SimTime t) { starts.emplace_back(t, e.now()); });
+    pdes.run();
+    EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
+    const Starts expected = lookahead == 10
+                                ? Starts{{10, 0}, {20, 10}, {30, 20}}
+                                : Starts{{10, 0}, {30, 20}};
+    EXPECT_EQ(starts, expected) << "lookahead " << lookahead;
+    EXPECT_EQ(pdes.windowsExecuted(), expected.size());
+  }
 }
 
 TEST(HostedPdesTest, CrossDomainSendBelowWindowEndThrows) {
