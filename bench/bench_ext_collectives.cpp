@@ -82,12 +82,7 @@ constexpr std::size_t kHcAllredDoubles = 64;
 constexpr std::size_t kHcAllredBytes = kHcAllredDoubles * sizeof(double);
 constexpr std::size_t kHcBarrierBytes = 8;
 
-void hcRequire(vipl::VipResult r, const char* what) {
-  if (r != vipl::VipResult::VIP_SUCCESS) {
-    throw std::runtime_error(std::string("hypercube: ") + what + " -> " +
-                             vipl::toString(r));
-  }
-}
+constexpr vipl::ResultCheck hcRequire{"hypercube: "};
 
 /// Engine-mode witness of one hypercube run (same idiom as
 /// bench_ext_multiclient): virtual end time plus a fold of every node's

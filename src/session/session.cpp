@@ -292,9 +292,7 @@ bool Session::prepareEndpoint() {
   return true;
 }
 
-bool Session::helloExchange() {
-  const ReconnectPolicy& pol = cfg_.policy;
-  // Announce our epoch and cumulative-delivered watermark.
+bool Session::postHello() {
   FrameHeader h;
   h.kind = kHello;
   h.sid = static_cast<std::uint16_t>(cfg_.sid);
@@ -304,9 +302,12 @@ bool Session::helloExchange() {
   packHeader(buf, h);
   nic_.memory().write(helloVa(), buf);
   helloDesc_ = vipl::VipDescriptor::send(helloVa(), handle_, kHeaderBytes);
-  if (nic_.postSend(vi_, &helloDesc_) != vipl::VipResult::VIP_SUCCESS) {
-    return false;
-  }
+  return nic_.postSend(vi_, &helloDesc_) == vipl::VipResult::VIP_SUCCESS;
+}
+
+bool Session::helloExchange() {
+  const ReconnectPolicy& pol = cfg_.policy;
+  if (!postHello()) return false;
   vipl::VipDescriptor* done = nullptr;
   if (nic_.sendWait(vi_, pol.helloTimeout, done) !=
           vipl::VipResult::VIP_SUCCESS ||
@@ -562,18 +563,7 @@ void Session::progress() {
     // passive side silently lost its endpoint, this send trips the RTO
     // budget and converts the half-open link into a detected break.
     lastProbe_ = engine_.now();
-    FrameHeader h;
-    h.kind = kHello;
-    h.sid = static_cast<std::uint16_t>(cfg_.sid);
-    h.epoch = vi_->epoch();
-    h.seq = rxDelivered_;
-    std::byte buf[kHeaderBytes];
-    packHeader(buf, h);
-    nic_.memory().write(helloVa(), buf);
-    helloDesc_ = vipl::VipDescriptor::send(helloVa(), handle_, kHeaderBytes);
-    if (nic_.postSend(vi_, &helloDesc_) == vipl::VipResult::VIP_SUCCESS) {
-      probeInFlight_ = true;
-    }
+    if (postHello()) probeInFlight_ = true;
   }
 }
 

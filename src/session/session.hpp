@@ -164,7 +164,6 @@ class Session {
   std::uint32_t epoch() const { return vi_->epoch(); }
   bool down() const { return state_ == SessionState::Down; }
   vipl::Vi* vi() const { return vi_; }
-  std::size_t inboxDepth() const { return inbox_.size(); }
   std::size_t unconfirmed() const { return replay_.size(); }
 
  private:
@@ -184,6 +183,9 @@ class Session {
   bool establishOnce();     // one connect dialog + hello exchange
   bool prepareEndpoint();   // reset VI if needed, prepost + arm the ring
   bool helloExchange();     // swap epoch/watermark, trim + requeue replay
+  /// The one Hello post (exchange and idle probe): announces this side's
+  /// epoch and cumulative-delivered watermark. False if the post failed.
+  bool postHello();
   bool claimRequest(sim::Duration timeout, vipl::PendingConn& out);
   void markBroken();        // Established -> Recovering bookkeeping
   void onEstablished(std::uint32_t attempts);

@@ -209,7 +209,6 @@ class ShardedEngine {
   /// the simulation, so the determinism contract is unaffected (pinned
   /// by test_pdes). Call between runs, not during one.
   void setProfiling(bool on);
-  bool profiling() const { return profiling_; }
 
   /// One snapshot per shard: deterministic event/window counts summed
   /// from the shard's domains plus wall-clock exec, parked and completion

@@ -298,13 +298,6 @@ void Process::awaitBusy(Signal& s) {
   cpuBusy_ += now() - t0;  // a polling wait spins the host CPU
 }
 
-bool Process::awaitBusyFor(Signal& s, Duration timeout) {
-  const SimTime t0 = now();
-  const bool fired = awaitFor(s, timeout);
-  cpuBusy_ += now() - t0;
-  return fired;
-}
-
 void Process::wakeFromWait(std::uint64_t epoch, bool signalled) {
   if (epoch != waitEpoch_ || state_ != State::Blocked) return;  // stale waker
   ++waitEpoch_;  // invalidate the competing signal/timeout source

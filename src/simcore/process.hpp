@@ -81,9 +81,6 @@ class Process {
   /// accounting still reports 100% utilization.
   void awaitBusy(Signal& s);
 
-  /// Busy-accounted variant of awaitFor().
-  bool awaitBusyFor(Signal& s, Duration timeout);
-
   /// Adds busy time without advancing the clock: work (e.g. a kernel ISR)
   /// that ran on this process's host CPU concurrently while it was blocked,
   /// and that getrusage() would attribute to the process as system time.
@@ -180,7 +177,6 @@ class Signal {
   void notifyAll();
   /// Wakes the longest-waiting current waiter, if any.
   void notifyOne();
-  std::size_t waiterCount() const { return waiters_.size(); }
 
  private:
   friend class Process;

@@ -52,19 +52,4 @@ class QuantileTracker {
   mutable bool sorted_ = true;
 };
 
-/// Combined accumulator + quantiles, the standard per-metric recorder.
-class MetricSeries {
- public:
-  void add(double x) {
-    acc_.add(x);
-    quants_.add(x);
-  }
-  const Accumulator& summary() const { return acc_; }
-  const QuantileTracker& quantiles() const { return quants_; }
-
- private:
-  Accumulator acc_;
-  QuantileTracker quants_;
-};
-
 }  // namespace vibe::sim

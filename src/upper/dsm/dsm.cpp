@@ -4,25 +4,16 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "upper/wire.hpp"
+
 namespace vibe::upper::dsm {
 
 namespace {
 
+using wire::append;
+using wire::consume;
+
 constexpr int kPageReqBase = msg::Communicator::kServiceTagBase + 16;
-
-template <typename T>
-void append(std::vector<std::byte>& out, const T& value) {
-  const auto* p = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T consume(std::span<const std::byte>& in) {
-  T value;
-  std::memcpy(&value, in.data(), sizeof(T));
-  in = in.subspan(sizeof(T));
-  return value;
-}
 
 }  // namespace
 

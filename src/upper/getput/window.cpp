@@ -1,9 +1,9 @@
 #include "upper/getput/window.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
+#include "upper/wire.hpp"
 #include "vipl/vipl.hpp"
 
 namespace vibe::upper::getput {
@@ -11,33 +11,15 @@ namespace vibe::upper::getput {
 namespace {
 
 using vipl::VipDescriptor;
-using vipl::VipResult;
+using wire::append;
+using wire::consume;
 
 constexpr int kPutTag = msg::Communicator::kServiceTagBase + 1;
 constexpr int kGetReqTag = msg::Communicator::kServiceTagBase + 2;
 constexpr int kGetRespTag = msg::Communicator::kServiceTagBase + 3;
 constexpr int kHandleTag = msg::Communicator::kServiceTagBase + 4;
 
-void require(VipResult r, const char* what) {
-  if (r != VipResult::VIP_SUCCESS) {
-    throw std::runtime_error(std::string("getput::Window: ") + what + " -> " +
-                             vipl::toString(r));
-  }
-}
-
-template <typename T>
-void append(std::vector<std::byte>& out, const T& value) {
-  const auto* p = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T consume(std::span<const std::byte>& in) {
-  T value;
-  std::memcpy(&value, in.data(), sizeof(T));
-  in = in.subspan(sizeof(T));
-  return value;
-}
+constexpr vipl::ResultCheck require{"getput::Window: "};
 
 }  // namespace
 

@@ -42,17 +42,23 @@ struct FrameHeader {
   std::uint8_t kind = 0;
   std::int32_t tag = 0;
   std::uint32_t seq = 0;
-  std::uint64_t size = 0;      // payload bytes (eager) / message bytes (RTS)
-  std::uint32_t credits = 0;   // credit return count
+  std::uint64_t size = 0;  // payload bytes; a chunk's whole message bytes
 };
 
-void packHeader(const FrameHeader& h, std::byte* out) {
-  std::memset(out, 0, kHeaderBytes);
+/// The one msg frame builder: the header (padding and the reserved word at
+/// offset 12 zeroed), then `payload`.
+std::vector<std::byte> frameOf(const FrameHeader& h,
+                               std::span<const std::byte> payload) {
+  std::vector<std::byte> frame(kHeaderBytes + payload.size());
+  std::byte* out = frame.data();
   std::memcpy(out + 0, &h.kind, 1);
   std::memcpy(out + 4, &h.tag, 4);
   std::memcpy(out + 8, &h.seq, 4);
-  std::memcpy(out + 12, &h.credits, 4);
   std::memcpy(out + 16, &h.size, 8);
+  if (!payload.empty()) {
+    std::memcpy(out + kHeaderBytes, payload.data(), payload.size());
+  }
+  return frame;
 }
 
 FrameHeader unpackHeader(const std::byte* in) {
@@ -60,17 +66,11 @@ FrameHeader unpackHeader(const std::byte* in) {
   std::memcpy(&h.kind, in + 0, 1);
   std::memcpy(&h.tag, in + 4, 4);
   std::memcpy(&h.seq, in + 8, 4);
-  std::memcpy(&h.credits, in + 12, 4);
   std::memcpy(&h.size, in + 16, 8);
   return h;
 }
 
-void require(VipResult r, const char* what) {
-  if (r != VipResult::VIP_SUCCESS) {
-    throw std::runtime_error(std::string("msg::Communicator: ") + what +
-                             " -> " + vipl::toString(r));
-  }
-}
+constexpr vipl::ResultCheck require{"msg::Communicator: "};
 
 }  // namespace
 
@@ -237,18 +237,9 @@ void Communicator::sendFrame(std::uint32_t dst, std::uint8_t kind, int tag,
     throw std::invalid_argument("sendFrame: payload exceeds frame");
   }
   Peer& peer = *peers_[dst];
+  const std::vector<std::byte> frame =
+      frameOf({kind, tag, seq, payload.size()}, payload);
   if (config_.recovery) {
-    std::vector<std::byte> frame(kHeaderBytes + payload.size());
-    FrameHeader h;
-    h.kind = kind;
-    h.tag = tag;
-    h.seq = seq;
-    h.size = payload.size();
-    packHeader(h, frame.data());
-    if (!payload.empty()) {
-      std::memcpy(frame.data() + kHeaderBytes, payload.data(),
-                  payload.size());
-    }
     if (!peer.session->send(frame)) {
       throw std::runtime_error("Communicator: peer session is down");
     }
@@ -257,17 +248,6 @@ void Communicator::sendFrame(std::uint32_t dst, std::uint8_t kind, int tag,
   const mem::VirtAddr slot =
       stagingVa_ + static_cast<std::uint64_t>(stagingSlot_) * frameBytes_;
   stagingSlot_ = (stagingSlot_ + 1) % 4;
-
-  std::vector<std::byte> frame(kHeaderBytes + payload.size());
-  FrameHeader h;
-  h.kind = kind;
-  h.tag = tag;
-  h.seq = seq;
-  h.size = payload.size();
-  packHeader(h, frame.data());
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
-  }
   nic_->memory().write(slot, frame);
 
   VipDescriptor d = VipDescriptor::send(
@@ -378,14 +358,9 @@ void Communicator::sendChunkFrames(std::uint32_t dst, int tag,
   do {
     const std::uint64_t n =
         std::min<std::uint64_t>(config_.eagerThreshold, total - off);
-    std::vector<std::byte> frame(kHeaderBytes + n);
-    FrameHeader h;
-    h.kind = kChunk;
-    h.tag = tag;
-    h.seq = seq;
-    h.size = total;  // every piece carries the full message size
-    packHeader(h, frame.data());
-    std::memcpy(frame.data() + kHeaderBytes, data.data() + off, n);
+    // Every piece carries the full message size.
+    const std::vector<std::byte> frame =
+        frameOf({kChunk, tag, seq, total}, data.subspan(off, n));
     if (!peer.session->send(frame)) {
       throw std::runtime_error("Communicator: peer session is down");
     }
@@ -440,15 +415,8 @@ Communicator::RequestId Communicator::isend(std::uint32_t dst, int tag,
 
   const mem::VirtAddr va =
       asyncStagingVa_ + static_cast<std::uint64_t>(slot) * frameBytes_;
-  std::vector<std::byte> frame(kHeaderBytes + data.size());
-  FrameHeader h;
-  h.kind = kEager;
-  h.tag = tag;
-  h.size = data.size();
-  packHeader(h, frame.data());
-  if (!data.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, data.data(), data.size());
-  }
+  const std::vector<std::byte> frame =
+      frameOf({kEager, tag, 0, data.size()}, data);
   nic_->memory().write(va, frame);
 
   const RequestId id = nextRequest_++;
@@ -588,23 +556,6 @@ std::vector<std::byte> Communicator::recv(std::uint32_t src, int tag) {
   return recvServing(src, tag);
 }
 
-bool Communicator::tryRecvAny(std::uint32_t& src, int& tag,
-                              std::vector<std::byte>& out) {
-  progress();
-  for (std::uint32_t p = 0; p < size_; ++p) {
-    if (p == rank_) continue;
-    Peer& peer = *peers_[p];
-    if (!peer.matched.empty()) {
-      src = p;
-      tag = peer.matched.front().tag;
-      out = std::move(peer.matched.front().data);
-      peer.matched.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
 void Communicator::progressOrWait() {
   if (progress()) return;
   if (config_.recovery) {
@@ -692,8 +643,6 @@ bool Communicator::progressPeer(std::uint32_t peerRank,
     std::vector<std::byte> data(rr.bytes);
     nic_->memory().read(rr.va, data);
     require(nic_->deregisterMem(rr.handle), "deregister rndv recv");
-    Peer& sp = *peers_[srcRank];
-    (void)sp;
     if (!dispatchService(srcRank, rr.tag, std::move(data))) {
       deliverInbound(srcRank, rr.tag, std::move(data));
     }
@@ -821,10 +770,6 @@ void Communicator::deliverInbound(std::uint32_t src, int tag,
   peers_[src]->matched.push_back({tag, std::move(data)});
 }
 
-void Communicator::setServiceHandler(ServiceHandler handler) {
-  serviceHandler_ = std::move(handler);
-}
-
 void Communicator::addServiceHandler(int tag, ServiceHandler handler) {
   if (tag < kServiceTagBase) {
     throw std::invalid_argument("service handlers require service tags");
@@ -843,15 +788,9 @@ bool Communicator::dispatchService(std::uint32_t src, int tag,
                                    std::vector<std::byte>&& data) {
   if (tag < kServiceTagBase) return false;
   auto it = taggedHandlers_.find(tag);
-  if (it != taggedHandlers_.end()) {
-    it->second(src, tag, std::move(data));
-    return true;
-  }
-  if (serviceHandler_) {
-    serviceHandler_(src, tag, std::move(data));
-    return true;
-  }
-  return false;
+  if (it == taggedHandlers_.end()) return false;
+  it->second(src, tag, std::move(data));
+  return true;
 }
 
 vipl::Vi* Communicator::peerVi(std::uint32_t peer) const {

@@ -104,10 +104,6 @@ class Communicator {
   /// Like recv(), but waits by progressing every peer (service traffic
   /// keeps flowing while blocked).
   std::vector<std::byte> recvServing(std::uint32_t src, int tag);
-  /// Non-blocking: drains completions from every peer once; pops the
-  /// oldest fully-received user message if any (service traffic is
-  /// dispatched to the service handler, see setServiceHandler).
-  bool tryRecvAny(std::uint32_t& src, int& tag, std::vector<std::byte>& out);
 
   // --- collectives (dissemination / binomial-tree algorithms) ---
   /// With serveAll=true the barrier waits by progressing *every* channel,
@@ -120,15 +116,12 @@ class Communicator {
   void allreduceSum(std::span<double> values);
 
   // --- service plumbing for layers built on top (get/put windows) ---
-  /// Messages with tags >= kServiceTagBase are delivered to this handler
-  /// during progress instead of the matching queues.
+  /// A message whose tag (>= kServiceTagBase) has a registered handler is
+  /// delivered to it during progress instead of the matching queues.
   using ServiceHandler =
       std::function<void(std::uint32_t src, int tag, std::vector<std::byte>)>;
-  /// Catch-all handler for service tags with no exact-tag registration.
-  void setServiceHandler(ServiceHandler handler);
   /// Exact-tag handler; lets several layers (get/put windows, DSM) share
-  /// one communicator. Registration replaces any previous handler for the
-  /// tag.
+  /// one communicator. A tag registered twice throws std::logic_error.
   void addServiceHandler(int tag, ServiceHandler handler);
   static constexpr int kServiceTagBase = 1 << 24;
 
@@ -256,7 +249,6 @@ class Communicator {
   };
   std::vector<std::optional<std::pair<std::uint32_t, RndvRecv>>> rndvSlots_;
 
-  ServiceHandler serviceHandler_;
   std::unordered_map<int, ServiceHandler> taggedHandlers_;
 
   // Nonblocking requests.

@@ -1,5 +1,6 @@
 #include "upper/rpc/rpc.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -12,7 +13,6 @@ namespace {
 
 using vipl::PendingConn;
 using vipl::VipDescriptor;
-using vipl::VipResult;
 
 constexpr sim::Duration kConnTimeout = sim::kSecond * 5;
 
@@ -44,15 +44,22 @@ constexpr std::uint32_t kShutdownMethod = 0;
 struct RpcHeader {
   std::uint32_t method = 0;
   std::uint32_t token = 0;
-  std::uint32_t status = 0;  // 0 ok, 1 unknown method
+  std::uint32_t status = kStatusOk;  // or kStatusUnknownMethod
   std::uint64_t size = 0;
 };
 
-void packHeader(const RpcHeader& h, std::byte* out) {
-  std::memcpy(out + 0, &h.method, 4);
-  std::memcpy(out + 4, &h.token, 4);
-  std::memcpy(out + 8, &h.status, 4);
-  std::memcpy(out + 12, &h.size, 8);
+/// The one rpc frame builder: the header, then `payload`.
+std::vector<std::byte> frameOf(const RpcHeader& h,
+                               std::span<const std::byte> payload) {
+  std::vector<std::byte> frame(kHeaderBytes + payload.size());
+  std::memcpy(frame.data() + 0, &h.method, 4);
+  std::memcpy(frame.data() + 4, &h.token, 4);
+  std::memcpy(frame.data() + 8, &h.status, 4);
+  std::memcpy(frame.data() + 12, &h.size, 8);
+  if (!payload.empty()) {
+    std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
+  }
+  return frame;
 }
 
 RpcHeader unpackHeader(const std::byte* in) {
@@ -64,12 +71,15 @@ RpcHeader unpackHeader(const std::byte* in) {
   return h;
 }
 
-void require(VipResult r, const char* what) {
-  if (r != VipResult::VIP_SUCCESS) {
-    throw std::runtime_error(std::string("rpc: ") + what + " -> " +
-                             vipl::toString(r));
-  }
+/// Splits a reply frame into its token, status and payload.
+void decodeReply(std::span<const std::byte> frame, AsyncReply& out) {
+  const RpcHeader h = unpackHeader(frame.data());
+  out.token = h.token;
+  out.status = h.status;
+  out.payload.assign(frame.begin() + kHeaderBytes, frame.end());
 }
+
+constexpr vipl::ResultCheck require{"rpc: "};
 
 }  // namespace
 
@@ -157,6 +167,31 @@ void RpcServer::acceptClients(std::uint32_t n) {
   }
 }
 
+std::vector<std::byte> RpcServer::buildReply(std::uint32_t method,
+                                             std::uint32_t token,
+                                             std::span<const std::byte> args) {
+  RpcHeader reply;
+  reply.method = method;
+  reply.token = token;
+  std::vector<std::byte> payload;
+  auto it = methods_.find(method);
+  if (it == methods_.end()) {
+    reply.status = kStatusUnknownMethod;
+  } else {
+    payload = it->second(args);
+  }
+  reply.size = payload.size();
+  if (kHeaderBytes + payload.size() > config_.maxMessageBytes) {
+    throw std::length_error("rpc: reply exceeds maxMessageBytes");
+  }
+  return frameOf(reply, payload);
+}
+
+bool RpcServer::anyActive() const {
+  return std::any_of(clients_.begin(), clients_.end(),
+                     [](const auto& c) { return c->active; });
+}
+
 void RpcServer::handleRequest(Client& c, VipDescriptor* done) {
   // Which ring slot completed?
   const std::size_t slot = static_cast<std::size_t>(done - c.ring.data());
@@ -175,28 +210,9 @@ void RpcServer::handleRequest(Client& c, VipDescriptor* done) {
     return;
   }
 
-  RpcHeader reply;
-  reply.method = h.method;
-  reply.token = h.token;
-  std::vector<std::byte> replyPayload;
-  auto it = methods_.find(h.method);
-  if (it == methods_.end()) {
-    reply.status = 1;
-  } else {
-    replyPayload = it->second(
-        std::span<const std::byte>(request.data() + kHeaderBytes, h.size));
-  }
-  reply.size = replyPayload.size();
-  if (kHeaderBytes + replyPayload.size() > config_.maxMessageBytes) {
-    throw std::length_error("rpc: reply exceeds maxMessageBytes");
-  }
-
-  std::vector<std::byte> frame(kHeaderBytes + replyPayload.size());
-  packHeader(reply, frame.data());
-  if (!replyPayload.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, replyPayload.data(),
-                replyPayload.size());
-  }
+  const std::vector<std::byte> frame = buildReply(
+      h.method, h.token,
+      std::span<const std::byte>(request.data() + kHeaderBytes, h.size));
   nic_->memory().write(c.replyVa, frame);
 
   // Repost the consumed ring slot before replying, so a pipelined client
@@ -219,26 +235,8 @@ void RpcServer::handleSessionRequest(Client& c,
     c.active = false;
     return;
   }
-  RpcHeader reply;
-  reply.method = h.method;
-  reply.token = h.token;
-  std::vector<std::byte> replyPayload;
-  auto it = methods_.find(h.method);
-  if (it == methods_.end()) {
-    reply.status = 1;
-  } else {
-    replyPayload = it->second(request.subspan(kHeaderBytes, h.size));
-  }
-  reply.size = replyPayload.size();
-  if (kHeaderBytes + replyPayload.size() > config_.maxMessageBytes) {
-    throw std::length_error("rpc: reply exceeds maxMessageBytes");
-  }
-  std::vector<std::byte> frame(kHeaderBytes + replyPayload.size());
-  packHeader(reply, frame.data());
-  if (!replyPayload.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, replyPayload.data(),
-                replyPayload.size());
-  }
+  const std::vector<std::byte> frame =
+      buildReply(h.method, h.token, request.subspan(kHeaderBytes, h.size));
   // The session retains the reply for replay until the client's endpoint
   // confirms placement, so a connection break here cannot lose it.
   if (!c.session->send(frame)) c.active = false;
@@ -246,12 +244,6 @@ void RpcServer::handleSessionRequest(Client& c,
 }
 
 void RpcServer::serveSessions() {
-  auto anyActive = [this] {
-    for (const auto& c : clients_) {
-      if (c->active) return true;
-    }
-    return false;
-  };
   std::vector<std::byte> msg;
   while (anyActive()) {
     bool made = false;
@@ -309,25 +301,8 @@ void RpcServer::enqueueOpenLoop(Client& c, std::uint32_t clientIndex,
 
 void RpcServer::replyTo(std::uint32_t clientIndex, const serve::Request& req) {
   Client& c = *clients_.at(clientIndex);
-  RpcHeader reply;
-  reply.method = req.method;
-  reply.token = req.token;
-  std::vector<std::byte> payload;
-  auto it = methods_.find(req.method);
-  if (it == methods_.end()) {
-    reply.status = kStatusUnknownMethod;
-  } else {
-    payload = it->second(req.payload);
-  }
-  reply.size = payload.size();
-  if (kHeaderBytes + payload.size() > config_.maxMessageBytes) {
-    throw std::length_error("rpc: reply exceeds maxMessageBytes");
-  }
-  std::vector<std::byte> frame(kHeaderBytes + payload.size());
-  packHeader(reply, frame.data());
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, payload.data(), payload.size());
-  }
+  const std::vector<std::byte> frame =
+      buildReply(req.method, req.token, req.payload);
   if (c.active && !c.session->down()) (void)c.session->send(frame);
   ++served_;
 }
@@ -337,12 +312,6 @@ void RpcServer::serveOpenLoop(serve::AdmissionQueue& queue,
   if (!config_.recovery) {
     throw std::logic_error("rpc: serveOpenLoop requires recovery mode");
   }
-  auto anyActive = [this] {
-    for (const auto& c : clients_) {
-      if (c->active) return true;
-    }
-    return false;
-  };
   std::vector<sim::SimTime> lastReopen(clients_.size(), 0);
   sim::SimTime lastProgress = env_.now();
   std::vector<std::byte> msg;
@@ -409,12 +378,6 @@ void RpcServer::serve() {
     serveSessions();
     return;
   }
-  auto anyActive = [this] {
-    for (const auto& c : clients_) {
-      if (c->active) return true;
-    }
-    return false;
-  };
   while (anyActive()) {
     vipl::Vi* vi = nullptr;
     bool isRecv = false;
@@ -463,70 +426,60 @@ RpcClient::RpcClient(suite::NodeEnv& env, fabric::NodeId serverNode,
 
 RpcClient::~RpcClient() = default;
 
-std::vector<std::byte> RpcClient::call(std::uint32_t method,
-                                       std::span<const std::byte> args) {
+RpcClient::Outgoing RpcClient::buildRequest(std::uint32_t method,
+                                            std::span<const std::byte> args) {
   if (kHeaderBytes + args.size() > config_.maxMessageBytes) {
     throw std::length_error("rpc: request exceeds maxMessageBytes");
   }
-  const sim::SimTime t0 = env_.now();
-
   RpcHeader h;
   h.method = method;
-  h.token = nextTokenValue_++;
+  if (method != kShutdownMethod) h.token = nextTokenValue_++;
   h.size = args.size();
-  std::vector<std::byte> frame(kHeaderBytes + args.size());
-  packHeader(h, frame.data());
-  if (!args.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, args.data(), args.size());
-  }
+  return {h.token, frameOf(h, args)};
+}
 
+std::vector<std::byte> RpcClient::call(std::uint32_t method,
+                                       std::span<const std::byte> args) {
+  const Outgoing req = buildRequest(method, args);
+  const sim::SimTime t0 = env_.now();
+  std::vector<std::byte> reply;
   if (config_.recovery) {
     // The session replays the request across reconnects and the server's
     // session dedups it, so one call is served exactly once even if the
     // connection flaps mid-dialog.
-    if (!session_->send(frame)) {
+    if (!session_->send(req.frame)) {
       throw std::runtime_error("rpc: client session is down");
     }
-    std::vector<std::byte> reply;
     while (!session_->recv(reply, sim::msec(100))) {
       if (session_->down()) {
         throw std::runtime_error("rpc: client session is down");
       }
     }
-    const RpcHeader rh = unpackHeader(reply.data());
-    if (rh.token != h.token) {
-      throw std::logic_error("rpc: reply token mismatch");
-    }
-    if (rh.status != 0) {
-      throw std::runtime_error("rpc: server reports unknown method");
-    }
-    lastRttUsec_ = sim::toUsec(env_.now() - t0);
-    return {reply.begin() + kHeaderBytes, reply.end()};
+  } else {
+    VipDescriptor recvDesc =
+        VipDescriptor::recv(recvVa_, arenaHandle_, config_.maxMessageBytes);
+    require(nic_->postRecv(vi_, &recvDesc), "client post recv");
+    nic_->memory().write(sendVa_, req.frame);
+    VipDescriptor sendDesc = VipDescriptor::send(
+        sendVa_, arenaHandle_, static_cast<std::uint32_t>(req.frame.size()));
+    require(nic_->postSend(vi_, &sendDesc), "client post send");
+
+    VipDescriptor* done = nullptr;
+    require(nic_->pollRecv(vi_, done), "client reply");
+    require(nic_->pollSend(vi_, done), "client send completion");
+    reply.resize(recvDesc.cs.length);
+    nic_->memory().read(recvVa_, reply);
   }
-
-  VipDescriptor recvDesc =
-      VipDescriptor::recv(recvVa_, arenaHandle_, config_.maxMessageBytes);
-  require(nic_->postRecv(vi_, &recvDesc), "client post recv");
-  nic_->memory().write(sendVa_, frame);
-  VipDescriptor sendDesc = VipDescriptor::send(
-      sendVa_, arenaHandle_, static_cast<std::uint32_t>(frame.size()));
-  require(nic_->postSend(vi_, &sendDesc), "client post send");
-
-  VipDescriptor* done = nullptr;
-  require(nic_->pollRecv(vi_, done), "client reply");
-  require(nic_->pollSend(vi_, done), "client send completion");
-
-  std::vector<std::byte> reply(recvDesc.cs.length);
-  nic_->memory().read(recvVa_, reply);
-  const RpcHeader rh = unpackHeader(reply.data());
-  if (rh.token != h.token) {
+  AsyncReply r;
+  decodeReply(reply, r);
+  if (r.token != req.token) {
     throw std::logic_error("rpc: reply token mismatch");
   }
-  if (rh.status != 0) {
+  if (r.status != kStatusOk) {
     throw std::runtime_error("rpc: server reports unknown method");
   }
   lastRttUsec_ = sim::toUsec(env_.now() - t0);
-  return {reply.begin() + kHeaderBytes, reply.end()};
+  return std::move(r.payload);
 }
 
 std::uint32_t RpcClient::callAsync(std::uint32_t method,
@@ -534,20 +487,8 @@ std::uint32_t RpcClient::callAsync(std::uint32_t method,
   if (!config_.recovery) {
     throw std::logic_error("rpc: callAsync requires recovery mode");
   }
-  if (kHeaderBytes + args.size() > config_.maxMessageBytes) {
-    throw std::length_error("rpc: request exceeds maxMessageBytes");
-  }
-  RpcHeader h;
-  h.method = method;
-  h.token = nextTokenValue_++;
-  h.size = args.size();
-  std::vector<std::byte> frame(kHeaderBytes + args.size());
-  packHeader(h, frame.data());
-  if (!args.empty()) {
-    std::memcpy(frame.data() + kHeaderBytes, args.data(), args.size());
-  }
-  if (!session_->send(frame)) return 0;
-  return h.token;
+  const Outgoing req = buildRequest(method, args);
+  return session_->send(req.frame) ? req.token : 0;
 }
 
 bool RpcClient::pollReply(AsyncReply& out) {
@@ -556,10 +497,7 @@ bool RpcClient::pollReply(AsyncReply& out) {
   }
   std::vector<std::byte> reply;
   if (!session_->poll(reply)) return false;
-  const RpcHeader rh = unpackHeader(reply.data());
-  out.token = rh.token;
-  out.status = rh.status;
-  out.payload.assign(reply.begin() + kHeaderBytes, reply.end());
+  decodeReply(reply, out);
   return true;
 }
 
@@ -569,10 +507,7 @@ bool RpcClient::waitReply(AsyncReply& out, sim::Duration timeout) {
   }
   std::vector<std::byte> reply;
   if (!session_->recv(reply, timeout)) return false;
-  const RpcHeader rh = unpackHeader(reply.data());
-  out.token = rh.token;
-  out.status = rh.status;
-  out.payload.assign(reply.begin() + kHeaderBytes, reply.end());
+  decodeReply(reply, out);
   return true;
 }
 
@@ -588,17 +523,14 @@ bool RpcClient::reopen() {
 }
 
 void RpcClient::shutdown() {
-  RpcHeader h;
-  h.method = kShutdownMethod;
-  std::vector<std::byte> frame(kHeaderBytes);
-  packHeader(h, frame.data());
+  const Outgoing req = buildRequest(kShutdownMethod, {});
   if (config_.recovery) {
-    if (!session_->send(frame) || !session_->flush(sim::kSecond)) {
+    if (!session_->send(req.frame) || !session_->flush(sim::kSecond)) {
       throw std::runtime_error("rpc: client session is down");
     }
     return;
   }
-  nic_->memory().write(sendVa_, frame);
+  nic_->memory().write(sendVa_, req.frame);
   VipDescriptor d = VipDescriptor::send(sendVa_, arenaHandle_, kHeaderBytes);
   require(nic_->postSend(vi_, &d), "client shutdown send");
   VipDescriptor* done = nullptr;

@@ -129,6 +129,13 @@ class RpcServer {
                        std::span<const std::byte> request,
                        serve::AdmissionQueue& queue);
   void replyTo(std::uint32_t clientIndex, const serve::Request& req);
+  /// The one reply builder of all three serving paths: runs `method`'s
+  /// handler on `args` (status kStatusUnknownMethod and no payload when
+  /// none is registered) and frames the reply. Throws std::length_error
+  /// when the frame would exceed maxMessageBytes.
+  std::vector<std::byte> buildReply(std::uint32_t method, std::uint32_t token,
+                                    std::span<const std::byte> args);
+  bool anyActive() const;
 
   suite::NodeEnv& env_;
   vipl::Provider* nic_;
@@ -190,6 +197,15 @@ class RpcClient {
   }
 
  private:
+  struct Outgoing {
+    std::uint32_t token = 0;
+    std::vector<std::byte> frame;
+  };
+  /// The one request builder of call, callAsync and shutdown: frames
+  /// `args` under the next token (the shutdown method takes token 0).
+  /// Throws std::length_error when the frame would exceed maxMessageBytes.
+  Outgoing buildRequest(std::uint32_t method, std::span<const std::byte> args);
+
   suite::NodeEnv& env_;
   vipl::Provider* nic_;
   RpcConfig config_;

@@ -22,12 +22,7 @@ constexpr std::uint8_t kData = 1;
 constexpr std::uint8_t kCredit = 2;  // pure credit return, no payload
 constexpr std::uint8_t kFin = 3;
 
-void require(VipResult r, const char* what) {
-  if (r != VipResult::VIP_SUCCESS) {
-    throw std::runtime_error(std::string("sockets: ") + what + " -> " +
-                             vipl::toString(r));
-  }
-}
+constexpr vipl::ResultCheck require{"sockets: "};
 
 }  // namespace
 
@@ -194,7 +189,7 @@ bool StreamSocket::progressOnce(bool blockUntilSomething) {
   if (session_) {
     std::vector<std::byte> msg;
     if (session_->poll(msg)) {
-      handleSessionFrame(msg);
+      handleFrame(msg);
       return true;
     }
     if (!blockUntilSomething) return false;
@@ -204,7 +199,7 @@ bool StreamSocket::progressOnce(bool blockUntilSomething) {
         return true;
       }
       if (session_->recv(msg, sim::msec(50))) {
-        handleSessionFrame(msg);
+        handleFrame(msg);
         return true;
       }
     }
@@ -222,42 +217,28 @@ bool StreamSocket::progressOnce(bool blockUntilSomething) {
   }
   require(r, "recv ring");
   const auto slot = static_cast<std::size_t>(done - ring_.data());
-  handleFrame(slot, done->cs.length);
+  const std::uint32_t frameBytes = config_.frameBytes + kHeaderBytes;
+  const mem::VirtAddr slotVa =
+      ringVa_ + static_cast<std::uint64_t>(slot) * frameBytes;
+  std::vector<std::byte> frame(done->cs.length);
+  nic_->memory().read(slotVa, frame);
+  handleFrame(frame);
+  // Repost the slot immediately: the ring is the receive window.
+  ring_[slot] = VipDescriptor::recv(slotVa, arenaHandle_, frameBytes);
+  require(nic_->postRecv(vi_, &ring_[slot]), "repost ring");
+  returnCreditsIfDue();
   return true;
 }
 
-void StreamSocket::handleSessionFrame(std::span<const std::byte> data) {
-  switch (static_cast<std::uint8_t>(data[0])) {
-    case kData:
-      rxBuffer_.insert(rxBuffer_.end(), data.begin() + kHeaderBytes,
-                       data.end());
-      bytesReceived_ += data.size() - kHeaderBytes;
-      break;
-    case kFin:
-      peerClosed_ = true;
-      break;
-    default:
-      throw std::logic_error("sockets: unknown frame kind");
-  }
-}
-
-void StreamSocket::handleFrame(std::size_t slot, std::uint32_t wireBytes) {
-  const std::uint32_t frame = config_.frameBytes + kHeaderBytes;
-  const mem::VirtAddr slotVa =
-      ringVa_ + static_cast<std::uint64_t>(slot) * frame;
-  std::vector<std::byte> data(wireBytes);
-  nic_->memory().read(slotVa, data);
-
-  const auto kind = static_cast<std::uint8_t>(data[0]);
+void StreamSocket::handleFrame(std::span<const std::byte> frame) {
   std::uint16_t creditReturn = 0;
-  std::memcpy(&creditReturn, data.data() + 2, 2);
+  std::memcpy(&creditReturn, frame.data() + 2, 2);
   sendCredits_ += creditReturn;
-
-  switch (kind) {
+  switch (static_cast<std::uint8_t>(frame[0])) {
     case kData:
-      rxBuffer_.insert(rxBuffer_.end(), data.begin() + kHeaderBytes,
-                       data.end());
-      bytesReceived_ += wireBytes - kHeaderBytes;
+      rxBuffer_.insert(rxBuffer_.end(), frame.begin() + kHeaderBytes,
+                       frame.end());
+      bytesReceived_ += frame.size() - kHeaderBytes;
       ++pendingCreditReturn_;  // a DATA frame consumed a ring slot
       break;
     case kCredit:
@@ -269,10 +250,6 @@ void StreamSocket::handleFrame(std::size_t slot, std::uint32_t wireBytes) {
     default:
       throw std::logic_error("sockets: unknown frame kind");
   }
-  // Repost the slot immediately: the ring is the receive window.
-  ring_[slot] = VipDescriptor::recv(slotVa, arenaHandle_, frame);
-  require(nic_->postRecv(vi_, &ring_[slot]), "repost ring");
-  returnCreditsIfDue();
 }
 
 void StreamSocket::returnCreditsIfDue() {

@@ -60,8 +60,6 @@ class StreamSocket {
   std::size_t recvSome(std::span<std::byte> out);
   /// Reads exactly out.size() bytes; throws on premature EOF.
   void recvAll(std::span<std::byte> out);
-  /// Bytes currently buffered and readable without blocking.
-  std::size_t available() const { return rxBuffer_.size(); }
 
   /// Sends FIN; further sendAll calls throw. recv keeps draining.
   void close();
@@ -75,10 +73,14 @@ class StreamSocket {
   StreamSocket(suite::NodeEnv& env, const StreamConfig& config);
   void setupBuffers();
   void makeSession(fabric::NodeId peer, std::uint64_t port, bool initiator);
-  void handleSessionFrame(std::span<const std::byte> frame);
-  /// Drains every completed ring frame; returns true if anything arrived.
+  /// Handles one arrived frame, from the ring or the session; returns true
+  /// if anything arrived (a flushed ring or a Down session reads as EOF).
   bool progressOnce(bool blockUntilSomething);
-  void handleFrame(std::size_t slot, std::uint32_t wireBytes);
+  /// The one handler of a received frame, from the ring or the session:
+  /// DATA appends to the receive buffer, FIN marks EOF. The credit fields
+  /// it updates are read only by the raw-VI window; a session never
+  /// carries a CREDIT frame or a credit return.
+  void handleFrame(std::span<const std::byte> frame);
   void returnCreditsIfDue();
   void sendFrame(std::uint8_t kind, std::span<const std::byte> payload,
                  std::uint32_t creditReturn);

@@ -1,7 +1,5 @@
 #include "vibe/clientserver.hpp"
 
-#include <stdexcept>
-
 #include "vipl/vipl.hpp"
 
 namespace vibe::suite {
@@ -11,17 +9,11 @@ namespace {
 using vipl::PendingConn;
 using vipl::Vi;
 using vipl::VipDescriptor;
-using vipl::VipResult;
 
 constexpr std::uint64_t kDiscriminator = 4242;
 constexpr sim::Duration kConnTimeout = sim::msec(500);
 
-void require(VipResult r, const char* what) {
-  if (r != VipResult::VIP_SUCCESS) {
-    throw std::runtime_error(std::string("client/server benchmark failed: ") +
-                             what + " -> " + vipl::toString(r));
-  }
-}
+constexpr vipl::ResultCheck require{"client/server benchmark failed: "};
 
 }  // namespace
 

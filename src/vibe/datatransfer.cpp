@@ -19,18 +19,12 @@ using vipl::PendingConn;
 using vipl::Provider;
 using vipl::Vi;
 using vipl::VipDescriptor;
-using vipl::VipResult;
 
 constexpr std::uint64_t kDiscriminator = 7;
 constexpr sim::Duration kConnTimeout = sim::msec(500);
 constexpr sim::Duration kWaitForever = -1;
 
-void require(VipResult r, const char* what) {
-  if (r != VipResult::VIP_SUCCESS) {
-    throw std::runtime_error(std::string("VIBe setup failed: ") + what +
-                             " -> " + vipl::toString(r));
-  }
-}
+constexpr vipl::ResultCheck require{"VIBe setup failed: "};
 
 /// Everything one side sets up before the measurement loop.
 struct Side {

@@ -1,7 +1,5 @@
 #include "vibe/nondata.hpp"
 
-#include <stdexcept>
-
 #include "vipl/vipl.hpp"
 
 namespace vibe::suite {
@@ -11,17 +9,11 @@ namespace {
 using vipl::Cq;
 using vipl::PendingConn;
 using vipl::Vi;
-using vipl::VipResult;
 
 constexpr std::uint64_t kDiscriminator = 99;
 constexpr sim::Duration kConnTimeout = sim::msec(500);
 
-void require(VipResult r, const char* what) {
-  if (r != VipResult::VIP_SUCCESS) {
-    throw std::runtime_error(std::string("non-data benchmark failed: ") +
-                             what + " -> " + vipl::toString(r));
-  }
-}
+constexpr vipl::ResultCheck require{"non-data benchmark failed: "};
 
 }  // namespace
 

@@ -17,7 +17,6 @@ class ResultTable {
 
   const std::string& title() const { return title_; }
   const std::vector<std::string>& columns() const { return columns_; }
-  std::size_t rowCount() const { return rows_.size(); }
 
   /// Adds a row; size must equal the column count. Use NaN (via
   /// std::numeric_limits) for "not supported" cells — rendered as "n/s".

@@ -87,9 +87,6 @@ class Vi {
   /// Peer's epoch learned from the most recent connect handshake.
   std::uint32_t remoteEpoch() const { return remoteEpoch_; }
 
-  std::size_t sendCompletionsQueued() const { return send_.done.size(); }
-  std::size_t recvCompletionsQueued() const { return recv_.done.size(); }
-
  private:
   friend class Provider;
   /// One work queue's completion side: descriptors done and not yet

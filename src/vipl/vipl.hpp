@@ -6,9 +6,32 @@
 // code readable side-by-side with the paper and with historical VIA code.
 #pragma once
 
+#include <stdexcept>
+#include <string>
+
 #include "vipl/provider.hpp"
 
 namespace vibe::vipl {
+
+/// The result check of every layer above VIPL. Each layer declares one,
+/// e.g. `constexpr vipl::ResultCheck require{"rpc: "};`, and a call that
+/// does not return VIP_SUCCESS throws std::runtime_error with the text
+/// "<prefix><what> -> <VipResult name>".
+struct ResultCheck {
+  const char* prefix;
+
+  void operator()(VipResult r, const char* what) const {
+    if (r != VipResult::VIP_SUCCESS) fail(r, what);
+  }
+
+ private:
+  // Out of line and cold: a check costs its call site one compare.
+  [[noreturn, gnu::cold, gnu::noinline]] void fail(VipResult r,
+                                                    const char* what) const {
+    throw std::runtime_error(std::string(prefix) + what + " -> " +
+                             vipl::toString(r));
+  }
+};
 
 // --- NIC ---
 inline VipResult VipQueryNic(Provider& nic, VipNicAttributes& attrs) {

@@ -1,6 +1,7 @@
 // Allocation budget of the detached data path: heap allocations per
 // steady-state ping-pong round trip (cLAN at 64 B and 64 KB, M-VIA at
-// 60,000 B) with no tracer, profiler or sampler attached. This is its own binary because it
+// 60,000 B) and per raw-mode rpc echo call (cLAN, 256 B) with no tracer,
+// profiler or sampler attached. This is its own binary because it
 // replaces the global operator new/delete to count every allocation.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "nic/profiles.hpp"
 #include "simcore/trace.hpp"
+#include "upper/rpc/rpc.hpp"
 #include "vibe/datatransfer.hpp"
 
 namespace {
@@ -73,6 +75,13 @@ constexpr double kLargeRoundTripBudget = 192.0;
 // block of its own.
 constexpr double kMviaLargeRoundTripBudget = 160.0;
 
+// Per raw-mode 256 B rpc echo call on cLAN: the request and reply frames,
+// the server's copy of the request, the handler's reply, the client's copy
+// of the reply and its returned payload, plus the data path's own
+// allocations for both messages. It makes 23.88; a reply or request
+// builder that copied its frame once more would make 24.88.
+constexpr double kRpcCallBudget = 24.0;
+
 /// Allocations made by one whole ping-pong run (setup, warm-up, teardown).
 std::uint64_t allocationsFor(int iterations, sim::Tracer* tracer,
                              std::uint64_t msgBytes = 64,
@@ -101,6 +110,35 @@ std::uint64_t steadyStateAllocations(sim::Tracer* tracer,
          allocationsFor(100, tracer, msgBytes, profile);
 }
 
+/// Allocations made by one whole rpc run (setup, `calls` echo calls of
+/// 256 B, shutdown and teardown) on 2 cLAN nodes, raw-VI mode.
+std::uint64_t rpcAllocationsFor(int calls) {
+  suite::ClusterConfig cc;
+  cc.profile = nic::clanProfile();
+  const std::uint64_t before = gAllocations.load(std::memory_order_relaxed);
+  {
+    suite::Cluster cluster(cc);
+    auto server = [](suite::NodeEnv& env) {
+      upper::rpc::RpcServer srv(env);
+      srv.registerMethod(1, [](std::span<const std::byte> args) {
+        return std::vector<std::byte>(args.begin(), args.end());
+      });
+      srv.acceptClients(1);
+      srv.serve();
+    };
+    auto client = [calls](suite::NodeEnv& env) {
+      upper::rpc::RpcClient cli(env, 0);
+      const std::vector<std::byte> args(256, std::byte{0x5A});
+      for (int i = 0; i < calls; ++i) {
+        EXPECT_EQ(cli.call(1, args).size(), args.size());
+      }
+      cli.shutdown();
+    };
+    cluster.run({server, client});
+  }
+  return gAllocations.load(std::memory_order_relaxed) - before;
+}
+
 TEST(AllocationBudget, DetachedPingPongRoundTrip) {
   const double perTrip =
       static_cast<double>(steadyStateAllocations(nullptr)) / 200.0;
@@ -121,6 +159,14 @@ TEST(AllocationBudget, DetachedMviaLargeMessageRoundTrip) {
                          200.0;
   RecordProperty("allocations_per_round_trip", std::to_string(perTrip));
   EXPECT_LE(perTrip, kMviaLargeRoundTripBudget);
+}
+
+TEST(AllocationBudget, DetachedRpcEchoCall) {
+  const double perCall =
+      static_cast<double>(rpcAllocationsFor(300) - rpcAllocationsFor(100)) /
+      200.0;
+  RecordProperty("allocations_per_call", std::to_string(perCall));
+  EXPECT_LE(perCall, kRpcCallBudget);
 }
 
 TEST(AllocationBudget, DisabledTracerAddsNoAllocation) {

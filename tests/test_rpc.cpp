@@ -1,13 +1,16 @@
 // Tests for the RPC layer: request/reply integrity, multiple clients
-// multiplexed through one server CQ, unknown methods, pipelined clients,
-// and shutdown handling.
+// multiplexed through one server CQ, unknown methods and oversize replies
+// on every serving path (raw VI, recovery session, open loop), pipelined
+// clients, and shutdown handling.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "nic/profiles.hpp"
+#include "serve/admission.hpp"
 #include "upper/rpc/rpc.hpp"
 #include "vibe/cluster.hpp"
 
@@ -17,9 +20,13 @@ namespace {
 using suite::Cluster;
 using suite::ClusterConfig;
 using suite::NodeEnv;
+using upper::rpc::AsyncReply;
 using upper::rpc::RpcClient;
 using upper::rpc::RpcConfig;
 using upper::rpc::RpcServer;
+
+// The rpc header ahead of every request and reply payload.
+constexpr std::uint32_t kRpcHeaderBytes = 20;
 
 std::vector<std::byte> toBytes(const std::string& s) {
   const auto* p = reinterpret_cast<const std::byte*>(s.data());
@@ -104,22 +111,145 @@ TEST(RpcTest, MultipleClientsShareOneServerCq) {
   cluster.run(std::move(programs));
 }
 
-TEST(RpcTest, UnknownMethodRaises) {
+/// One server on node 0 and one client on node 1, connected over raw VIs
+/// (GetParam() false: RpcServer::serve's VI path) or over recovery
+/// sessions (true: its session path).
+class RpcModeTest : public ::testing::TestWithParam<bool> {
+ protected:
+  RpcConfig config() const {
+    RpcConfig cfg;
+    cfg.recovery = GetParam();
+    return cfg;
+  }
+  void acceptOneClient(RpcServer& srv) const {
+    if (GetParam()) {
+      const fabric::NodeId clients[] = {1};
+      srv.acceptClients(clients);
+    } else {
+      srv.acceptClients(1);
+    }
+  }
+};
+INSTANTIATE_TEST_SUITE_P(Modes, RpcModeTest, ::testing::Bool(),
+                         [](const auto& pi) {
+                           return pi.param ? "recovery" : "raw";
+                         });
+
+TEST_P(RpcModeTest, UnknownMethodRaises) {
   Cluster cluster(configFor("clan", 2));
   auto server = [&](NodeEnv& env) {
-    RpcServer srv(env);
+    RpcServer srv(env, config());
     srv.registerMethod(1, [](std::span<const std::byte>) {
       return std::vector<std::byte>{};
     });
-    srv.acceptClients(1);
+    acceptOneClient(srv);
     srv.serve();
   };
   auto client = [&](NodeEnv& env) {
-    RpcClient cli(env, 0);
+    RpcClient cli(env, 0, config());
     EXPECT_THROW((void)cli.call(42, {}), std::runtime_error);
+    EXPECT_TRUE(cli.call(1, {}).empty());  // the connection still serves
     cli.shutdown();
   };
   cluster.run({server, client});
+}
+
+/// Method 1 replies with as many bytes as its u32 argument asks for.
+std::vector<std::byte> sizedReply(std::span<const std::byte> args) {
+  std::uint32_t n = 0;
+  std::memcpy(&n, args.data(), 4);
+  return std::vector<std::byte>(n, std::byte{7});
+}
+
+std::vector<std::byte> sizeArg(std::uint32_t n) {
+  std::vector<std::byte> args(4);
+  std::memcpy(args.data(), &n, 4);
+  return args;
+}
+
+TEST_P(RpcModeTest, OversizeReplyThrowsLengthError) {
+  const std::uint32_t limit = config().maxMessageBytes - kRpcHeaderBytes;
+  bool fullReplyArrived = false;
+  Cluster cluster(configFor("clan", 2));
+  auto server = [&](NodeEnv& env) {
+    RpcServer srv(env, config());
+    srv.registerMethod(1, sizedReply);
+    acceptOneClient(srv);
+    srv.serve();
+  };
+  auto client = [&](NodeEnv& env) {
+    RpcClient cli(env, 0, config());
+    fullReplyArrived = cli.call(1, sizeArg(limit)).size() == limit;
+    (void)cli.call(1, sizeArg(limit + 1));  // the server throws first
+  };
+  EXPECT_THROW(cluster.run({server, client}), std::length_error);
+  EXPECT_TRUE(fullReplyArrived);
+}
+
+/// serveOpenLoop on node 0 with an unbounded FIFO admission queue, one
+/// open-loop client on node 1.
+void runOpenLoop(const RpcServer::Handler& method1,
+                 const std::function<void(RpcClient&)>& body) {
+  RpcConfig cfg;
+  cfg.recovery = true;
+  Cluster cluster(configFor("clan", 2));
+  auto server = [&](NodeEnv& env) {
+    RpcServer srv(env, cfg);
+    srv.registerMethod(1, method1);
+    const fabric::NodeId clients[] = {1};
+    srv.acceptClients(clients);
+    serve::AdmissionQueue queue(serve::PolicyConfig{});
+    srv.serveOpenLoop(queue);
+  };
+  auto client = [&](NodeEnv& env) {
+    RpcClient cli(env, 0, cfg);
+    body(cli);
+  };
+  cluster.run({server, client});
+}
+
+TEST(RpcTest, OpenLoopUnknownMethodComesBackAsStatus) {
+  bool checked = false;
+  runOpenLoop(
+      [](std::span<const std::byte> args) {
+        return std::vector<std::byte>(args.begin(), args.end());
+      },
+      [&](RpcClient& cli) {
+        const std::uint32_t unknown = cli.callAsync(42, {});
+        ASSERT_NE(unknown, 0u);
+        AsyncReply rep;
+        ASSERT_TRUE(cli.waitReply(rep, sim::msec(100)));
+        EXPECT_EQ(rep.token, unknown);
+        EXPECT_EQ(rep.status, upper::rpc::kStatusUnknownMethod);
+        EXPECT_TRUE(rep.payload.empty());
+
+        const std::vector<std::byte> args(3, std::byte{9});
+        const std::uint32_t echo = cli.callAsync(1, args);
+        ASSERT_TRUE(cli.waitReply(rep, sim::msec(100)));
+        EXPECT_EQ(rep.token, echo);
+        EXPECT_EQ(rep.status, upper::rpc::kStatusOk);
+        EXPECT_EQ(rep.payload, args);
+        cli.shutdown();
+        checked = true;
+      });
+  EXPECT_TRUE(checked);
+}
+
+TEST(RpcTest, OpenLoopOversizeReplyThrowsLengthError) {
+  const std::uint32_t limit = RpcConfig{}.maxMessageBytes - kRpcHeaderBytes;
+  bool fullReplyArrived = false;
+  EXPECT_THROW(
+      runOpenLoop(sizedReply,
+                  [&](RpcClient& cli) {
+                    (void)cli.callAsync(1, sizeArg(limit));
+                    AsyncReply rep;
+                    fullReplyArrived = cli.waitReply(rep, sim::msec(100)) &&
+                                       rep.payload.size() == limit;
+                    (void)cli.callAsync(1, sizeArg(limit + 1));
+                    (void)cli.waitReply(rep, sim::msec(100));
+                  }),
+      std::length_error);
+  EXPECT_TRUE(fullReplyArrived);
 }
 
 TEST(RpcTest, ReservedShutdownMethodRejectedAtRegistration) {

@@ -73,6 +73,11 @@ TEST(ResultTableTest, JsonRendersTitleColumnsAndNullForNan) {
   EXPECT_EQ(json, "{\"title\":\"demo \\\"quoted\\\"\","
                   "\"columns\":[\"size\",\"lat\"],"
                   "\"rows\":[[4,33.5],[16,null]]}");
+  // Backspace, form feed and carriage return take their two-character
+  // escapes, as in every obs JSON exporter.
+  const ResultTable ctl("a\bb\fc\rd", {"x"});
+  EXPECT_EQ(ctl.renderJson(),
+            "{\"title\":\"a\\bb\\fc\\rd\",\"columns\":[\"x\"],\"rows\":[]}");
 }
 
 TEST(ResultTableTest, CsvRoundTripsValues) {
