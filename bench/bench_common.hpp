@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "harness/sweep.hpp"
@@ -28,8 +27,7 @@ inline std::vector<NamedProfile> paperProfiles() {
           {"clan", nic::clanProfile()}};
 }
 
-/// True when a stats appendix was requested (`--stats` flag, which sets
-/// the variable, or VIBE_STATS=1 directly).
+/// True when a stats appendix was requested (VIBE_STATS=1).
 inline bool statsRequested() {
   const char* v = std::getenv("VIBE_STATS");
   return v != nullptr && v[0] == '1';
@@ -43,7 +41,7 @@ inline const char* metricsOutPath() {
 }
 
 /// True when the benchmark clusters should publish into statsRegistry():
-/// either the stdout appendix (--stats / VIBE_STATS=1) or the JSON dump
+/// either the stdout appendix (VIBE_STATS=1) or the JSON dump
 /// (VIBE_METRICS_OUT=<path>) was requested.
 inline bool statsAttached() {
   return statsRequested() || metricsOutPath() != nullptr;
@@ -83,21 +81,6 @@ inline void installStatsAppendix() {
       }
     }
   });
-}
-
-/// Strips a `--stats` flag from argv (exporting VIBE_STATS=1 so helpers
-/// and child clusters observe it) and arms the appendix printer. Call at
-/// the top of a bench main before handing argv to other parsers.
-inline void parseStatsFlag(int& argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--stats") {
-      setenv("VIBE_STATS", "1", 1);
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  if (statsAttached()) installStatsAppendix();
 }
 
 inline suite::ClusterConfig clusterFor(const nic::NicProfile& p,

@@ -67,8 +67,9 @@ fault::FaultPlan partitionPlan(int count, sim::SimTime start,
 
 /// One partition across a paced session stream; returns the recovery
 /// timeline as seen by the initiator. With `exporter` set, the episode's
-/// Session trace records and Reconnect spans land in the Perfetto file
-/// (the CI soak job uploads one such episode as an artifact).
+/// Session trace records and the cluster's spans (the Reconnect episode
+/// and every message's stages) land in the Perfetto file (the CI soak job
+/// uploads one such episode as an artifact).
 Episode runEpisode(const nic::NicProfile& profile,
                    const harness::PointEnv& penv,
                    obs::TraceJsonExporter* exporter = nullptr) {
@@ -88,6 +89,7 @@ Episode runEpisode(const nic::NicProfile& profile,
   });
   suite::ClusterConfig cc = clusterFor(profile, 2, penv);
   cc.tracer = &tracer;
+  if (exporter) cc.spans = &spans;
   Cluster cluster(cc);
 
   fault::FaultInjector injector(partitionPlan(1, kPartStart, kPartDur, 0));
@@ -96,9 +98,7 @@ Episode runEpisode(const nic::NicProfile& profile,
   constexpr int kMsgs = 160;  // 5 ms pace => traffic spans the partition
   Episode ep;
   auto sender = [&](NodeEnv& env) {
-    session::SessionConfig cfg = sessionCfg(/*initiator=*/true);
-    if (exporter) cfg.spans = &spans;
-    session::Session s(env.nic, cfg);
+    session::Session s(env.nic, sessionCfg(/*initiator=*/true));
     if (!s.establish()) return;
     const std::vector<std::byte> payload(256, std::byte{0x42});
     for (int i = 0; i < kMsgs; ++i) {
@@ -112,9 +112,7 @@ Episode runEpisode(const nic::NicProfile& profile,
     ep.replayed = static_cast<double>(s.stats().replayed);
   };
   auto receiver = [&](NodeEnv& env) {
-    session::SessionConfig cfg = sessionCfg(/*initiator=*/false);
-    if (exporter) cfg.spans = &spans;
-    session::Session s(env.nic, cfg);
+    session::Session s(env.nic, sessionCfg(/*initiator=*/false));
     if (!s.establish()) return;
     std::vector<std::byte> m;
     for (int got = 0; got < kMsgs && s.recv(m, 10 * sim::kSecond); ++got) {
@@ -164,9 +162,8 @@ double runGoodput(int flaps, const harness::PointEnv& penv) {
   return mbps;
 }
 
-int run(int argc, char** argv) {
+int run(int, char**) {
   using namespace vibe;
-  bench::parseStatsFlag(argc, argv);
 
   bench::printHeader(
       "Session recovery: MTTR and goodput under link flaps",
@@ -177,7 +174,7 @@ int run(int argc, char** argv) {
 
   // With VIBE_TRACE_OUT set, the first profile's episode is exported as a
   // Perfetto-loadable trace: Session lifecycle records as instant events,
-  // Reconnect spans as durations.
+  // the cluster's spans (the Reconnect episode among them) as durations.
   auto exporter = obs::TraceJsonExporter::fromEnv();
 
   suite::ResultTable mttr(

@@ -316,8 +316,7 @@ RunResult runServing(const RunConfig& rc, const harness::PointEnv* penv,
   return r;
 }
 
-int run(int argc, char** argv) {
-  bench::parseStatsFlag(argc, argv);
+int run(int, char**) {
   bench::printHeader(
       "Overload-robust serving: open-loop load, admission control, shedding",
       "beyond the paper — §3.3.1 measures closed-loop transactions, which "

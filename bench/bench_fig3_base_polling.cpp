@@ -9,10 +9,9 @@
 
 namespace {
 
-int run(int argc, char** argv) {
+int run(int, char**) {
   using namespace vibe;
   using namespace vibe::bench;
-  parseStatsFlag(argc, argv);
 
   printHeader("Base latency & bandwidth, polling",
               "Fig. 3: cLAN lowest latency; M-VIA beats BVIA for short "

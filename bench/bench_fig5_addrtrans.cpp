@@ -11,10 +11,9 @@
 
 namespace {
 
-int run(int argc, char** argv) {
+int run(int, char**) {
   using namespace vibe;
   using namespace vibe::bench;
-  parseStatsFlag(argc, argv);
 
   printHeader("Impact of address translation (buffer reuse %)",
               "Fig. 5: BVIA latency rises and bandwidth falls as reuse "

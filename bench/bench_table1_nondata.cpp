@@ -22,10 +22,9 @@ constexpr PaperRow kPaper[] = {
     {"Destroying CQ", 8.44, 35, 15},
 };
 
-int run(int argc, char** argv) {
+int run(int, char**) {
   using namespace vibe;
   using namespace vibe::bench;
-  parseStatsFlag(argc, argv);
 
   printHeader("Non-data transfer micro-benchmarks",
               "Table 1 (all costs in microseconds)");

@@ -26,7 +26,7 @@ namespace {
 using namespace vibe;
 
 suite::ClusterConfig clanCluster() {
-  // clusterFor wires the --stats registry in when stats are requested.
+  // clusterFor wires the VIBE_STATS registry in when stats are requested.
   return bench::clusterFor(nic::clanProfile());
 }
 
@@ -238,7 +238,6 @@ bench::MetricGroup runAttributedPingPong() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  vibe::bench::parseStatsFlag(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -50,7 +50,6 @@ void Link::send(PacketPtr p) {
   while (!serEnds_.empty() && serEnds_.front() <= now) serEnds_.pop_front();
   serEnds_.push_back(done);
   ++framesSent_;
-  bytesCarried_ += wire;
   // All fault decisions happen at send() entry time: with no windows
   // scheduled this reduces to exactly the base Bernoulli model, drawing
   // the same PRNG sequence (byte-identical runs).

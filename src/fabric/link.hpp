@@ -116,7 +116,6 @@ class Link {
   /// Frames delivered with the corrupted flag set (the receiver counts
   /// and discards them; see Packet::corrupted).
   std::uint64_t framesCorrupted() const { return framesCorrupted_; }
-  std::uint64_t bytesCarried() const { return bytesCarried_; }
   /// Cumulative serialization busy time (wire utilization numerator).
   sim::Duration busyTime() const { return tx_.busyTime(); }
 
@@ -149,7 +148,6 @@ class Link {
   std::uint64_t framesSent_ = 0;
   std::uint64_t framesDropped_ = 0;
   std::uint64_t framesCorrupted_ = 0;
-  std::uint64_t bytesCarried_ = 0;
   // Scheduled in order; later entries override earlier ones on overlap.
   std::vector<RateWindow> lossWindows_;
   std::vector<RateWindow> corruptWindows_;

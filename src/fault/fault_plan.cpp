@@ -72,6 +72,10 @@ std::uint64_t rateToMicro(double r) {
 }  // namespace
 
 FaultPlan FaultPlan::generate(std::uint64_t seed, const FaultPlanParams& p) {
+  constexpr double kMaxLossRate = 1.0;
+  constexpr double kMaxCorruptRate = 0.5;
+  constexpr sim::Duration kMaxLatencySpike = sim::usec(50);
+  constexpr sim::Duration kPartitionLength = sim::msec(3);
   FaultPlan plan;
   plan.seed = seed;
   plan.actions.reserve(p.actions);
@@ -89,7 +93,7 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, const FaultPlanParams& p) {
         1 + rng.below(static_cast<std::uint64_t>(p.maxBurst));
     const double rateDraw = rng.uniform();
     const std::uint64_t latDraw =
-        1 + rng.below(static_cast<std::uint64_t>(p.maxLatencySpike));
+        1 + rng.below(static_cast<std::uint64_t>(kMaxLatencySpike));
 
     FaultAction a;
     a.kind = static_cast<FaultKind>(kindSel);
@@ -99,7 +103,7 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, const FaultPlanParams& p) {
     a.duration = static_cast<sim::Duration>(burst);
     switch (a.kind) {
       case FaultKind::LossBurst:
-        a.rate = p.maxLossRate * (0.25 + 0.75 * rateDraw);
+        a.rate = kMaxLossRate * (0.25 + 0.75 * rateDraw);
         break;
       case FaultKind::LinkFlap:
         a.rate = 1.0;
@@ -108,12 +112,12 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, const FaultPlanParams& p) {
         a.extraLatency = static_cast<sim::Duration>(latDraw);
         break;
       case FaultKind::Corruption:
-        a.rate = p.maxCorruptRate * (0.25 + 0.75 * rateDraw);
+        a.rate = kMaxCorruptRate * (0.25 + 0.75 * rateDraw);
         break;
       case FaultKind::Partition:
         a.side = LinkSide::Both;
         a.rate = 1.0;
-        a.duration = p.partitionLength;
+        a.duration = kPartitionLength;
         break;
     }
     // Rates pass through the text round-trip on generation too, so a

@@ -53,18 +53,15 @@ struct FaultAction {
 
 /// Knobs for FaultPlan::generate. Defaults produce recoverable chaos:
 /// bursts and flaps far shorter than the reliability engine's retry
-/// budget, so connections always survive. Enable partitions (and stretch
-/// partitionLength past the budget) to exercise the teardown path.
+/// budget, so connections always survive. Loss bursts draw rates up to
+/// 1.0, corruption up to 0.5, latency spikes up to 50 us, and partitions
+/// last 3 ms. Enable partitions to exercise the teardown path.
 struct FaultPlanParams {
   std::uint32_t nodes = 2;
   std::uint32_t actions = 6;
   sim::Duration horizon = sim::msec(20);      // action starts in [0, horizon)
   sim::Duration maxBurst = sim::msec(2);      // max burst/flap/spike length
-  double maxLossRate = 1.0;
-  double maxCorruptRate = 0.5;
-  sim::Duration maxLatencySpike = sim::usec(50);
   bool allowPartitions = false;
-  sim::Duration partitionLength = sim::msec(3);
 };
 
 /// Knobs for FaultPlan::generateChurn: per-client session churn for the

@@ -51,8 +51,6 @@ class HostMemory {
   /// Fills a range with one byte value.
   void fill(VirtAddr va, std::byte value, std::uint64_t len);
 
-  /// Bytes handed out by alloc() so far.
-  std::uint64_t allocated() const { return next_ - kBase; }
   /// Number of materialized backing pages (diagnostics).
   std::size_t residentPages() const { return pages_.size(); }
 

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
+#include "obs/span.hpp"
 #include "simcore/trace.hpp"
 
 namespace vibe::session {
@@ -19,6 +21,18 @@ namespace {
 constexpr std::uint32_t kHeaderBytes = 16;
 constexpr std::uint8_t kHello = 1;
 constexpr std::uint8_t kData = 2;
+
+// Reconnect schedule (see ReconnectPolicy): the first retry delay, and
+// the +/- spread each delay draws from the session's own jitter stream.
+constexpr sim::Duration kBackoffBase = sim::msec(1);
+constexpr double kJitterFrac = 0.2;
+// While Established, the passive side polls for a peer-initiated
+// reconnect (half-open detection) at most this often.
+constexpr sim::Duration kAcceptPollInterval = sim::usec(200);
+// While Established and otherwise idle, the initiator re-sends its Hello
+// watermark at most this often; if the passive side silently lost its
+// endpoint, the probe trips the RTO budget and surfaces the break.
+constexpr sim::Duration kProbeInterval = sim::msec(5);
 
 struct FrameHeader {
   std::uint8_t kind = 0;
@@ -101,8 +115,6 @@ Session::Session(vipl::Provider& nic, SessionConfig cfg)
     throw std::runtime_error("session: VI creation failed");
   }
 
-  scope_ = "node" + std::to_string(nic_.nodeId()) + "/session" +
-           std::to_string(cfg_.sid);
   alive_ = std::make_shared<int>(0);
 }
 
@@ -129,11 +141,6 @@ void Session::traceRec(const char* format, Args... args) const {
              [&] { return fmt(format, args...); });
 }
 
-obs::Counter* Session::counter(const char* name) const {
-  if (cfg_.metrics == nullptr) return nullptr;
-  return &cfg_.metrics->counter(obs::scoped(scope_, name));
-}
-
 mem::VirtAddr Session::sendSlotVa(std::size_t i) const {
   return arena_ + i * slotBytes_;
 }
@@ -146,16 +153,13 @@ mem::VirtAddr Session::ringVa(std::size_t i) const {
 
 sim::Duration Session::backoffDelay(std::uint32_t attempt) {
   const ReconnectPolicy& pol = cfg_.policy;
-  sim::Duration d = pol.backoffBase;
+  sim::Duration d = kBackoffBase;
   for (std::uint32_t i = 1; i < attempt && d < pol.backoffCap; ++i) d *= 2;
   d = std::min(d, pol.backoffCap);
-  if (pol.jitterFrac > 0.0) {
-    // 53-bit mantissa draw in [0, 1) from the session's own stream.
-    const double u =
-        static_cast<double>(jitter_() >> 11) / 9007199254740992.0;
-    const double f = 1.0 + pol.jitterFrac * (2.0 * u - 1.0);
-    d = static_cast<sim::Duration>(static_cast<double>(d) * f);
-  }
+  // 53-bit mantissa draw in [0, 1) from the session's own stream.
+  const double u = static_cast<double>(jitter_() >> 11) / 9007199254740992.0;
+  const double f = 1.0 + kJitterFrac * (2.0 * u - 1.0);
+  d = static_cast<sim::Duration>(static_cast<double>(d) * f);
   return std::max<sim::Duration>(d, sim::usec(1));
 }
 
@@ -182,7 +186,6 @@ bool Session::reopen() {
     claimed_ = conn;
   }
   ++stats_.reopens;
-  if (obs::Counter* c = counter("session.reopened")) c->add();
   traceRec("reopen sid=%u", cfg_.sid);
   // downAt_ still marks the original break, so a successful revival's
   // MTTR covers the whole outage including the Down dwell.
@@ -212,7 +215,6 @@ bool Session::connectLoop() {
   }
   state_ = SessionState::Down;
   traceRec("halt sid=%u attempts=%u", cfg_.sid, attempt);
-  if (obs::Counter* c = counter("session.halted")) c->add();
   recvSignal_.notifyAll();
   return false;
 }
@@ -335,7 +337,6 @@ bool Session::helloExchange() {
   }
   if (replayed > 0) {
     stats_.replayed += replayed;
-    if (obs::Counter* c = counter("session.replayed")) c->add(replayed);
     traceRec("replay sid=%u epoch=%u n=%llu", cfg_.sid, vi_->epoch(),
              static_cast<unsigned long long>(replayed));
   }
@@ -350,15 +351,10 @@ void Session::onEstablished(std::uint32_t attempts) {
     ++stats_.reconnects;
     stats_.lastMttr = mttr;
     stats_.totalDowntime += mttr;
-    if (obs::Counter* c = counter("session.reconnects")) c->add();
-    if (cfg_.metrics != nullptr) {
-      cfg_.metrics->histogram(obs::scoped(scope_, "session.mttr_ns"))
-          .add(mttr);
-    }
-    if (cfg_.spans != nullptr) {
-      cfg_.spans->emit(obs::Stage::Reconnect, nic_.nodeId(),
-                       static_cast<std::uint32_t>(vi_->endpointId()), downAt_,
-                       engine_.now());
+    if (obs::SpanProfiler* spans = nic_.spans()) {
+      spans->emit(obs::Stage::Reconnect, nic_.nodeId(),
+                  static_cast<std::uint32_t>(vi_->endpointId()), downAt_,
+                  engine_.now());
     }
     traceRec("up sid=%u epoch=%u mttr_us=%llu attempts=%u", cfg_.sid,
              vi_->epoch(),
@@ -376,7 +372,7 @@ void Session::onEstablished(std::uint32_t attempts) {
 void Session::maybeAcceptPoll() {
   if (cfg_.initiator || state_ != SessionState::Established) return;
   const sim::SimTime now = engine_.now();
-  if (now - lastAcceptPoll_ < cfg_.policy.acceptPollInterval) return;
+  if (now - lastAcceptPoll_ < kAcceptPollInterval) return;
   lastAcceptPoll_ = now;
   const vipl::VipNetAddress local{nic_.nodeId(), cfg_.discriminator};
   vipl::PendingConn conn;
@@ -403,7 +399,6 @@ bool Session::send(std::span<const std::byte> msg) {
   o.payload.assign(msg.begin(), msg.end());
   replay_.push_back(std::move(o));
   ++stats_.sent;
-  if (obs::Counter* c = counter("session.sent")) c->add();
   traceRec("send sid=%u dst=%u seq=%llu", cfg_.sid, cfg_.remoteNode,
            static_cast<unsigned long long>(nextSeq_ - 1));
   if (state_ == SessionState::Established) {
@@ -510,20 +505,17 @@ void Session::onRecvInterrupt(vipl::VipDescriptor* d, std::uint64_t gen) {
     } else if (h.kind == kData) {
       if (h.epoch != vi_->remoteEpoch()) {
         ++stats_.staleDropped;
-        if (obs::Counter* c = counter("session.stale")) c->add();
         traceRec("stale sid=%u src=%u epoch=%u seq=%llu", cfg_.sid,
                  cfg_.remoteNode, h.epoch,
                  static_cast<unsigned long long>(h.seq));
       } else if (h.seq <= rxDelivered_) {
         ++stats_.deduped;
-        if (obs::Counter* c = counter("session.deduped")) c->add();
         traceRec("dedup sid=%u src=%u seq=%llu", cfg_.sid,
                  cfg_.remoteNode,
                  static_cast<unsigned long long>(h.seq));
       } else if (h.seq == rxDelivered_ + 1) {
         rxDelivered_ = h.seq;
         ++stats_.delivered;
-        if (obs::Counter* c = counter("session.delivered")) c->add();
         inbox_.emplace_back(frame.begin() + kHeaderBytes, frame.end());
         traceRec("deliver sid=%u src=%u seq=%llu", cfg_.sid,
                  cfg_.remoteNode,
@@ -556,9 +548,8 @@ void Session::progress() {
   maybeAcceptPoll();
   if (state_ != SessionState::Established) return;
   pump();
-  if (cfg_.initiator && cfg_.policy.probeInterval > 0 && replay_.empty() &&
-      !probeInFlight_ &&
-      engine_.now() - lastProbe_ >= cfg_.policy.probeInterval) {
+  if (cfg_.initiator && replay_.empty() && !probeInFlight_ &&
+      engine_.now() - lastProbe_ >= kProbeInterval) {
     // Idle liveness probe: a Hello re-announcing our watermark. If the
     // passive side silently lost its endpoint, this send trips the RTO
     // budget and converts the half-open link into a detected break.
@@ -580,7 +571,7 @@ bool Session::recv(std::vector<std::byte>& out, sim::Duration timeout) {
     const sim::SimTime now = engine_.now();
     if (now >= deadline) return false;
     // Chunked waits keep the passive side's half-open detection live. The
-    // chunk is deliberately coarser than acceptPollInterval: recvSignal_
+    // chunk is deliberately coarser than kAcceptPollInterval: recvSignal_
     // already wakes us the moment a message or state change lands, so the
     // timer only bounds how stale half-open detection can get while idle,
     // and a 1 ms bound is far below the initiator's ~20 ms connect retry.

@@ -18,6 +18,10 @@
 //     receiver drops anything at or below its watermark (duplicates) and
 //     anything from a stale epoch. Net effect: exactly-once, in-order
 //     delivery across any number of reconnects.
+//   * Each recovery episode (break -> re-established) is one
+//     obs::Stage::Reconnect span in the provider's span profiler
+//     (vipl::Provider::spans(), wired by the Cluster); SessionStats holds
+//     the counts.
 //
 // Sessions force ReliableReception: under ReliableDelivery a message can be
 // acknowledged at NIC receipt yet lost before placement when the connection
@@ -40,30 +44,20 @@
 #include <span>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "simcore/prng.hpp"
 #include "vipl/vipl.hpp"
 
 namespace vibe::session {
 
-/// Backoff/retry schedule for re-establishing a broken connection.
+/// Backoff/retry schedule for re-establishing a broken connection. The
+/// first retry waits 1 ms and each later one doubles up to backoffCap,
+/// every delay spread by +/- 20% of seeded jitter (session.cpp).
 struct ReconnectPolicy {
-  sim::Duration backoffBase = sim::msec(1);   // first retry delay
   sim::Duration backoffCap = sim::msec(32);   // exponential growth ceiling
-  double jitterFrac = 0.2;                    // +/- fraction of each delay
   std::uint32_t attemptsPerRound = 4;         // connect tries per round
   std::uint32_t maxRounds = 8;                // circuit breaker: then Down
   sim::Duration connectTimeout = sim::msec(20);   // per connect dialog
   sim::Duration helloTimeout = sim::msec(50);     // per watermark exchange
-  /// While Established, the passive side polls for a peer-initiated
-  /// reconnect (half-open detection) at most this often.
-  sim::Duration acceptPollInterval = sim::usec(200);
-  /// While Established and otherwise idle, the initiator re-sends its Hello
-  /// watermark at most this often; if the passive side silently lost its
-  /// endpoint, the probe trips the RTO budget and surfaces the break. 0
-  /// disables probing.
-  sim::Duration probeInterval = sim::msec(5);
   /// Run seed; jitter derives from (seed, sid) so runs are reproducible.
   std::uint64_t seed = 0;
 };
@@ -105,9 +99,6 @@ struct SessionConfig {
   std::uint32_t maxMessageBytes = 16u << 10;
   std::uint32_t ringDepth = 16;  // preposted receive descriptors
   ReconnectPolicy policy;
-  /// Optional observability hooks (both may be null).
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::SpanProfiler* spans = nullptr;
 };
 
 class Session {
@@ -137,9 +128,6 @@ class Session {
   /// recovery. False when the session is Down/Idle or the message exceeds
   /// maxMessageBytes.
   bool send(std::span<const std::byte> msg);
-  bool send(const void* data, std::size_t len) {
-    return send({static_cast<const std::byte*>(data), len});
-  }
 
   /// Blocking receive of the next in-order message. Runs recovery inline
   /// if the connection drops while waiting. False on timeout or Down.
@@ -159,11 +147,9 @@ class Session {
 
   SessionState state() const { return state_; }
   const SessionStats& stats() const { return stats_; }
-  std::uint32_t sid() const { return cfg_.sid; }
   /// Current connection incarnation (the wrapped VI's epoch).
   std::uint32_t epoch() const { return vi_->epoch(); }
   bool down() const { return state_ == SessionState::Down; }
-  vipl::Vi* vi() const { return vi_; }
   std::size_t unconfirmed() const { return replay_.size(); }
 
  private:
@@ -208,7 +194,6 @@ class Session {
   mem::VirtAddr sendSlotVa(std::size_t i) const;
   mem::VirtAddr helloVa() const;
   mem::VirtAddr ringVa(std::size_t i) const;
-  obs::Counter* counter(const char* name) const;
 
   vipl::Provider& nic_;
   SessionConfig cfg_;
@@ -223,7 +208,6 @@ class Session {
 
   SessionState state_ = SessionState::Idle;
   SessionStats stats_;
-  std::string scope_;  // metrics prefix, "node<N>/session<sid>"
 
   // Sender side: unconfirmed messages, oldest first. The first
   // postedCount_ entries are in flight in send slots.

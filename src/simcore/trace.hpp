@@ -60,7 +60,6 @@ class Tracer {
   /// Enables one category (all start disabled).
   void enable(TraceCategory c) { enabled_[idx(c)] = true; }
   void enableAll();
-  void disable(TraceCategory c) { enabled_[idx(c)] = false; }
   bool enabled(TraceCategory c) const { return enabled_[idx(c)]; }
 
   /// Records if the category is enabled. `message` is copied.

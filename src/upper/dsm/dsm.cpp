@@ -220,7 +220,7 @@ void DsmRegion::release() {
     comm_.progressOrWait();
   }
   for (const auto& [home, token] : pendingTokens) flushAcks_.erase(token);
-  comm_.barrier(/*serveAll=*/true);
+  comm_.barrier();
 }
 
 void DsmRegion::barrier() {

@@ -226,7 +226,7 @@ void Window::fence() {
   // channel while waiting, so emulated puts/gets from any rank are served
   // during it; the trailing progress() drains anything that arrived on
   // the barrier's last hop.
-  comm_.barrier(/*serveAll=*/true);
+  comm_.barrier();
   comm_.progress();
 }
 

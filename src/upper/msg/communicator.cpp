@@ -21,6 +21,9 @@ using vipl::VipResult;
 constexpr sim::Duration kConnTimeout = sim::kSecond * 5;
 constexpr sim::Duration kForever = -1;
 
+// Discriminators of the pairwise VIs start here ('MP').
+constexpr std::uint64_t kDiscriminatorBase = 0x4D50'0000;
+
 // Internal collective tags (above user space, below the service range).
 constexpr int kBarrierTag = (1 << 23) + 1;
 constexpr int kBcastTag = (1 << 23) + 2;
@@ -144,7 +147,7 @@ Communicator::~Communicator() {
 
 std::uint64_t Communicator::discriminatorFor(std::uint32_t a,
                                              std::uint32_t b) const {
-  return config_.discriminatorBase +
+  return kDiscriminatorBase +
          (static_cast<std::uint64_t>(a) * size_ + b) * 2;
 }
 
@@ -165,8 +168,6 @@ void Communicator::connectMesh() {
       sc.initiator = rank_ == lo;
       sc.maxMessageBytes = frameBytes_;
       sc.policy = config_.reconnect;
-      sc.metrics = config_.metrics;
-      sc.spans = config_.spans;
       peer.session = std::make_unique<session::Session>(*nic_, sc);
       if (!peer.session->establish()) {
         throw std::runtime_error("Communicator: session establish failed");
@@ -522,10 +523,14 @@ void Communicator::waitForCts(std::uint32_t dst, std::uint32_t seq) {
   }
 }
 
-std::vector<std::byte> Communicator::recvServing(std::uint32_t src, int tag) {
+std::vector<std::byte> Communicator::recv(std::uint32_t src, int tag) {
   if (src >= size_ || src == rank_) {
-    throw std::invalid_argument("recvServing: bad source rank");
+    throw std::invalid_argument("recv: bad source rank");
   }
+  // recv() always progresses every channel while waiting: matching
+  // semantics are unaffected (messages land in per-source queues), and a
+  // rank blocked in a collective must keep serving page fetches and other
+  // service traffic, or layered protocols can starve each other.
   Peer& peer = *peers_[src];
   for (;;) {
     for (auto it = peer.matched.begin(); it != peer.matched.end(); ++it) {
@@ -543,17 +548,6 @@ std::vector<std::byte> Communicator::recvServing(std::uint32_t src, int tag) {
     // Progress every channel; if idle, wait a polling quantum.
     progressOrWait();
   }
-}
-
-std::vector<std::byte> Communicator::recv(std::uint32_t src, int tag) {
-  if (src >= size_ || src == rank_) {
-    throw std::invalid_argument("recv: bad source rank");
-  }
-  // recv() always progresses every channel while waiting: matching
-  // semantics are unaffected (messages land in per-source queues), and a
-  // rank blocked in a collective must keep serving page fetches and other
-  // service traffic, or layered protocols can starve each other.
-  return recvServing(src, tag);
 }
 
 void Communicator::progressOrWait() {
@@ -804,18 +798,14 @@ vipl::Vi* Communicator::peerVi(std::uint32_t peer) const {
 // Collectives
 // ---------------------------------------------------------------------------
 
-void Communicator::barrier(bool serveAll) {
+void Communicator::barrier() {
   if (size_ == 1) return;
   // Dissemination barrier: log2(n) rounds of send/recv at doubling hops.
   for (std::uint32_t step = 1; step < size_; step <<= 1) {
     const std::uint32_t dst = (rank_ + step) % size_;
     const std::uint32_t src = (rank_ + size_ - step) % size_;
     send(dst, kBarrierTag, {});
-    if (serveAll) {
-      (void)recvServing(src, kBarrierTag);
-    } else {
-      (void)recv(src, kBarrierTag);
-    }
+    (void)recv(src, kBarrierTag);
   }
 }
 

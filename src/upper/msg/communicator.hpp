@@ -35,7 +35,6 @@ struct CommConfig {
   std::uint32_t creditsPerPeer = 16;    // eager-data credits
   std::uint32_t controlReserve = 8;     // extra preposted buffers for control
   nic::Reliability reliability = nic::Reliability::ReliableDelivery;
-  std::uint64_t discriminatorBase = 0x4D50'0000;  // 'MP'
 
   /// Recovery mode: each peer channel runs over a session::Session, which
   /// reconnects automatically after connection breaks and replays/dedups
@@ -47,8 +46,6 @@ struct CommConfig {
   /// behaviour and simulated timing are bit-identical to before.
   bool recovery = false;
   session::ReconnectPolicy reconnect;            // used when recovery=true
-  obs::MetricsRegistry* metrics = nullptr;       // session recovery metrics
-  obs::SpanProfiler* spans = nullptr;            // session reconnect spans
 };
 
 class Communicator {
@@ -72,7 +69,8 @@ class Communicator {
   /// Blocking send (returns when the payload is out of the caller's hands:
   /// eager-staged or rendezvous-completed).
   void send(std::uint32_t dst, int tag, std::span<const std::byte> data);
-  /// Blocking receive of the next message with `tag` from `src`.
+  /// Blocking receive of the next message with `tag` from `src`. Waits by
+  /// progressing every peer, so service traffic keeps flowing while blocked.
   std::vector<std::byte> recv(std::uint32_t src, int tag);
 
   // --- nonblocking point to point (MPI_Isend/Irecv analogues) ---
@@ -101,16 +99,10 @@ class Communicator {
   std::vector<std::byte> sendrecv(std::uint32_t dst, int sendTag,
                                   std::span<const std::byte> data,
                                   std::uint32_t src, int recvTag);
-  /// Like recv(), but waits by progressing every peer (service traffic
-  /// keeps flowing while blocked).
-  std::vector<std::byte> recvServing(std::uint32_t src, int tag);
-
   // --- collectives (dissemination / binomial-tree algorithms) ---
-  /// With serveAll=true the barrier waits by progressing *every* channel,
-  /// so service traffic (get/put, DSM) from any rank keeps flowing while
-  /// ranks sit in the barrier. Layers whose protocols depend on remote
-  /// progress must use it.
-  void barrier(bool serveAll = false);
+  /// Waits in recv(), so service traffic (get/put, DSM) from any rank keeps
+  /// flowing while ranks sit in the barrier.
+  void barrier();
   void broadcast(std::uint32_t root, std::vector<std::byte>& data);
   double allreduceSum(double value);
   void allreduceSum(std::span<double> values);

@@ -16,6 +16,9 @@ using vipl::VipDescriptor;
 
 constexpr sim::Duration kConnTimeout = sim::kSecond * 5;
 
+// Raw-VI mode: receive descriptors the server preposts per client.
+constexpr std::uint32_t kRecvRingDepth = 8;
+
 // Recovery-mode sessions: sid base keeps rpc session ids out of the range
 // a msg::Communicator in the same process would use, and each client gets
 // its own discriminator so concurrent reconnects cannot cross-claim.
@@ -32,8 +35,6 @@ session::SessionConfig sessionConfigFor(const RpcConfig& cfg,
   sc.initiator = initiator;
   sc.maxMessageBytes = cfg.maxMessageBytes;
   sc.policy = cfg.reconnect;
-  sc.metrics = cfg.metrics;
-  sc.spans = cfg.spans;
   return sc;
 }
 
@@ -133,7 +134,7 @@ void RpcServer::acceptClients(std::uint32_t n) {
     require(nic_->createVi(va, nullptr, cq_, client->vi), "server VI");
 
     const std::uint64_t ringBytes =
-        static_cast<std::uint64_t>(config_.recvRingDepth) *
+        static_cast<std::uint64_t>(kRecvRingDepth) *
         config_.maxMessageBytes;
     const std::uint64_t arenaBytes = ringBytes + config_.maxMessageBytes;
     const mem::VirtAddr arena =
@@ -143,11 +144,10 @@ void RpcServer::acceptClients(std::uint32_t n) {
     mem::MemHandle handle = 0;
     require(nic_->registerMem(arena, arenaBytes, ma, handle),
             "register server arena");
-    if (arenaHandle_ == 0) arenaHandle_ = handle;
     client->ringVa = arena;
     client->replyVa = arena + ringBytes;
-    client->ring.resize(config_.recvRingDepth);
-    for (std::uint32_t d = 0; d < config_.recvRingDepth; ++d) {
+    client->ring.resize(kRecvRingDepth);
+    for (std::uint32_t d = 0; d < kRecvRingDepth; ++d) {
       client->ring[d] = VipDescriptor::recv(
           arena + static_cast<std::uint64_t>(d) * config_.maxMessageBytes,
           handle, config_.maxMessageBytes);

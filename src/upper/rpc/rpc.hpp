@@ -26,7 +26,6 @@ constexpr std::uint32_t kStatusUnknownMethod = 1;
 
 struct RpcConfig {
   std::uint32_t maxMessageBytes = 32 * 1024;  // header + payload limit
-  std::uint32_t recvRingDepth = 8;            // preposted recvs per client
   /// Server completion-queue depth. Completions pile up while the server
   /// is still inside acceptClients() (every connected client's first call
   /// lands unreaped), so incasts beyond ~1k clients must size this past
@@ -44,8 +43,6 @@ struct RpcConfig {
   bool recovery = false;
   session::ReconnectPolicy reconnect{};
   std::uint32_t clientId = 0;  // recovery only: index in [0, clients)
-  obs::MetricsRegistry* metrics = nullptr;  // optional, recovery only
-  obs::SpanProfiler* spans = nullptr;       // optional, recovery only
 };
 
 /// Knobs for RpcServer::serveOpenLoop.
@@ -141,7 +138,6 @@ class RpcServer {
   vipl::Provider* nic_;
   RpcConfig config_;
   mem::PtagId ptag_ = 0;
-  mem::MemHandle arenaHandle_ = 0;
   vipl::Cq* cq_ = nullptr;
   std::vector<std::unique_ptr<Client>> clients_;
   std::unordered_map<vipl::Vi*, Client*> byVi_;

@@ -22,6 +22,9 @@ constexpr std::uint8_t kData = 1;
 constexpr std::uint8_t kCredit = 2;  // pure credit return, no payload
 constexpr std::uint8_t kFin = 3;
 
+// Recovery mode: the session id of every stream socket.
+constexpr std::uint32_t kSessionId = 0x2000;
+
 constexpr vipl::ResultCheck require{"sockets: "};
 
 }  // namespace
@@ -60,15 +63,13 @@ void StreamSocket::setupBuffers() {
 void StreamSocket::makeSession(fabric::NodeId peer, std::uint64_t port,
                                bool initiator) {
   session::SessionConfig sc;
-  sc.sid = config_.sessionId;
+  sc.sid = kSessionId;
   sc.remoteNode = peer;
   sc.discriminator = port;
   sc.initiator = initiator;
   sc.maxMessageBytes = config_.frameBytes + kHeaderBytes;
   sc.ringDepth = config_.ringDepth;
   sc.policy = config_.reconnect;
-  sc.metrics = config_.metrics;
-  sc.spans = config_.spans;
   session_ = std::make_unique<session::Session>(*nic_, sc);
   if (!session_->establish()) {
     throw std::runtime_error("sockets: session failed to establish");

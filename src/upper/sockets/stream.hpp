@@ -31,15 +31,12 @@ struct StreamConfig {
   /// Recovery mode: the byte stream rides a session::Session that
   /// reconnects automatically with exactly-once frame replay, so the
   /// stream survives injected connection breaks. The listener side must
-  /// use acceptRecoverable(peerNode); sessionId must be unique per socket
-  /// on a node. Credit flow control is not used (the session's receive
-  /// ring self-replenishes and its replay buffer absorbs bursts). When
-  /// off, nothing below is read and the wire behaviour is unchanged.
+  /// use acceptRecoverable(peerNode). Credit flow control is not used (the
+  /// session's receive ring self-replenishes and its replay buffer absorbs
+  /// bursts). When off, nothing below is read and the wire behaviour is
+  /// unchanged.
   bool recovery = false;
   session::ReconnectPolicy reconnect{};
-  std::uint32_t sessionId = 0x2000;
-  obs::MetricsRegistry* metrics = nullptr;  // optional, recovery only
-  obs::SpanProfiler* spans = nullptr;       // optional, recovery only
 };
 
 class StreamSocket {

@@ -24,7 +24,6 @@ fabric::TopologySpec topologySpecFor(const ClusterConfig& c) {
   spec.hostLink.lossRate = c.lossRate;
   spec.edgeLatency = c.profile.switchLatency;
   spec.seed = c.seed;
-  spec.portBufferFrames = c.switchBufferFrames;
   if (c.fatTreeK != 0 || c.nodesPerSwitch != 0) {
     spec.kind = c.fatTreeK != 0 ? fabric::TopologyKind::FatTree
                                 : fabric::TopologyKind::TwoLevelTree;
@@ -128,9 +127,6 @@ void Cluster::attachSampler() {
     }
     return static_cast<double>(n);
   }, probeOwner_);
-  sampler.addProbe("fabric/switch_buffer_drops", [this](sim::SimTime) {
-    return static_cast<double>(topo_->switchBufferDrops());
-  }, probeOwner_);
 }
 
 void Cluster::attachSpans() {
@@ -204,25 +200,6 @@ void Cluster::publishStats() {
   pubNet("frames_dropped", topo_->framesDropped(), lastFramesDropped_);
   pubNet("frames_corrupted", topo_->framesCorrupted(), lastFramesCorrupted_);
   pubNet("packets_forwarded", topo_->hostIngressForwards(), lastForwarded_);
-  pubNet("switch_buffer_drops", topo_->switchBufferDrops(), lastSwitchDrops_);
-  // Per-switch congestion stats appear only when a finite buffer actually
-  // queued or dropped something, so metric dumps for the star/tree
-  // configurations (which never do) are unchanged.
-  if (topo_->maxQueueDepth() > 0) {
-    m.gauge(obs::scoped("fabric", "switch_queue_depth_max"))
-        .set(topo_->maxQueueDepth());
-    for (const auto& sw : topo_->switches()) {
-      if (sw->bufferDrops() == 0 && sw->maxQueueDepth() == 0) continue;
-      const std::string scope = "fabric." + sw->name();
-      if (sw->bufferDrops() > 0) {
-        // Delta against the counter's own value: switch names are unique
-        // within a cluster, so the counter mirrors the lifetime total.
-        auto& c = m.counter(obs::scoped(scope, "buffer_drops"));
-        if (sw->bufferDrops() > c.value()) c.add(sw->bufferDrops() - c.value());
-      }
-      m.gauge(obs::scoped(scope, "queue_depth_max")).set(sw->maxQueueDepth());
-    }
-  }
 }
 
 void Cluster::attachTracer() {

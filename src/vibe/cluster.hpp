@@ -43,8 +43,6 @@ struct ClusterConfig {
   // nodesPerSwitch). k must be even; nodes <= k^3/4. Inter-switch links
   // use trunkMBps when set, the host-link rate otherwise.
   std::uint32_t fatTreeK = 0;
-  // Finite per-port switch output buffers, in frames (0 = unbounded).
-  std::uint32_t switchBufferFrames = 0;
 
   // Conservative-PDES sharding. 0 = the whole stack in one domain of the
   // ShardedEngine, run on the calling thread (the serial schedule).
@@ -68,9 +66,9 @@ struct ClusterConfig {
   // record) order, the same at any shard count.
   sim::Tracer* tracer = nullptr;
   // spans: Post spans from every provider, Doorbell/NicTx/Rx/Reassembly/
-  // Completion/EndToEnd from every NIC device, Wire from the fabric. With
-  // more than one domain the emits go to per-domain shadows, merged in
-  // domain order after run().
+  // Completion/EndToEnd from every NIC device, Wire from the fabric,
+  // Reconnect from every session::Session. With more than one domain the
+  // emits go to per-domain shadows, merged in domain order after run().
   obs::SpanProfiler* spans = nullptr;
   // metrics: run() publishes per-node NIC and fabric counters into it
   // (delta-based, so repeated run() calls and several clusters sharing
@@ -164,7 +162,6 @@ class Cluster {
   std::uint64_t lastFramesDropped_ = 0;
   std::uint64_t lastFramesCorrupted_ = 0;
   std::uint64_t lastForwarded_ = 0;
-  std::uint64_t lastSwitchDrops_ = 0;
 };
 
 }  // namespace vibe::suite

@@ -197,9 +197,8 @@ TransferResult runPingPong(const ClusterConfig& clusterCfg,
     r.supported = false;
     return r;
   }
-  if (cfg.pingSrc == cfg.pingDst || cfg.pingSrc >= clusterCfg.nodes ||
-      cfg.pingDst >= clusterCfg.nodes) {
-    throw sim::SimError("runPingPong: invalid pingSrc/pingDst pair");
+  if (cfg.pingDst == 0 || cfg.pingDst >= clusterCfg.nodes) {
+    throw sim::SimError("runPingPong: invalid pingDst");
   }
   Cluster cluster(clusterCfg);
   TransferResult result;
@@ -307,10 +306,9 @@ TransferResult runPingPong(const ClusterConfig& clusterCfg,
   };
 
   // Program i runs on node i; unused nodes get no program. The default
-  // pair (0, 1) reduces to the classic {initiator, responder} run.
-  std::vector<std::function<void(NodeEnv&)>> programs(
-      std::max(cfg.pingSrc, cfg.pingDst) + 1);
-  programs[cfg.pingSrc] = initiator;
+  // pingDst 1 reduces to the classic {initiator, responder} run.
+  std::vector<std::function<void(NodeEnv&)>> programs(cfg.pingDst + 1);
+  programs[0] = initiator;
   programs[cfg.pingDst] = responder;
   cluster.run(std::move(programs));
   return result;

@@ -52,10 +52,9 @@ struct TransferConfig {
   // NIC's receipt ack, ReliableReception at the memory-placement ack.
   bool measureSendCompletion = false;
 
-  // Ping-pong only: which node pair talks. Defaults reproduce the classic
-  // node0 <-> node1 run; hierarchical topologies use other pairs to
+  // Ping-pong only: node 0's peer. The default reproduces the classic
+  // node0 <-> node1 run; hierarchical topologies use other peers to
   // measure same-edge vs same-pod vs cross-pod paths.
-  std::uint32_t pingSrc = 0;
   std::uint32_t pingDst = 1;
 };
 
@@ -73,7 +72,8 @@ struct TransferResult {
   bool supported = true;  // false if the profile lacks the feature (RDMA)
 };
 
-/// Standard ping-pong between node 0 and node 1 of a fresh cluster.
+/// Standard ping-pong between node 0 and node pingDst (1 by default) of a
+/// fresh cluster.
 TransferResult runPingPong(const ClusterConfig& cluster,
                            const TransferConfig& config);
 

@@ -12,13 +12,14 @@ using vipl::Vi;
 
 constexpr std::uint64_t kDiscriminator = 99;
 constexpr sim::Duration kConnTimeout = sim::msec(500);
+constexpr int kIterations = 50;        // create/destroy averaging count
+constexpr int kConnectIterations = 8;  // connect/teardown averaging count
 
 constexpr vipl::ResultCheck require{"non-data benchmark failed: "};
 
 }  // namespace
 
-NonDataResult runNonData(const ClusterConfig& clusterCfg,
-                         const NonDataConfig& cfg) {
+NonDataResult runNonData(const ClusterConfig& clusterCfg) {
   Cluster cluster(clusterCfg);
   NonDataResult result;
 
@@ -30,36 +31,36 @@ NonDataResult runNonData(const ClusterConfig& clusterCfg,
     va.reliabilityLevel = nic::Reliability::ReliableDelivery;
 
     // --- VI create / destroy ---
-    std::vector<Vi*> vis(cfg.iterations, nullptr);
+    std::vector<Vi*> vis(kIterations, nullptr);
     sim::SimTime t0 = env.now();
-    for (int i = 0; i < cfg.iterations; ++i) {
+    for (int i = 0; i < kIterations; ++i) {
       require(vipl::VipCreateVi(nic, va, nullptr, nullptr, vis[i]),
               "create VI");
     }
-    result.createVi = sim::toUsec(env.now() - t0) / cfg.iterations;
+    result.createVi = sim::toUsec(env.now() - t0) / kIterations;
     t0 = env.now();
-    for (int i = 0; i < cfg.iterations; ++i) {
+    for (int i = 0; i < kIterations; ++i) {
       require(vipl::VipDestroyVi(nic, vis[i]), "destroy VI");
     }
-    result.destroyVi = sim::toUsec(env.now() - t0) / cfg.iterations;
+    result.destroyVi = sim::toUsec(env.now() - t0) / kIterations;
 
     // --- CQ create / destroy ---
-    std::vector<Cq*> cqs(cfg.iterations, nullptr);
+    std::vector<Cq*> cqs(kIterations, nullptr);
     t0 = env.now();
-    for (int i = 0; i < cfg.iterations; ++i) {
+    for (int i = 0; i < kIterations; ++i) {
       require(vipl::VipCreateCQ(nic, 64, cqs[i]), "create CQ");
     }
-    result.createCq = sim::toUsec(env.now() - t0) / cfg.iterations;
+    result.createCq = sim::toUsec(env.now() - t0) / kIterations;
     t0 = env.now();
-    for (int i = 0; i < cfg.iterations; ++i) {
+    for (int i = 0; i < kIterations; ++i) {
       require(vipl::VipDestroyCQ(nic, cqs[i]), "destroy CQ");
     }
-    result.destroyCq = sim::toUsec(env.now() - t0) / cfg.iterations;
+    result.destroyCq = sim::toUsec(env.now() - t0) / kIterations;
 
     // --- connection establish / teardown ---
     double connectTotal = 0;
     double teardownTotal = 0;
-    for (int i = 0; i < cfg.connectIterations; ++i) {
+    for (int i = 0; i < kConnectIterations; ++i) {
       Vi* vi = nullptr;
       require(vipl::VipCreateVi(nic, va, nullptr, nullptr, vi), "conn VI");
       const sim::SimTime c0 = env.now();
@@ -72,8 +73,8 @@ NonDataResult runNonData(const ClusterConfig& clusterCfg,
       teardownTotal += sim::toUsec(env.now() - d0);
       require(vipl::VipDestroyVi(nic, vi), "destroy conn VI");
     }
-    result.connect = connectTotal / cfg.connectIterations;
-    result.teardown = teardownTotal / cfg.connectIterations;
+    result.connect = connectTotal / kConnectIterations;
+    result.teardown = teardownTotal / kConnectIterations;
   };
 
   auto server = [&](NodeEnv& env) {
@@ -82,7 +83,7 @@ NonDataResult runNonData(const ClusterConfig& clusterCfg,
     vipl::VipViAttributes va;
     va.ptag = ptag;
     va.reliabilityLevel = nic::Reliability::ReliableDelivery;
-    for (int i = 0; i < cfg.connectIterations; ++i) {
+    for (int i = 0; i < kConnectIterations; ++i) {
       Vi* vi = nullptr;
       require(vipl::VipCreateVi(nic, va, nullptr, nullptr, vi), "server VI");
       PendingConn conn;

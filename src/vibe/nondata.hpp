@@ -10,11 +10,6 @@
 
 namespace vibe::suite {
 
-struct NonDataConfig {
-  int iterations = 50;       // create/destroy averaging count
-  int connectIterations = 8; // connect/teardown averaging count
-};
-
 /// All costs in microseconds (Table 1 layout).
 struct NonDataResult {
   double createVi = 0;
@@ -25,8 +20,8 @@ struct NonDataResult {
   double destroyCq = 0;
 };
 
-NonDataResult runNonData(const ClusterConfig& cluster,
-                         const NonDataConfig& config = {});
+/// Averages 50 create/destroy pairs and 8 connect/teardown dialogs.
+NonDataResult runNonData(const ClusterConfig& cluster);
 
 /// Memory registration / deregistration cost (µs) for each buffer length.
 struct MemCostPoint {

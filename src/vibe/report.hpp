@@ -66,9 +66,9 @@ SurveyResult runSurvey(const nic::NicProfile& profile,
 /// Renders a human-readable report.
 std::string renderSurvey(const SurveyResult& result);
 
-/// Renders the registry as a stats appendix (the `--stats` / VIBE_STATS=1
-/// output appended after a suite run). Empty string when the registry
-/// recorded nothing.
+/// Renders the registry as a stats appendix (the VIBE_STATS=1 output
+/// appended after a suite run). Empty string when the registry recorded
+/// nothing.
 std::string renderStatsAppendix(const obs::MetricsRegistry& metrics);
 
 /// Renders the span profiler's per-stage latency attribution table.

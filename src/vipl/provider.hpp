@@ -241,6 +241,9 @@ class Provider {
     spans_ = spans;
     device_.setSpanProfiler(spans);
   }
+  /// The attached span profiler (nullptr when none); layers built on top
+  /// of the provider (session Reconnect spans) emit into it.
+  obs::SpanProfiler* spans() const { return spans_; }
 
   // --- accessors ---
   sim::Engine& engine() { return engine_; }

@@ -431,6 +431,11 @@ struct StackOutcome {
   std::string nicStats;
   std::string metrics;
   std::string spans;
+  // Session recovery episodes (renderAttribution leaves them out): each
+  // session emits its Reconnect span into its provider's profiler, which
+  // the Cluster wires from ClusterConfig::spans.
+  std::uint64_t reconnectSpans = 0;
+  double reconnectNs = 0;
   std::string samplerCsv;
   std::uint64_t windows = 0;  // conservative windows the engine ran
 };
@@ -503,6 +508,8 @@ StackOutcome runStack(const WorkloadCase& wc, std::uint32_t simShards,
   out.nicStats = renderNicStats(cluster);
   out.metrics = metrics.renderText();
   out.spans = spans.renderAttribution();
+  out.reconnectSpans = spans.stage(obs::Stage::Reconnect).count();
+  out.reconnectNs = spans.stage(obs::Stage::Reconnect).sum();
   out.samplerCsv = sampler.renderCsv();
   out.windows = cluster.shardedEngine().windowsExecuted();
   return out;
@@ -519,6 +526,8 @@ void expectSameOutcome(const StackOutcome& serial, const StackOutcome& got,
   EXPECT_EQ(serial.nicStats, got.nicStats) << label;
   EXPECT_EQ(serial.metrics, got.metrics) << label;
   EXPECT_EQ(serial.spans, got.spans) << label;
+  EXPECT_EQ(serial.reconnectSpans, got.reconnectSpans) << label;
+  EXPECT_EQ(serial.reconnectNs, got.reconnectNs) << label;
   EXPECT_EQ(serial.samplerCsv, got.samplerCsv) << label;
 }
 
@@ -536,6 +545,10 @@ TEST_P(PdesStackEquivalence, SerialAndShardedAreByteIdentical) {
   const std::uint64_t seed = 1234;
 
   const StackOutcome serial = runStack(wc, /*simShards=*/0, seed);
+  if (wc.flap) {
+    EXPECT_GE(serial.reconnectSpans, 1u) << "no Reconnect span reached the "
+                                             "Cluster's span profiler";
+  }
 
   const std::uint32_t shardCounts[] = {1, 2, 7, hwShards()};
   std::uint64_t windows = 0;
