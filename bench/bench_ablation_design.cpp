@@ -54,29 +54,18 @@ int run(int, char**) {
   const std::vector<const nic::NicProfile*> xlateProfiles = {
       &hostXlate, &nicSram, &nicHostTbl};
   const std::vector<int> xlateReuse = {100, 0};
-  const std::size_t perXlateSize = xlateProfiles.size() * xlateReuse.size();
-  const auto xlatePoints = harness::runSweep(
-      xlateSizes.size() * perXlateSize,
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = xlateSizes[env.index / perXlateSize];
-        const std::size_t rest = env.index % perXlateSize;
-        const nic::NicProfile* prof = xlateProfiles[rest / xlateReuse.size()];
-        const int reuse = xlateReuse[rest % xlateReuse.size()];
+  const auto xlatePoints = sweepGrid(
+      xlateSizes, crossProduct(xlateProfiles, xlateReuse),
+      [](std::uint64_t size, const auto& col, harness::PointEnv& env) {
+        const auto& [prof, reuse] = col;
         suite::TransferConfig cfg;
         cfg.msgBytes = size;
         cfg.reusePercent = reuse;
         cfg.bufferPool = reuse == 100 ? 1 : 160;
         cfg.iterations = 150;
         return suite::runPingPong(clusterFor(*prof, 2, env), cfg).latencyUsec;
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < xlateSizes.size(); ++si) {
-    std::vector<double> row{static_cast<double>(xlateSizes[si])};
-    for (std::size_t j = 0; j < perXlateSize; ++j) {
-      row.push_back(xlatePoints[si * perXlateSize + j]);
-    }
-    xlate.addRow(row);
-  }
+      });
+  addGridRows(xlate, xlateSizes, xlatePoints);
   vibe::bench::emit(xlate);
   std::printf(
       "Host translation pays per page on EVERY post (CPU burn) but is\n"

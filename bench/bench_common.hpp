@@ -1,15 +1,22 @@
 // Shared helpers for the VIBe bench binaries: the three paper profiles,
-// paper-reference printing, and result assembly.
+// paper-reference printing, sweep grids and result assembly, the one
+// shard-count read, and the run witness of the sharded benches.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench_registry.hpp"
 #include "harness/sweep.hpp"
 #include "nic/profiles.hpp"
 #include "obs/metrics.hpp"
+#include "simcore/pdes.hpp"
+#include "simcore/trace.hpp"
 #include "vibe/cluster.hpp"
 #include "vibe/report.hpp"
 #include "vibe/results.hpp"
@@ -120,6 +127,87 @@ inline harness::SweepOptions sweepOptions() {
     opts.mergeInto = &statsRegistry();
   }
   return opts;
+}
+
+/// One sweep over the grid rows x cols: runs cell(row, col, env) for every
+/// pair with sweepOptions() and returns the results row-major (the cell of
+/// rows[r] and cols[c] in slot r * cols.size() + c).
+template <typename Rows, typename Cols, typename Cell>
+auto sweepGrid(const Rows& rows, const Cols& cols, Cell&& cell) {
+  const std::size_t n = cols.size();
+  return harness::runSweep(
+      rows.size() * n,
+      [&](harness::PointEnv& env) {
+        const std::size_t i = env.index;
+        return cell(rows[i / n], cols[i % n], env);
+      },
+      sweepOptions());
+}
+
+/// Every (a, b) pair, a-major: the columns of a grid whose cells vary two
+/// components (say profile x reap mode).
+template <typename A, typename B>
+std::vector<std::pair<A, B>> crossProduct(const std::vector<A>& as,
+                                          const std::vector<B>& bs) {
+  std::vector<std::pair<A, B>> out;
+  for (const A& a : as) {
+    for (const B& b : bs) out.emplace_back(a, b);
+  }
+  return out;
+}
+
+/// Appends one row per key to `table`: the key, then pick(cell) for each
+/// cell of that key's row of the row-major `cells` (as sweepGrid returns
+/// them, keys.size() rows).
+template <typename Keys, typename Cells, typename Pick = std::identity>
+void addGridRows(suite::ResultTable& table, const Keys& keys,
+                 const Cells& cells, Pick pick = {}) {
+  const std::size_t n = cells.size() / keys.size();
+  auto cell = cells.begin();
+  for (const auto& key : keys) {
+    std::vector<double> row{static_cast<double>(key)};
+    for (std::size_t c = 0; c < n; ++c) {
+      row.push_back(std::invoke(pick, *cell++));
+    }
+    table.addRow(std::move(row));
+  }
+}
+
+/// The shard count a sharded bench hosts its clusters on: VIBE_SIM_SHARDS,
+/// else the hardware threads, never 0 (one domain per switch at any
+/// setting). The one reader of VIBE_SIM_SHARDS in bench/: each call counts
+/// in shardReads(), so the golden suite can check that exactly the benches
+/// registered with VIBE_BENCH_MAIN_SHARDED read it.
+inline std::uint32_t simShards() {
+  ++shardReads();
+  return sim::shardCount();
+}
+
+/// What one cluster run did, to compare across shard counts: the virtual
+/// end time, a fold of every node's NicStats, and the engine's event and
+/// window counts. Equal witnesses mean the runs executed the same
+/// per-domain schedules, not merely similar ones.
+struct RunWitness {
+  sim::SimTime endTime = 0;
+  std::uint64_t nicDigest = 0;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+  bool operator==(const RunWitness&) const = default;
+};
+
+inline RunWitness witnessOf(suite::Cluster& cluster) {
+  RunWitness w;
+  w.endTime = cluster.now();
+  w.nicDigest = sim::Tracer::kDigestSeed;
+  for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
+    const nic::NicStats& s = cluster.node(n).device().stats();
+    for (const nic::NicStatField& f : nic::kNicStatFields) {
+      w.nicDigest = sim::Tracer::combineDigest(w.nicDigest, s.*f.member);
+    }
+  }
+  w.events = cluster.shardedEngine().executedEvents();
+  w.windows = cluster.shardedEngine().windowsExecuted();
+  return w;
 }
 
 /// Prints a table; with VIBE_CSV=1 in the environment, also emits the

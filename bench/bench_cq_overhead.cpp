@@ -23,36 +23,19 @@ int run(int, char**) {
                         "clan_wq", "clan_cq"});
   const std::vector<std::uint64_t> sizes = {4, 256, 1024, 4096, 28672};
   const auto profiles = paperProfiles();
-  struct Point {
-    double wq = 0.0;
-    double cq = 0.0;
-  };
-  const auto points = harness::runSweep(
-      sizes.size() * profiles.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / profiles.size()];
-        const auto& np = profiles[env.index % profiles.size()];
-        suite::TransferConfig direct;
-        direct.msgBytes = size;
-        direct.reap = suite::ReapMode::Poll;
-        const auto wq =
-            suite::runPingPong(clusterFor(np.profile, 2, env), direct);
-        suite::TransferConfig viaCq = direct;
-        viaCq.reap = suite::ReapMode::PollCq;
-        const auto cq =
-            suite::runPingPong(clusterFor(np.profile, 2, env), viaCq);
-        return Point{wq.latencyUsec, cq.latencyUsec};
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> row{static_cast<double>(sizes[si])};
-    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-      const Point& pt = points[si * profiles.size() + pi];
-      row.push_back(pt.wq);
-      row.push_back(pt.cq);
-    }
-    t.addRow(row);
-  }
+  const std::vector<suite::ReapMode> reaps = {suite::ReapMode::Poll,
+                                              suite::ReapMode::PollCq};
+  const auto points = sweepGrid(
+      sizes, crossProduct(profiles, reaps),
+      [](std::uint64_t size, const auto& col, harness::PointEnv& env) {
+        const auto& [np, reap] = col;
+        suite::TransferConfig cfg;
+        cfg.msgBytes = size;
+        cfg.reap = reap;
+        return suite::runPingPong(clusterFor(np.profile, 2, env), cfg)
+            .latencyUsec;
+      });
+  addGridRows(t, sizes, points);
   vibe::bench::emit(t);
 
   std::printf("Per-implementation CQ overhead at 4 B (cq - wq):\n");

@@ -24,28 +24,17 @@ int run(int, char**) {
   const std::vector<std::uint64_t> sizes = {4, 256, 4096, 28672};
   const std::vector<suite::ReapMode> modes = {
       suite::ReapMode::Poll, suite::ReapMode::Notify, suite::ReapMode::Block};
-  const auto profiles = paperProfiles();
-  const std::size_t perSize = profiles.size() * modes.size();
-  const auto points = harness::runSweep(
-      sizes.size() * perSize,
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / perSize];
-        const std::size_t rest = env.index % perSize;
-        const auto& np = profiles[rest / modes.size()];
+  const auto points = sweepGrid(
+      sizes, crossProduct(paperProfiles(), modes),
+      [](std::uint64_t size, const auto& col, harness::PointEnv& env) {
+        const auto& [np, mode] = col;
         suite::TransferConfig cfg;
         cfg.msgBytes = size;
-        cfg.reap = modes[rest % modes.size()];
+        cfg.reap = mode;
         return suite::runPingPong(clusterFor(np.profile, 2, env), cfg)
             .latencyUsec;
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> row{static_cast<double>(sizes[si])};
-    for (std::size_t j = 0; j < perSize; ++j) {
-      row.push_back(points[si * perSize + j]);
-    }
-    t.addRow(row);
-  }
+      });
+  addGridRows(t, sizes, points);
   vibe::bench::emit(t);
   return 0;
 }

@@ -84,33 +84,11 @@ constexpr std::size_t kHcBarrierBytes = 8;
 
 constexpr vipl::ResultCheck hcRequire{"hypercube: "};
 
-/// Engine-mode witness of one hypercube run (same idiom as
-/// bench_ext_multiclient): virtual end time plus a fold of every node's
-/// NicStats; identical values across shard counts mean identical
-/// per-domain schedules.
-struct HyperWitness {
-  sim::SimTime endTime = 0;
-  std::uint64_t nicDigest = 0;
-  std::uint64_t events = 0;
-  std::uint64_t windows = 0;
-};
-
-std::uint64_t hcFoldNicStats(std::uint64_t acc, const nic::NicStats& s) {
-  for (std::uint64_t v :
-       {s.sendsPosted, s.recvsPosted, s.fragsTx, s.fragsRx, s.bytesTx,
-        s.bytesRx, s.acksTx, s.acksRx, s.retransmits, s.rxCorrupted,
-        s.rxDroppedNoDescriptor, s.rxDroppedBadEndpoint,
-        s.rxOutOfOrderDropped, s.protocolErrors}) {
-    acc = sim::Tracer::combineDigest(acc, v);
-  }
-  return acc;
-}
-
 CollectiveTimes hypercube(const nic::NicProfile& profile,
                           std::uint32_t ranks, std::uint32_t fatTreeK,
                           int reps, std::uint32_t simShards,
                           const harness::PointEnv* penv,
-                          HyperWitness* witness = nullptr) {
+                          bench::RunWitness* witness = nullptr) {
   if (!std::has_single_bit(ranks)) {
     throw std::invalid_argument("hypercube: ranks must be a power of two");
   }
@@ -268,16 +246,7 @@ CollectiveTimes hypercube(const nic::NicProfile& profile,
                    p.barrierWaitNs / 1e6);
     }
   }
-  if (witness) {
-    witness->endTime = cluster.now();
-    std::uint64_t d = 0xcbf29ce484222325ull;
-    for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
-      d = hcFoldNicStats(d, cluster.node(n).device().stats());
-    }
-    witness->nicDigest = d;
-    witness->events = cluster.shardedEngine().executedEvents();
-    witness->windows = cluster.shardedEngine().windowsExecuted();
-  }
+  if (witness) *witness = bench::witnessOf(cluster);
   return result;
 }
 
@@ -301,8 +270,8 @@ void shardedHypercubeTable() {
       counts.size(),
       [&](harness::PointEnv& env) {
         const std::uint32_t ranks = counts[env.index];
-        return Pair{hypercube(nic::clanProfile(), ranks, 8, 4,
-                              std::max(1u, sim::shardCount()), &env),
+        return Pair{hypercube(nic::clanProfile(), ranks, 8, 4, simShards(),
+                              &env),
                     hypercube(nic::clanProfile(), ranks, 8, 4, 0, &env)};
       },
       sweepOptions());
@@ -333,13 +302,13 @@ int shardedHypercubeDemo() {
     std::uint32_t shards = 0;
     double wallMs = 0;
     CollectiveTimes times;
-    HyperWitness w;
+    bench::RunWitness w;
   };
-  std::vector<std::uint32_t> shardCounts = {1u, 2u, 4u};
-  const std::uint32_t hw = std::max(1u, sim::shardCount());
-  if (hw > 4) shardCounts.push_back(hw);
+  std::vector<std::uint32_t> sweptShards = {1u, 2u, 4u};
+  const std::uint32_t hw = bench::simShards();
+  if (hw > 4) sweptShards.push_back(hw);
   std::vector<ShardRun> runs;
-  for (std::uint32_t s : shardCounts) {
+  for (std::uint32_t s : sweptShards) {
     ShardRun r;
     r.shards = s;
     const auto t0 = std::chrono::steady_clock::now();
@@ -355,10 +324,7 @@ int shardedHypercubeDemo() {
               "events/sec", "barrier_us", "allred_us", "speedup",
               "witness");
   for (const ShardRun& r : runs) {
-    const bool same = r.w.endTime == base.w.endTime &&
-                      r.w.nicDigest == base.w.nicDigest &&
-                      r.w.events == base.w.events &&
-                      r.w.windows == base.w.windows;
+    const bool same = r.w == base.w;
     deterministic = deterministic && same;
     std::printf("%8u %12.0f %14.0f %12.1f %12.1f %9.2fx %10s\n", r.shards,
                 r.wallMs, static_cast<double>(r.w.events) / (r.wallMs / 1e3),
@@ -387,26 +353,13 @@ int run(int, char**) {
   suite::ResultTable allreduce("Allreduce time, 64 doubles (us)",
                                {"ranks", "mvia", "bvia", "clan"});
   const std::vector<std::uint32_t> rankCounts = {2u, 4u, 8u};
-  const auto profiles = paperProfiles();
-  const auto points = harness::runSweep(
-      rankCounts.size() * profiles.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint32_t ranks = rankCounts[env.index / profiles.size()];
-        const auto& np = profiles[env.index % profiles.size()];
+  const auto points = sweepGrid(
+      rankCounts, paperProfiles(),
+      [](std::uint32_t ranks, const NamedProfile& np, harness::PointEnv& env) {
         return measure(np.profile, ranks, 12, env);
-      },
-      sweepOptions());
-  for (std::size_t ri = 0; ri < rankCounts.size(); ++ri) {
-    std::vector<double> bRow{static_cast<double>(rankCounts[ri])};
-    std::vector<double> aRow{static_cast<double>(rankCounts[ri])};
-    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-      const CollectiveTimes& t = points[ri * profiles.size() + pi];
-      bRow.push_back(t.barrierUsec);
-      aRow.push_back(t.allreduceUsec);
-    }
-    barrier.addRow(bRow);
-    allreduce.addRow(aRow);
-  }
+      });
+  addGridRows(barrier, rankCounts, points, &CollectiveTimes::barrierUsec);
+  addGridRows(allreduce, rankCounts, points, &CollectiveTimes::allreduceUsec);
   emit(barrier);
   emit(allreduce);
   std::printf(
@@ -467,4 +420,4 @@ int run(int, char**) {
 
 }  // namespace
 
-VIBE_BENCH_MAIN(ext_collectives, run)
+VIBE_BENCH_MAIN_SHARDED(ext_collectives, run)

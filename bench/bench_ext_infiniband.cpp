@@ -31,11 +31,9 @@ int run(int, char**) {
     double lat = 0.0;
     double bw = 0.0;
   };
-  const auto points = harness::runSweep(
-      sizes.size() * all.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / all.size()];
-        const auto& np = all[env.index % all.size()];
+  const auto points = sweepGrid(
+      sizes, all,
+      [](std::uint64_t size, const NamedProfile& np, harness::PointEnv& env) {
         suite::TransferConfig cfg;
         cfg.msgBytes = size;
         Point pt;
@@ -45,18 +43,9 @@ int run(int, char**) {
         pt.bw = suite::runBandwidth(clusterFor(np.profile, 2, env), cfg)
                     .bandwidthMBps;
         return pt;
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> latRow{static_cast<double>(sizes[si])};
-    std::vector<double> bwRow{static_cast<double>(sizes[si])};
-    for (std::size_t pi = 0; pi < all.size(); ++pi) {
-      latRow.push_back(points[si * all.size() + pi].lat);
-      bwRow.push_back(points[si * all.size() + pi].bw);
-    }
-    lat.addRow(latRow);
-    bw.addRow(bwRow);
-  }
+      });
+  addGridRows(lat, sizes, points, &Point::lat);
+  addGridRows(bw, sizes, points, &Point::bw);
   emit(lat);
   emit(bw);
 

@@ -22,15 +22,12 @@ int run(int, char**) {
   constexpr std::uint64_t kTotalBytes = 512 * 1024;
   const std::vector<std::uint32_t> mtsValues = {512,  1024,  2048,  4096,
                                                 8192, 16384, 32768, 65536};
-  const auto profiles = paperProfiles();
 
   suite::ResultTable t("Effective bandwidth (MB/s) moving 512 KiB",
                        {"mts_bytes", "mvia", "bvia", "clan"});
-  const auto points = harness::runSweep(
-      mtsValues.size() * profiles.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint32_t mts = mtsValues[env.index / profiles.size()];
-        const auto& np = profiles[env.index % profiles.size()];
+  const auto points = sweepGrid(
+      mtsValues, paperProfiles(),
+      [](std::uint32_t mts, const NamedProfile& np, harness::PointEnv& env) {
         suite::TransferConfig cfg;
         cfg.maxTransferSize = mts;
         cfg.msgBytes =
@@ -38,15 +35,8 @@ int run(int, char**) {
         cfg.burst = static_cast<int>(kTotalBytes / cfg.msgBytes);
         return suite::runBandwidth(clusterFor(np.profile, 2, env), cfg)
             .bandwidthMBps;
-      },
-      sweepOptions());
-  for (std::size_t mi = 0; mi < mtsValues.size(); ++mi) {
-    std::vector<double> row{static_cast<double>(mtsValues[mi])};
-    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-      row.push_back(points[mi * profiles.size() + pi]);
-    }
-    t.addRow(row);
-  }
+      });
+  addGridRows(t, mtsValues, points);
   vibe::bench::emit(t);
   return 0;
 }

@@ -17,7 +17,6 @@
 #include "bench_registry.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
-#include "simcore/pdes.hpp"
 #include "upper/rpc/rpc.hpp"
 #include "vibe/cluster.hpp"
 
@@ -180,8 +179,7 @@ void shardedIncastTable() {
       [&](harness::PointEnv& env) {
         const std::uint32_t clients = counts[env.index];
         return Pair{aggregateTps(nic::clanProfile(), clients, 2, &env, 8,
-                                 sim::usec(1200),
-                                 std::max(1u, sim::shardCount())),
+                                 sim::usec(1200), simShards()),
                     aggregateTps(nic::clanProfile(), clients, 2, &env, 8,
                                  sim::usec(1200))};
       },
@@ -205,23 +203,13 @@ int run(int, char**) {
   suite::ResultTable t("Aggregate transactions/s (16 B request, 256 B reply)",
                        {"clients", "mvia", "bvia", "clan"});
   const std::vector<std::uint32_t> clientCounts = {1u, 2u, 4u, 6u};
-  const auto profiles = paperProfiles();
-  const auto points = harness::runSweep(
-      clientCounts.size() * profiles.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint32_t clients =
-            clientCounts[env.index / profiles.size()];
-        const auto& np = profiles[env.index % profiles.size()];
+  const auto points = sweepGrid(
+      clientCounts, paperProfiles(),
+      [](std::uint32_t clients, const NamedProfile& np,
+         harness::PointEnv& env) {
         return aggregateTps(np.profile, clients, 60, &env);
-      },
-      sweepOptions());
-  for (std::size_t ci = 0; ci < clientCounts.size(); ++ci) {
-    std::vector<double> row{static_cast<double>(clientCounts[ci])};
-    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-      row.push_back(points[ci * profiles.size() + pi]);
-    }
-    t.addRow(row);
-  }
+      });
+  addGridRows(t, clientCounts, points);
   vibe::bench::emit(t, 0);
   std::printf(
       "cLAN scales nearly linearly until the server NIC saturates; the\n"
@@ -274,4 +262,4 @@ int run(int, char**) {
 
 }  // namespace
 
-VIBE_BENCH_MAIN(ext_multiclient, run)
+VIBE_BENCH_MAIN_SHARDED(ext_multiclient, run)

@@ -32,33 +32,11 @@ namespace {
 
 using namespace vibe;
 
-/// Engine-mode witness of one incast run: the virtual end time plus a fold
-/// of every node's NicStats. Identical values across shard counts mean the
-/// runs executed the same per-domain schedules, not merely similar ones.
-struct IncastWitness {
-  sim::SimTime endTime = 0;
-  std::uint64_t nicDigest = 0;
-  std::uint64_t events = 0;   // ShardedEngine::executedEvents
-  std::uint64_t windows = 0;  // lockstep windows executed
-  bool operator==(const IncastWitness&) const = default;
-};
-
-std::uint64_t foldNicStats(std::uint64_t acc, const nic::NicStats& s) {
-  for (std::uint64_t v :
-       {s.sendsPosted, s.recvsPosted, s.fragsTx, s.fragsRx, s.bytesTx,
-        s.bytesRx, s.acksTx, s.acksRx, s.retransmits, s.rxCorrupted,
-        s.rxDroppedNoDescriptor, s.rxDroppedBadEndpoint,
-        s.rxOutOfOrderDropped, s.protocolErrors}) {
-    acc = sim::Tracer::combineDigest(acc, v);
-  }
-  return acc;
-}
-
 struct ShardRun {
   unsigned shards = 0;
   double wallMs = 0.0;  // cluster build, run and teardown
   double tps = 0.0;     // virtual-time transactions/s (deterministic)
-  IncastWitness w;
+  bench::RunWitness w;
   std::uint64_t crossDomain = 0;
   std::uint64_t crossShard = 0;
   std::uint64_t fannedOut = 0;      // windows handed to several threads
@@ -124,14 +102,7 @@ ShardRun fleetIncast(std::uint32_t groups, std::uint32_t clientsPerGroup,
 
   ShardRun r;
   r.shards = se.shards();
-  r.w.endTime = cluster.now();
-  std::uint64_t d = 0xcbf29ce484222325ull;
-  for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
-    d = foldNicStats(d, cluster.node(n).device().stats());
-  }
-  r.w.nicDigest = d;
-  r.w.events = se.executedEvents();
-  r.w.windows = se.windowsExecuted();
+  r.w = bench::witnessOf(cluster);
   r.crossDomain = se.crossDomainEvents();
   r.crossShard = se.crossShardEvents();
   r.fannedOut = se.fannedOutWindows();
@@ -153,12 +124,12 @@ int run(int, char**) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u; shard counts swept: 1 2 4%s\n", hw,
               hw > 4 ? " hw" : "");
-  std::vector<unsigned> shardCounts = {1, 2, 4};
-  if (hw > 4) shardCounts.push_back(hw);
+  std::vector<unsigned> sweptShards = {1, 2, 4};
+  if (hw > 4) sweptShards.push_back(hw);
 
   const std::uint32_t groups = 64, clientsPerGroup = 63;
   std::vector<ShardRun> runs;
-  for (unsigned shards : shardCounts) {
+  for (unsigned shards : sweptShards) {
     const auto t0 = std::chrono::steady_clock::now();
     ShardRun r = fleetIncast(groups, clientsPerGroup, shards);
     r.wallMs = std::chrono::duration<double, std::milli>(

@@ -18,36 +18,23 @@ int run(int, char**) {
               "TR §3.2.5: bandwidth climbs with pipeline depth and "
               "saturates once the bottleneck stage stays busy");
 
-  const std::vector<int> depths = {1, 2, 4, 8, 16, 0 /* unlimited */};
-  const std::vector<std::uint64_t> sizes = {1024, 4096, 28672};
+  constexpr int kUnlimited = 999;  // the whole burst posted up front
+  const std::vector<int> depths = {1, 2, 4, 8, 16, kUnlimited};
   const auto profiles = paperProfiles();
-  const std::size_t perSize = depths.size() * profiles.size();
-  const auto points = harness::runSweep(
-      sizes.size() * perSize,
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / perSize];
-        const std::size_t rest = env.index % perSize;
-        const int depth = depths[rest / profiles.size()];
-        const auto& np = profiles[rest % profiles.size()];
-        suite::TransferConfig cfg;
-        cfg.msgBytes = size;
-        cfg.pipelineDepth = depth;
-        return suite::runBandwidth(clusterFor(np.profile, 2, env), cfg)
-            .bandwidthMBps;
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
+  for (const std::uint64_t size : {1024u, 4096u, 28672u}) {
+    const auto bw = sweepGrid(
+        depths, profiles,
+        [&](int depth, const NamedProfile& np, harness::PointEnv& env) {
+          suite::TransferConfig cfg;
+          cfg.msgBytes = size;
+          cfg.pipelineDepth = depth == kUnlimited ? 0 : depth;
+          return suite::runBandwidth(clusterFor(np.profile, 2, env), cfg)
+              .bandwidthMBps;
+        });
     suite::ResultTable t(
-        "Bandwidth (MB/s), " + std::to_string(sizes[si]) + " B messages",
+        "Bandwidth (MB/s), " + std::to_string(size) + " B messages",
         {"depth", "mvia", "bvia", "clan"});
-    for (std::size_t di = 0; di < depths.size(); ++di) {
-      std::vector<double> row{
-          depths[di] == 0 ? 999.0 : static_cast<double>(depths[di])};
-      for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-        row.push_back(points[si * perSize + di * profiles.size() + pi]);
-      }
-      t.addRow(row);
-    }
+    addGridRows(t, depths, bw);
     vibe::bench::emit(t);
     std::printf("(depth 999 = unlimited: the whole burst posted up front)\n\n");
   }

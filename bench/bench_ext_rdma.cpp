@@ -26,50 +26,28 @@ int run(int, char**) {
                         {"bytes", "mvia_sr", "mvia_rdma", "bvia_sr",
                          "bvia_rdma", "clan_sr", "clan_rdma"});
   const std::vector<std::uint64_t> sizes = {4, 1024, 4096, 28672};
-  const auto profiles = paperProfiles();
+  const std::vector<bool> rdmaWrite = {false, true};
   struct Point {
-    double srLat = 0.0;
-    double rdLat = 0.0;
-    double srBw = 0.0;
-    double rdBw = 0.0;
+    double lat = 0.0;
+    double bw = 0.0;
   };
-  const auto points = harness::runSweep(
-      sizes.size() * profiles.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / profiles.size()];
-        const auto& np = profiles[env.index % profiles.size()];
-        suite::TransferConfig sr;
-        sr.msgBytes = size;
-        const auto pingSr =
-            suite::runPingPong(clusterFor(np.profile, 2, env), sr);
-        const auto bwSr =
-            suite::runBandwidth(clusterFor(np.profile, 2, env), sr);
-        suite::TransferConfig rd = sr;
-        rd.useRdmaWrite = true;
-        const auto pingRd =
-            suite::runPingPong(clusterFor(np.profile, 2, env), rd);
-        const auto bwRd =
-            suite::runBandwidth(clusterFor(np.profile, 2, env), rd);
+  const auto points = sweepGrid(
+      sizes, crossProduct(paperProfiles(), rdmaWrite),
+      [](std::uint64_t size, const auto& col, harness::PointEnv& env) {
+        const auto& [np, rdma] = col;
+        suite::TransferConfig cfg;
+        cfg.msgBytes = size;
+        cfg.useRdmaWrite = rdma;
+        const auto ping =
+            suite::runPingPong(clusterFor(np.profile, 2, env), cfg);
+        const auto stream =
+            suite::runBandwidth(clusterFor(np.profile, 2, env), cfg);
         const double nanv = std::numeric_limits<double>::quiet_NaN();
-        return Point{pingSr.latencyUsec,
-                     pingRd.supported ? pingRd.latencyUsec : nanv,
-                     bwSr.bandwidthMBps,
-                     bwRd.supported ? bwRd.bandwidthMBps : nanv};
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> latRow{static_cast<double>(sizes[si])};
-    std::vector<double> bwRow{static_cast<double>(sizes[si])};
-    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-      const Point& pt = points[si * profiles.size() + pi];
-      latRow.push_back(pt.srLat);
-      latRow.push_back(pt.rdLat);
-      bwRow.push_back(pt.srBw);
-      bwRow.push_back(pt.rdBw);
-    }
-    lat.addRow(latRow);
-    bw.addRow(bwRow);
-  }
+        return Point{ping.supported ? ping.latencyUsec : nanv,
+                     stream.supported ? stream.bandwidthMBps : nanv};
+      });
+  addGridRows(lat, sizes, points, &Point::lat);
+  addGridRows(bw, sizes, points, &Point::bw);
   vibe::bench::emit(lat);
   vibe::bench::emit(bw);
   return 0;

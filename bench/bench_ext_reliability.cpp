@@ -34,38 +34,26 @@ int run(int, char**) {
                          "clan_rd", "clan_rr"});
   const std::vector<std::uint64_t> sizes = {4, 1024, 4096, 28672};
   const auto profiles = paperProfiles();
-  const std::size_t perSize = profiles.size() * levels.size();
   struct Point {
     double lat = 0.0;
     double bw = 0.0;
   };
-  const auto points = harness::runSweep(
-      sizes.size() * perSize,
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / perSize];
-        const std::size_t rest = env.index % perSize;
-        const auto& np = profiles[rest / levels.size()];
+  const auto points = sweepGrid(
+      sizes, crossProduct(profiles, levels),
+      [](std::uint64_t size, const auto& col, harness::PointEnv& env) {
+        const auto& [np, level] = col;
         suite::TransferConfig cfg;
         cfg.msgBytes = size;
-        cfg.reliability = levels[rest % levels.size()];
+        cfg.reliability = level;
         Point pt;
         pt.lat =
             suite::runPingPong(clusterFor(np.profile, 2, env), cfg).latencyUsec;
         pt.bw = suite::runBandwidth(clusterFor(np.profile, 2, env), cfg)
                     .bandwidthMBps;
         return pt;
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> latRow{static_cast<double>(sizes[si])};
-    std::vector<double> bwRow{static_cast<double>(sizes[si])};
-    for (std::size_t j = 0; j < perSize; ++j) {
-      latRow.push_back(points[si * perSize + j].lat);
-      bwRow.push_back(points[si * perSize + j].bw);
-    }
-    lat.addRow(latRow);
-    bw.addRow(bwRow);
-  }
+      });
+  addGridRows(lat, sizes, points, &Point::lat);
+  addGridRows(bw, sizes, points, &Point::bw);
   vibe::bench::emit(lat);
   vibe::bench::emit(bw);
 
@@ -74,25 +62,18 @@ int run(int, char**) {
   // data has been placed in target memory.
   suite::ResultTable sc("Send post-to-completion time (us), 4096 B",
                         {"impl", "ud", "rd", "rr"});
-  const auto scPoints = harness::runSweep(
-      profiles.size() * levels.size(),
-      [&](harness::PointEnv& env) {
-        const auto& np = profiles[env.index / levels.size()];
+  const auto scPoints = sweepGrid(
+      profiles, levels,
+      [](const NamedProfile& np, nic::Reliability level,
+         harness::PointEnv& env) {
         suite::TransferConfig cfg;
         cfg.msgBytes = 4096;
-        cfg.reliability = levels[env.index % levels.size()];
+        cfg.reliability = level;
         cfg.measureSendCompletion = true;
         return suite::runPingPong(clusterFor(np.profile, 2, env), cfg)
             .sendCompletionUsec;
-      },
-      sweepOptions());
-  for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-    std::vector<double> row{static_cast<double>(pi)};
-    for (std::size_t li = 0; li < levels.size(); ++li) {
-      row.push_back(scPoints[pi * levels.size() + li]);
-    }
-    sc.addRow(row);
-  }
+      });
+  addGridRows(sc, std::vector<int>{0, 1, 2}, scPoints);
   vibe::bench::emit(sc);
   std::printf("(impl: 0 = M-VIA, 1 = BVIA, 2 = cLAN)\n\n");
 

@@ -18,50 +18,23 @@ int run(int, char**) {
               "count; steepest where segment handling is in slow firmware "
               "(BVIA), shallowest on the host-copy path (M-VIA)");
 
+  // Every size has at least one byte per segment.
   const std::vector<int> segCounts = {1, 2, 4, 8, 16, 32};
-  const std::vector<std::uint64_t> sizes = {256, 4096, 28672};
   const auto profiles = paperProfiles();
-
-  struct Spec {
-    std::uint64_t size = 0;
-    int segs = 0;
-    std::size_t profile = 0;
-  };
-  std::vector<Spec> specs;
-  for (const std::uint64_t size : sizes) {
-    for (const int segs : segCounts) {
-      if (static_cast<std::uint64_t>(segs) > size) continue;
-      for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-        specs.push_back({size, segs, pi});
-      }
-    }
-  }
-  const auto points = harness::runSweep(
-      specs.size(),
-      [&](harness::PointEnv& env) {
-        const Spec& s = specs[env.index];
-        suite::TransferConfig cfg;
-        cfg.msgBytes = s.size;
-        cfg.dataSegments = s.segs;
-        return suite::runPingPong(
-                   clusterFor(profiles[s.profile].profile, 2, env), cfg)
-            .latencyUsec;
-      },
-      sweepOptions());
-
-  std::size_t next = 0;
-  for (const std::uint64_t size : sizes) {
+  for (const std::uint64_t size : {256u, 4096u, 28672u}) {
+    const auto lat = sweepGrid(
+        segCounts, profiles,
+        [&](int n, const NamedProfile& np, harness::PointEnv& env) {
+          suite::TransferConfig cfg;
+          cfg.msgBytes = size;
+          cfg.dataSegments = n;
+          return suite::runPingPong(clusterFor(np.profile, 2, env), cfg)
+              .latencyUsec;
+        });
     suite::ResultTable t(
         "One-way latency (us), " + std::to_string(size) + " B message",
         {"segments", "mvia", "bvia", "clan"});
-    for (const int segs : segCounts) {
-      if (static_cast<std::uint64_t>(segs) > size) continue;
-      std::vector<double> row{static_cast<double>(segs)};
-      for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-        row.push_back(points[next++]);
-      }
-      t.addRow(row);
-    }
+    addGridRows(t, segCounts, lat);
     vibe::bench::emit(t);
   }
   return 0;

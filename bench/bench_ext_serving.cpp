@@ -33,7 +33,6 @@
 #include "obs/timeseries.hpp"
 #include "serve/admission.hpp"
 #include "serve/loadgen.hpp"
-#include "simcore/pdes.hpp"
 #include "simcore/trace.hpp"
 #include "upper/rpc/rpc.hpp"
 
@@ -337,40 +336,40 @@ int run(int, char**) {
 
   // --- 1. Graceful degradation: goodput vs offered load ------------------
   const std::vector<double> loads = {0.5, 1.0, 2.0, 4.0};
-  const auto degradeRuns = harness::runSweep(
-      loads.size() * 2,
-      [&](harness::PointEnv& env) {
+  const auto degradeRuns = bench::sweepGrid(
+      loads, std::vector<serve::PolicyConfig>{nonePolicy, shedPolicy},
+      [](double load, const serve::PolicyConfig& policy,
+         harness::PointEnv& env) {
         RunConfig rc;
-        rc.loadMult = loads[env.index / 2];
-        rc.policy = env.index % 2 == 0 ? nonePolicy : shedPolicy;
+        rc.loadMult = load;
+        rc.policy = policy;
         return runServing(rc, &env);
-      },
-      bench::sweepOptions());
+      });
 
   suite::ResultTable degrade(
       "Goodput vs offered load (cLAN): no policy vs deadline-aware shed",
       {"offered_x", "offered_rps", "none_good_rps", "none_p99_ms",
        "shed_good_rps", "shed_p99_ms"});
-  double peakNone = 0, peakShed = 0;
-  for (std::size_t i = 0; i < loads.size(); ++i) {
-    const RunResult& rn = degradeRuns[2 * i];
-    const RunResult& rs = degradeRuns[2 * i + 1];
+  double peakNone = 0, peakShed = 0, lastNone = 0, lastShed = 0;
+  auto runs = degradeRuns.begin();
+  for (const double load : loads) {
+    const RunResult& rn = *runs++;
+    const RunResult& rs = *runs++;
     peakNone = std::max(peakNone, rn.goodputRps);
     peakShed = std::max(peakShed, rs.goodputRps);
-    degrade.addRow({loads[i], loads[i] * kCapacityRps, rn.goodputRps,
-                    rn.p99Ms, rs.goodputRps, rs.p99Ms});
-    const std::string tag = std::to_string(loads[i]);
+    lastNone = rn.goodputRps;
+    lastShed = rs.goodputRps;
+    degrade.addRow({load, load * kCapacityRps, rn.goodputRps, rn.p99Ms,
+                    rs.goodputRps, rs.p99Ms});
+    const std::string tag = std::to_string(load);
     servingMetrics.emplace_back("none_goodput_" + tag + "x_rps",
                                 rn.goodputRps);
     servingMetrics.emplace_back("shed_goodput_" + tag + "x_rps",
                                 rs.goodputRps);
   }
   bench::emit(degrade);
-  const double shedFrac =
-      peakShed > 0 ? degradeRuns.back().goodputRps / peakShed : 0;
-  const double noneFrac =
-      peakNone > 0 ? degradeRuns[2 * (loads.size() - 1)].goodputRps / peakNone
-                   : 0;
+  const double shedFrac = peakShed > 0 ? lastShed / peakShed : 0;
+  const double noneFrac = peakNone > 0 ? lastNone / peakNone : 0;
   std::printf(
       "graceful degradation @ 4x offered: shed goodput %.1f%% of peak "
       "(>= 80%% required): %s; unpoliced collapses to %.1f%% of its peak\n\n",
@@ -668,7 +667,7 @@ int run(int, char**) {
           RunConfig rc;
           rc.loadMult = pdesLoads[env.index];
           rc.policy = shedPolicy;
-          rc.simShards = std::max(1u, sim::shardCount());
+          rc.simShards = bench::simShards();
           return runServing(rc, &env);
         },
         bench::sweepOptions());
@@ -692,4 +691,4 @@ int run(int, char**) {
 
 }  // namespace
 
-VIBE_BENCH_MAIN(ext_serving, run)
+VIBE_BENCH_MAIN_SHARDED(ext_serving, run)

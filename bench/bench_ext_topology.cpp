@@ -118,26 +118,18 @@ int run(int, char**) {
   suite::ResultTable ft(
       "Fat-tree one-way latency (us), k=4, 16 hosts, cLAN stack",
       {"bytes", "same_edge", "same_pod", "cross_pod"});
-  struct FtPair {
-    std::uint32_t dst;  // src is always host 0
-  };
-  const std::vector<FtPair> pairs = {{1}, {2}, {12}};
-  const auto ftPoints = harness::runSweep(
-      sizes.size() * pairs.size(),
-      [&](harness::PointEnv& env) {
+  const std::vector<std::uint32_t> dsts = {1, 2, 12};  // src is host 0
+  const auto ftPoints = sweepGrid(
+      sizes, dsts,
+      [](std::uint64_t size, std::uint32_t dst, harness::PointEnv& env) {
         suite::TransferConfig t;
-        t.msgBytes = sizes[env.index / pairs.size()];
-        t.pingDst = pairs[env.index % pairs.size()].dst;
+        t.msgBytes = size;
+        t.pingDst = dst;
         suite::ClusterConfig cc = clusterFor(nic::clanProfile(), 16, env);
         cc.fatTreeK = 4;
         return suite::runPingPong(cc, t).latencyUsec;
-      },
-      sweepOptions());
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    ft.addRow({static_cast<double>(sizes[i]), ftPoints[i * pairs.size()],
-               ftPoints[i * pairs.size() + 1],
-               ftPoints[i * pairs.size() + 2]});
-  }
+      });
+  addGridRows(ft, sizes, ftPoints);
   vibe::bench::emit(ft);
 
   // 1023:1 incast on a 1024-host k=16 fat-tree (raw fabric): every other

@@ -24,16 +24,13 @@ int run(int, char**) {
                         {"bytes", "mvia", "bvia", "clan"});
 
   const auto sizes = suite::paperMessageSizes();
-  const auto profiles = paperProfiles();
   struct Point {
     double lat = 0.0;
     double bw = 0.0;
   };
-  const auto points = harness::runSweep(
-      sizes.size() * profiles.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / profiles.size()];
-        const auto& np = profiles[env.index % profiles.size()];
+  const auto points = sweepGrid(
+      sizes, paperProfiles(),
+      [](std::uint64_t size, const NamedProfile& np, harness::PointEnv& env) {
         suite::TransferConfig cfg;
         cfg.msgBytes = size;
         cfg.reap = suite::ReapMode::Poll;
@@ -45,20 +42,9 @@ int run(int, char**) {
         pt.bw = suite::runBandwidth(clusterFor(np.profile, 2, env), bcfg)
                     .bandwidthMBps;
         return pt;
-      },
-      sweepOptions());
-
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> latRow{static_cast<double>(sizes[si])};
-    std::vector<double> bwRow{static_cast<double>(sizes[si])};
-    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-      const Point& pt = points[si * profiles.size() + pi];
-      latRow.push_back(pt.lat);
-      bwRow.push_back(pt.bw);
-    }
-    lat.addRow(latRow);
-    bw.addRow(bwRow);
-  }
+      });
+  addGridRows(lat, sizes, points, &Point::lat);
+  addGridRows(bw, sizes, points, &Point::bw);
 
   vibe::bench::emit(lat);
   vibe::bench::emit(bw);

@@ -27,17 +27,14 @@ int run(int, char**) {
                            {"bytes", "mvia", "bvia", "clan"});
 
   const auto sizes = suite::paperMessageSizes();
-  const auto profiles = paperProfiles();
   struct Point {
     double lat = 0.0;
     double cpu = 0.0;
     double delta = 0.0;
   };
-  const auto points = harness::runSweep(
-      sizes.size() * profiles.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / profiles.size()];
-        const auto& np = profiles[env.index % profiles.size()];
+  const auto points = sweepGrid(
+      sizes, paperProfiles(),
+      [](std::uint64_t size, const NamedProfile& np, harness::PointEnv& env) {
         suite::TransferConfig blocking;
         blocking.msgBytes = size;
         blocking.reap = suite::ReapMode::Block;
@@ -49,23 +46,10 @@ int run(int, char**) {
             suite::runPingPong(clusterFor(np.profile, 2, env), polling);
         return Point{b.latencyUsec, b.receiverCpuPct,
                      b.latencyUsec - p.latencyUsec};
-      },
-      sweepOptions());
-
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> latRow{static_cast<double>(sizes[si])};
-    std::vector<double> cpuRow{static_cast<double>(sizes[si])};
-    std::vector<double> dRow{static_cast<double>(sizes[si])};
-    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-      const Point& pt = points[si * profiles.size() + pi];
-      latRow.push_back(pt.lat);
-      cpuRow.push_back(pt.cpu);
-      dRow.push_back(pt.delta);
-    }
-    lat.addRow(latRow);
-    cpu.addRow(cpuRow);
-    delta.addRow(dRow);
-  }
+      });
+  addGridRows(lat, sizes, points, &Point::lat);
+  addGridRows(cpu, sizes, points, &Point::cpu);
+  addGridRows(delta, sizes, points, &Point::delta);
 
   vibe::bench::emit(lat);
   vibe::bench::emit(cpu);

@@ -35,11 +35,9 @@ int run(int, char**) {
     double lat = 0.0;
     double bw = 0.0;
   };
-  const auto points = harness::runSweep(
-      sizes.size() * reuseLevels.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / reuseLevels.size()];
-        const int reuse = reuseLevels[env.index % reuseLevels.size()];
+  const auto points = sweepGrid(
+      sizes, reuseLevels,
+      [&](std::uint64_t size, int reuse, harness::PointEnv& env) {
         suite::TransferConfig cfg;
         cfg.msgBytes = size;
         cfg.reusePercent = reuse;
@@ -53,19 +51,9 @@ int run(int, char**) {
         pt.bw = suite::runBandwidth(clusterFor(bvia, 2, env), bcfg)
                     .bandwidthMBps;
         return pt;
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> latRow{static_cast<double>(sizes[si])};
-    std::vector<double> bwRow{static_cast<double>(sizes[si])};
-    for (std::size_t ri = 0; ri < reuseLevels.size(); ++ri) {
-      const Point& pt = points[si * reuseLevels.size() + ri];
-      latRow.push_back(pt.lat);
-      bwRow.push_back(pt.bw);
-    }
-    lat.addRow(latRow);
-    bw.addRow(bwRow);
-  }
+      });
+  addGridRows(lat, sizes, points, &Point::lat);
+  addGridRows(bw, sizes, points, &Point::bw);
   vibe::bench::emit(lat);
   vibe::bench::emit(bw);
 

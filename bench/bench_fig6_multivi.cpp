@@ -32,11 +32,9 @@ int run(int, char**) {
     double lat = 0.0;
     double bw = 0.0;
   };
-  const auto points = harness::runSweep(
-      sizes.size() * viCounts.size(),
-      [&](harness::PointEnv& env) {
-        const std::uint64_t size = sizes[env.index / viCounts.size()];
-        const int vis = viCounts[env.index % viCounts.size()];
+  const auto points = sweepGrid(
+      sizes, viCounts,
+      [&](std::uint64_t size, int vis, harness::PointEnv& env) {
         suite::TransferConfig cfg;
         cfg.msgBytes = size;
         cfg.extraVis = vis - 1;
@@ -45,19 +43,9 @@ int run(int, char**) {
         pt.bw =
             suite::runBandwidth(clusterFor(bvia, 2, env), cfg).bandwidthMBps;
         return pt;
-      },
-      sweepOptions());
-  for (std::size_t si = 0; si < sizes.size(); ++si) {
-    std::vector<double> latRow{static_cast<double>(sizes[si])};
-    std::vector<double> bwRow{static_cast<double>(sizes[si])};
-    for (std::size_t vi = 0; vi < viCounts.size(); ++vi) {
-      const Point& pt = points[si * viCounts.size() + vi];
-      latRow.push_back(pt.lat);
-      bwRow.push_back(pt.bw);
-    }
-    lat.addRow(latRow);
-    bw.addRow(bwRow);
-  }
+      });
+  addGridRows(lat, sizes, points, &Point::lat);
+  addGridRows(bw, sizes, points, &Point::bw);
   vibe::bench::emit(lat);
   vibe::bench::emit(bw);
 

@@ -18,36 +18,23 @@ int run(int, char**) {
               "Fig. 7: transactions/s for request sizes 16 and 256 bytes, "
               "varying reply size");
 
-  const std::vector<std::uint32_t> requests = {16u, 256u};
   const auto replies = suite::paperMessageSizes();
   const auto profiles = paperProfiles();
-  const std::size_t perRequest = replies.size() * profiles.size();
-  const auto points = harness::runSweep(
-      requests.size() * perRequest,
-      [&](harness::PointEnv& env) {
-        const std::uint32_t request = requests[env.index / perRequest];
-        const std::size_t rest = env.index % perRequest;
-        const std::uint64_t reply = replies[rest / profiles.size()];
-        const auto& np = profiles[rest % profiles.size()];
-        suite::ClientServerConfig cfg;
-        cfg.requestBytes = request;
-        cfg.replyBytes = static_cast<std::uint32_t>(reply);
-        return suite::runClientServer(clusterFor(np.profile, 2, env), cfg)
-            .transactionsPerSec;
-      },
-      sweepOptions());
-
-  for (std::size_t qi = 0; qi < requests.size(); ++qi) {
+  for (const std::uint32_t request : {16u, 256u}) {
+    const auto tps = sweepGrid(
+        replies, profiles,
+        [&](std::uint64_t reply, const NamedProfile& np,
+            harness::PointEnv& env) {
+          suite::ClientServerConfig cfg;
+          cfg.requestBytes = request;
+          cfg.replyBytes = static_cast<std::uint32_t>(reply);
+          return suite::runClientServer(clusterFor(np.profile, 2, env), cfg)
+              .transactionsPerSec;
+        });
     suite::ResultTable t(
-        "Transactions/s, request = " + std::to_string(requests[qi]) + " B",
+        "Transactions/s, request = " + std::to_string(request) + " B",
         {"reply_bytes", "mvia", "bvia", "clan"});
-    for (std::size_t ri = 0; ri < replies.size(); ++ri) {
-      std::vector<double> row{static_cast<double>(replies[ri])};
-      for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-        row.push_back(points[qi * perRequest + ri * profiles.size() + pi]);
-      }
-      t.addRow(row);
-    }
+    addGridRows(t, replies, tps);
     vibe::bench::emit(t, 0);
   }
   std::printf(

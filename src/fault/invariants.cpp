@@ -162,6 +162,11 @@ void InvariantChecker::onSessionRecord(const sim::TraceRecord& rec) {
   std::uint64_t sid = 0;
   if (!findValue(m, "sid=", sid)) return;
   SessionAcct& s = sessions_[key(rec.component, sid)];
+  auto watermark = [&]() -> std::uint64_t& {
+    std::uint64_t src = 0;
+    findValue(m, "src=", src);
+    return delivered_[{rec.component, sid, src}];
+  };
 
   if (startsWith(m, "deliver ")) {
     std::uint64_t seq = 0;
@@ -170,19 +175,20 @@ void InvariantChecker::onSessionRecord(const sim::TraceRecord& rec) {
       return;
     }
     ++sessionDeliveries_;
-    if (seq != s.delivered + 1) {
+    std::uint64_t& delivered = watermark();
+    if (seq != delivered + 1) {
       violation(rec, "session delivery not consecutive: expected seq=" +
-                         std::to_string(s.delivered + 1));
+                         std::to_string(delivered + 1));
       // Resynchronize so one gap is one violation, not a cascade.
     }
-    s.delivered = seq;
+    delivered = seq;
   } else if (startsWith(m, "dedup ")) {
     // A duplicate can only be a replay of something already delivered; a
     // dedup above the watermark means a message was thrown away unseen.
     std::uint64_t seq = 0;
-    if (findValue(m, "seq=", seq) && seq > s.delivered) {
+    if (findValue(m, "seq=", seq) && seq > watermark()) {
       violation(rec, "session deduped an undelivered seq: watermark=" +
-                         std::to_string(s.delivered));
+                         std::to_string(watermark()));
     }
   } else if (startsWith(m, "gap ")) {
     violation(rec, "session delivery gap (lost message)");

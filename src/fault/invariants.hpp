@@ -14,9 +14,11 @@
 //      budget exhausted" mark must be followed by the connection break.
 // Per (node, session) from the session layer's records, across epochs:
 //   4. Cross-epoch exactly-once — session-delivered sequence numbers are
-//      strictly consecutive from 1 regardless of how many reconnects
-//      happened in between; a "gap" record or a "dedup" of a sequence the
-//      session never delivered is a violation.
+//      strictly consecutive from 1 per sending peer regardless of how many
+//      reconnects happened in between; a "gap" record or a "dedup" of a
+//      sequence the session never delivered is a violation. Keyed by the
+//      records' src= peer too: one node may hold several sessions under
+//      one sid (every recoverable stream socket uses the same).
 //   5. Bounded downtime — when an MTTR bound is configured, any recovery
 //      episode ("up" record) that took longer is a violation.
 // And at finalize(), against the NIC statistics:
@@ -28,7 +30,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -94,9 +98,8 @@ class InvariantChecker {
   };
 
   struct SessionAcct {
-    std::uint64_t delivered = 0;  // receiver watermark: last in-order seq
-    bool down = false;            // saw "down"/"halt" without a later "up"
-    bool halted = false;          // circuit breaker tripped
+    bool down = false;    // saw "down"/"halt" without a later "up"
+    bool halted = false;  // circuit breaker tripped
   };
 
   static std::uint64_t key(std::uint32_t node, std::uint64_t vi) {
@@ -108,6 +111,10 @@ class InvariantChecker {
   std::uint32_t budget_;
   std::unordered_map<std::uint64_t, ViState> vis_;
   std::unordered_map<std::uint64_t, SessionAcct> sessions_;
+  /// Receiver watermark (last in-order seq) per (node, sid, src peer).
+  std::map<std::tuple<std::uint32_t, std::uint64_t, std::uint64_t>,
+           std::uint64_t>
+      delivered_;
   std::unordered_map<std::uint32_t, std::uint64_t> retransmitsByNode_;
   std::vector<std::string> violations_;
   std::uint64_t reliableDeliveries_ = 0;

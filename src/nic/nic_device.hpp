@@ -83,6 +83,31 @@ struct NicStats {
   std::uint64_t protocolErrors = 0;
 };
 
+/// One NicStats counter and the metric name it publishes under.
+struct NicStatField {
+  const char* metric;
+  std::uint64_t NicStats::*member;
+};
+
+/// Every NicStats counter, in declaration order: the one list that
+/// metric publishing and run witnesses iterate.
+inline constexpr NicStatField kNicStatFields[] = {
+    {"nic.sends_posted", &NicStats::sendsPosted},
+    {"nic.recvs_posted", &NicStats::recvsPosted},
+    {"nic.frags_tx", &NicStats::fragsTx},
+    {"nic.frags_rx", &NicStats::fragsRx},
+    {"nic.bytes_tx", &NicStats::bytesTx},
+    {"nic.bytes_rx", &NicStats::bytesRx},
+    {"nic.acks_tx", &NicStats::acksTx},
+    {"nic.acks_rx", &NicStats::acksRx},
+    {"nic.retransmits", &NicStats::retransmits},
+    {"nic.rx_corrupted", &NicStats::rxCorrupted},
+    {"nic.rx_dropped_no_descriptor", &NicStats::rxDroppedNoDescriptor},
+    {"nic.rx_dropped_bad_endpoint", &NicStats::rxDroppedBadEndpoint},
+    {"nic.rx_out_of_order_dropped", &NicStats::rxOutOfOrderDropped},
+    {"nic.protocol_errors", &NicStats::protocolErrors},
+};
+
 class NicDevice {
  public:
   struct Handlers {

@@ -53,28 +53,37 @@ void Histogram::add(std::int64_t value) {
   sum_ += static_cast<double>(v);
 }
 
-double Histogram::quantile(double q) const {
-  if (count_ == 0) return 0.0;
+double Histogram::quantileFromCounts(const std::vector<std::uint64_t>& counts,
+                                     double q) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : counts) total += c;
+  if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  // Rank in [0, count-1]; q=0 names the smallest sample, q=1 the largest.
-  const double rank = q * static_cast<double>(count_ - 1);
+  // Rank in [0, total-1]; q=0 names the smallest sample, q=1 the largest.
+  const double rank = q * static_cast<double>(total - 1);
   double cumulative = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) continue;
-    const double inBucket = static_cast<double>(buckets_[i]);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) continue;
+    const double inBucket = static_cast<double>(counts[i]);
     if (rank < cumulative + inBucket) {
       std::uint64_t lo = 0;
       std::uint64_t hi = 0;
       bucketBounds(i, lo, hi);
       const double frac = (rank - cumulative) / inBucket;
-      const double v =
-          static_cast<double>(lo) + frac * static_cast<double>(hi - lo);
-      return std::clamp(v, static_cast<double>(min_),
-                        static_cast<double>(max_));
+      return static_cast<double>(lo) + frac * static_cast<double>(hi - lo);
     }
     cumulative += inBucket;
   }
-  return static_cast<double>(max_);
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  bucketBounds(counts.size() - 1, lo, hi);
+  return static_cast<double>(hi);
+}
+
+double Histogram::quantile(double q) const {
+  if (count_ == 0) return 0.0;
+  return std::clamp(quantileFromCounts(buckets_, q), static_cast<double>(min_),
+                    static_cast<double>(max_));
 }
 
 void Histogram::merge(const Histogram& other) {

@@ -71,6 +71,11 @@ class Histogram {
   /// recorded [min, max]. Returns 0 when empty.
   double quantile(double q) const;
   double median() const { return quantile(0.5); }
+  /// The same bucket walk over raw bucket counts, without the clamp (a
+  /// count vector keeps no min/max): SloMonitor windows and offline
+  /// recomputation in tests use it. Returns 0 when every count is 0.
+  static double quantileFromCounts(const std::vector<std::uint64_t>& counts,
+                                   double q);
 
   /// Merges another histogram into this one.
   void merge(const Histogram& other);

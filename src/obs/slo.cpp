@@ -1,7 +1,5 @@
 #include "obs/slo.hpp"
 
-#include <algorithm>
-
 #include "obs/timeseries.hpp"
 
 namespace vibe::obs {
@@ -11,33 +9,6 @@ void SloMonitor::setTarget(double fraction) {
     throw sim::SimError("SloMonitor: target must be in (0, 1)");
   }
   target_ = fraction;
-}
-
-double SloMonitor::quantileFromCounts(
-    const std::vector<std::uint64_t>& counts, double q) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : counts) total += c;
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(total - 1);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    const double inBucket = static_cast<double>(counts[i]);
-    if (rank < cumulative + inBucket) {
-      std::uint64_t lo = 0;
-      std::uint64_t hi = 0;
-      Histogram::bucketBounds(i, lo, hi);
-      const double frac = (rank - cumulative) / inBucket;
-      return static_cast<double>(lo) +
-             frac * static_cast<double>(hi - lo);
-    }
-    cumulative += inBucket;
-  }
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  Histogram::bucketBounds(counts.size() - 1, lo, hi);
-  return static_cast<double>(hi);
 }
 
 void SloMonitor::bindTo(TimeSeriesSampler& sampler) {
@@ -76,10 +47,10 @@ void SloMonitor::sample(sim::SimTime t) {
   w.t = t;
   for (const std::uint64_t c : delta) w.count += c;
   if (w.count > 0) {
-    w.p50 = quantileFromCounts(delta, 0.5);
-    w.p99 = quantileFromCounts(delta, 0.99);
-    w.p999 = quantileFromCounts(delta, 0.999);
-    w.p9999 = quantileFromCounts(delta, 0.9999);
+    w.p50 = Histogram::quantileFromCounts(delta, 0.5);
+    w.p99 = Histogram::quantileFromCounts(delta, 0.99);
+    w.p999 = Histogram::quantileFromCounts(delta, 0.999);
+    w.p9999 = Histogram::quantileFromCounts(delta, 0.9999);
   }
   const std::uint64_t above = source_->countAbove(thresholdNs_);
   w.overThreshold = above - prevAbove_;

@@ -88,11 +88,6 @@ class SloMonitor {
   /// True while the most recent window's p99 exceeds the threshold.
   bool breached() const { return over_; }
 
-  /// Quantile over raw bucket counts (no min/max clamp): the shared
-  /// arithmetic for windows and for offline recomputation in tests.
-  static double quantileFromCounts(const std::vector<std::uint64_t>& counts,
-                                   double q);
-
  private:
   std::string name_;
   const Histogram* source_;

@@ -1,37 +1,10 @@
-// Streaming statistics used by micro-benchmarks and device models.
+// Exact sample quantiles for the micro-benchmarks' per-iteration numbers.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace vibe::sim {
-
-/// Welford-style streaming accumulator: count / min / max / mean / stddev.
-/// Numerically stable for the long sample streams the bandwidth tests emit.
-class Accumulator {
- public:
-  void add(double x);
-
-  std::size_t count() const { return count_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-
-  /// Merges another accumulator into this one (parallel-combine form).
-  void merge(const Accumulator& other);
-
- private:
-  std::size_t count_ = 0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
 
 /// Reservoir of samples with exact quantiles. Micro-benchmark iteration
 /// counts are bounded (<= a few hundred thousand), so storing samples and

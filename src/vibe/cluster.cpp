@@ -168,29 +168,12 @@ void Cluster::publishStats() {
     const nic::NicStats& s = providers_[n]->device().stats();
     nic::NicStats& prev = lastPublished_[n];
     const std::string scope = "node" + std::to_string(n);
-    auto pub = [&](const char* name, std::uint64_t cur, std::uint64_t& last) {
-      if (cur > last) {
-        m.counter(obs::scoped(scope, name)).add(cur - last);
-      }
+    for (const nic::NicStatField& f : nic::kNicStatFields) {
+      const std::uint64_t cur = s.*f.member;
+      std::uint64_t& last = prev.*f.member;
+      if (cur > last) m.counter(obs::scoped(scope, f.metric)).add(cur - last);
       last = cur;
-    };
-    pub("nic.sends_posted", s.sendsPosted, prev.sendsPosted);
-    pub("nic.recvs_posted", s.recvsPosted, prev.recvsPosted);
-    pub("nic.frags_tx", s.fragsTx, prev.fragsTx);
-    pub("nic.frags_rx", s.fragsRx, prev.fragsRx);
-    pub("nic.bytes_tx", s.bytesTx, prev.bytesTx);
-    pub("nic.bytes_rx", s.bytesRx, prev.bytesRx);
-    pub("nic.acks_tx", s.acksTx, prev.acksTx);
-    pub("nic.acks_rx", s.acksRx, prev.acksRx);
-    pub("nic.retransmits", s.retransmits, prev.retransmits);
-    pub("nic.rx_corrupted", s.rxCorrupted, prev.rxCorrupted);
-    pub("nic.rx_dropped_no_descriptor", s.rxDroppedNoDescriptor,
-        prev.rxDroppedNoDescriptor);
-    pub("nic.rx_dropped_bad_endpoint", s.rxDroppedBadEndpoint,
-        prev.rxDroppedBadEndpoint);
-    pub("nic.rx_out_of_order_dropped", s.rxOutOfOrderDropped,
-        prev.rxOutOfOrderDropped);
-    pub("nic.protocol_errors", s.protocolErrors, prev.protocolErrors);
+    }
   }
   auto pubNet = [&](const char* name, std::uint64_t cur,
                     std::uint64_t& last) {

@@ -3,19 +3,29 @@
 // entry point instead of defining main) and re-run in-process, with
 // stdout captured and diffed byte-for-byte against tests/golden/<name>.txt.
 //
-// Each bench runs across a (VIBE_JOBS x VIBE_SIM_SHARDS) matrix — jobs
-// in {1, 4} (serial vs the sweep harness's thread pool) composed with
-// sim shards in {1, 2, 7, hw} — so the suite pins three properties at
+// Each bench runs at jobs in {1, 4} (serial vs the sweep harness's
+// thread pool) and at sim shards in {1, 2, 7, hw}. The three benches that
+// read VIBE_SIM_SHARDS (through bench::simShards(), registered with
+// VIBE_BENCH_MAIN_SHARDED) run the whole cross product. The other 21 vary
+// one axis at a time from jobs 1, shards 1: jobs 4 at shards 1, and
+// shards 2, 7 and hw at jobs 1. The read check below sees only
+// bench::simShards(); their shards cases show that no other path (a
+// ShardedEngine left at its shardCount() default, say) reaches their
+// output. 3 x 8 + 21 x 5 = 129 cases. The suite pins three properties at
 // once: the tables themselves (any change to simulated numbers or
 // formatting must regenerate the goldens in the same commit), the
 // harness guarantee that worker count never leaks into output, and the
 // PDES guarantee that the within-simulation shard count never does
 // either (the two parallelism dimensions must not interact).
 //
-// When VIBE_SIM_SHARDS is already set in the environment, the shards
-// axis is pinned to that single value instead of the full sweep — the
-// pdes-tsan CI job uses this to run the whole suite at 4 shards without
-// quadrupling its size.
+// The registration is checked: each case counts the bench's
+// bench::simShards() calls and fails, naming the bench, when a
+// VIBE_BENCH_MAIN bench reads the shard count or a
+// VIBE_BENCH_MAIN_SHARDED one never does.
+//
+// When VIBE_SIM_SHARDS is already set in the environment, only the
+// sharded benches run, with the shards axis pinned to that value: the
+// pdes-tsan CI job uses this to run them at 4 shards (6 cases).
 //
 // Each case runs hermetically in a private mkdtemp directory that holds
 // the stdout capture and any BENCH_*.json side file the bench writes into
@@ -183,9 +193,18 @@ class GoldenTableTest : public ::testing::Test {
     }
     const ScratchDir scratch;  // the bench's working directory
     int rc = -1;
+    const std::uint64_t readsBefore = vibe::bench::shardReads();
     const std::string out =
         captureBench(info_.fn, scratch.file("capture.txt"), rc);
     EXPECT_EQ(rc, 0) << info_.name << " returned nonzero";
+    const bool readShards = vibe::bench::shardReads() != readsBefore;
+    EXPECT_EQ(readShards, info_.readsShards)
+        << "bench " << info_.name
+        << (readShards ? " calls bench::simShards() but is registered with "
+                         "VIBE_BENCH_MAIN; register it with "
+                         "VIBE_BENCH_MAIN_SHARDED"
+                       : " is registered with VIBE_BENCH_MAIN_SHARDED but "
+                         "never calls bench::simShards()");
 
     const std::string goldenPath = kGoldenDir + "/" + info_.name + ".txt";
     if (update_) {
@@ -242,19 +261,22 @@ class GoldenTableTest : public ::testing::Test {
   bool update_;
 };
 
-/// Shard-axis variants, as (env value, test-name label) pairs. An empty
-/// env value means "unset" — let the PDES default to hardware_concurrency.
-/// When the caller already exported VIBE_SIM_SHARDS the axis is pinned to
-/// that single value (the pdes-tsan CI contract); otherwise it sweeps
-/// serial, even, prime-and-ragged, and the hardware default.
-std::vector<std::pair<std::string, std::string>> shardVariants(bool update) {
+/// Shard-axis variants of one bench, as (env value, test-name label)
+/// pairs. An empty env value means "unset" — let the PDES default to
+/// hardware_concurrency. The axis sweeps serial, even, prime-and-ragged
+/// and the hardware default, or only `pinned` (a VIBE_SIM_SHARDS the
+/// caller exported, the pdes-tsan CI contract). A bench that does not
+/// read the shard count does not run at all when pinned.
+std::vector<std::pair<std::string, std::string>> shardVariants(
+    bool readsShards, const char* pinned, bool update) {
   if (update) return {{"1", ""}};
-  if (const char* pre = std::getenv("VIBE_SIM_SHARDS"); pre && *pre) {
+  if (pinned != nullptr) {
+    if (!readsShards) return {};
     std::string label = "pin";
-    for (const char* p = pre; *p; ++p) {
+    for (const char* p = pinned; *p; ++p) {
       if (std::isalnum(static_cast<unsigned char>(*p))) label += *p;
     }
-    return {{pre, "_shards" + label}};
+    return {{pinned, "_shards" + label}};
   }
   return {{"1", "_shards1"},
           {"2", "_shards2"},
@@ -280,13 +302,17 @@ int main(int argc, char** argv) {
   unsetenv("VIBE_CHAOS_SEEDS");  // soak-only sweep, absent from goldens
   unsetenv("VIBE_FLIGHT_OUT");
 
-  auto& registry = vibe::bench::benchRegistry();
-  const auto shards = shardVariants(update);
-  for (const auto& info : registry) {
-    const std::vector<unsigned> jobVariants =
-        update ? std::vector<unsigned>{1} : std::vector<unsigned>{1, 4};
+  const char* pinned = std::getenv("VIBE_SIM_SHARDS");
+  if (pinned != nullptr && *pinned == '\0') pinned = nullptr;
+  const std::vector<unsigned> jobVariants =
+      update ? std::vector<unsigned>{1} : std::vector<unsigned>{1, 4};
+  for (const auto& info : vibe::bench::benchRegistry()) {
+    const auto shards = shardVariants(info.readsShards, pinned, update);
     for (unsigned jobs : jobVariants) {
       for (const auto& [shardEnv, shardLabel] : shards) {
+        // The axes cross only where both act on the bench; the others
+        // vary one at a time from jobs 1, shards 1.
+        if (!info.readsShards && jobs != 1 && shardEnv != "1") continue;
         const std::string name =
             info.name +
             (update ? "_update" : "_jobs" + std::to_string(jobs) + shardLabel);

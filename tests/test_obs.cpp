@@ -784,7 +784,7 @@ TEST(SloMonitorTest, BurstStraddlingWindowBoundariesKeepsHysteresis) {
     prev = cur;
     if (n > 0) {
       const bool nowOver =
-          obs::SloMonitor::quantileFromCounts(delta, 0.99) > 10'000.0;
+          obs::Histogram::quantileFromCounts(delta, 0.99) > 10'000.0;
       if (nowOver != offlineOver) {
         ++offlineCrossings;
         offlineOver = nowOver;

@@ -443,17 +443,12 @@ struct StackOutcome {
 std::string renderNicStats(Cluster& cluster) {
   std::string out;
   for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
-    const nic::NicStats s = cluster.node(n).device().stats();
-    out += "node" + std::to_string(n) + " sp=" +
-           std::to_string(s.sendsPosted) + " rp=" +
-           std::to_string(s.recvsPosted) + " ftx=" +
-           std::to_string(s.fragsTx) + " frx=" + std::to_string(s.fragsRx) +
-           " btx=" + std::to_string(s.bytesTx) + " brx=" +
-           std::to_string(s.bytesRx) + " atx=" + std::to_string(s.acksTx) +
-           " arx=" + std::to_string(s.acksRx) + " rtx=" +
-           std::to_string(s.retransmits) + " ooo=" +
-           std::to_string(s.rxOutOfOrderDropped) + " perr=" +
-           std::to_string(s.protocolErrors) + "\n";
+    const nic::NicStats& s = cluster.node(n).device().stats();
+    out += "node" + std::to_string(n);
+    for (const nic::NicStatField& f : nic::kNicStatFields) {
+      out += std::string(" ") + f.metric + "=" + std::to_string(s.*f.member);
+    }
+    out += "\n";
   }
   return out;
 }

@@ -407,6 +407,56 @@ TEST(RecoveryLayers, SocketsStreamSurvivesConnectionBreak) {
   EXPECT_EQ(received, blob.size());
 }
 
+TEST(RecoveryLayers, CheckerTellsTwoRecoverableSocketsOnOneNodeApart) {
+  // Every recoverable stream socket uses the same session id, so node 0
+  // holds two sessions with one sid: the checker must keep their delivery
+  // sequences apart by peer.
+  ClusterConfig cfg;
+  cfg.profile = nic::profileByName("clan");
+  cfg.nodes = 3;
+  cfg.seed = 7;
+  sim::Tracer tracer(512);
+  InvariantChecker checker(cfg.profile.rtoRetryBudget);
+  checker.attach(tracer);
+  cfg.tracer = &tracer;
+  Cluster cluster(cfg);
+
+  constexpr std::size_t kBytes = 32 * 1024;
+  upper::sockets::StreamConfig sc;
+  sc.recovery = true;
+  sc.reconnect.seed = 7;
+  std::size_t received = 0;
+
+  auto server = [&](NodeEnv& env) {
+    upper::sockets::StreamListener first(env, 4242, sc);
+    upper::sockets::StreamListener second(env, 4243, sc);
+    auto a = first.acceptRecoverable(1);
+    auto b = second.acceptRecoverable(2);
+    auto drain = [&](upper::sockets::StreamSocket& sock, std::uint64_t port) {
+      std::vector<std::byte> got(kBytes);
+      sock.recvAll(got);
+      EXPECT_EQ(got, pattern(kBytes, port));
+      received += got.size();
+      sock.close();
+    };
+    drain(*a, 4242);
+    drain(*b, 4243);
+  };
+  auto client = [&](NodeEnv& env, std::uint64_t port) {
+    auto sock = upper::sockets::StreamSocket::connect(env, 0, port, sc);
+    sock->sendAll(pattern(kBytes, port));
+    sock->close();
+    std::byte sink[64];
+    while (sock->recvSome(sink) != 0) {
+    }
+  };
+  cluster.run({server, [&](NodeEnv& env) { client(env, 4242); },
+               [&](NodeEnv& env) { client(env, 4243); }});
+  checker.finalize(cluster);
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  EXPECT_EQ(received, 2 * kBytes);
+}
+
 TEST(RecoveryLayers, GetPutFallsBackToEmulationOverRecoveryComm) {
   ClusterConfig cfg;
   cfg.profile = nic::profileByName("clan");  // RDMA-capable on purpose
